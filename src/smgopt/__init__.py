@@ -15,11 +15,9 @@ from .shuffling import (
     INCREMENTAL,
     RANDOM_RESHUFFLING,
     SHUFFLE_ONCE,
-    PermutationStream,
     ShufflingStrategy,
     init_point,
     permutation_for_epoch,
-    select_output_iterate,
 )
 from .schedules import (
     Schedule,
@@ -55,7 +53,6 @@ from .audit import (
     theorem3_rhs,
 )
 from .dataio import (
-    DatasetMeta,
     ParseError,
     parse_libsvm,
     read_trace,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,23 +244,20 @@ def fit_power_law(horizons: Sequence[int], metrics: Sequence[float]) -> RateFit:
 
 def fit_rate(problem: Problem, horizons: Sequence[int], gamma: float,
              beta: float, strategy_kind: str = RANDOM_RESHUFFLING,
-             base_seed: int = 0, n_seeds: int = 1,
-             run_fn: Optional[Callable] = None) -> RateFit:
+             base_seed: int = 0, n_seeds: int = 1) -> RateFit:
     """Fit the decay exponent of the weighted gradient metric against T.
 
     Each horizon uses its own constant schedule gamma / T^(1/3); the metric
     per horizon is the median over seeds of the weighted average squared
-    gradient norm.  run_fn defaults to the anchored-momentum method.
+    gradient norm of the anchored-momentum method.
     """
-    if run_fn is None:
-        run_fn = lambda p, sch, strat: smg_run(p, sch, strat, beta)
     metrics = []
     for T in horizons:
         schedule = Schedule(kind="constant", gamma=gamma, horizon=int(T))
         per_seed = []
         for s in range(n_seeds):
             strategy = ShufflingStrategy(strategy_kind, base_seed + s)
-            record = run_fn(problem, schedule, strategy)
+            record = smg_run(problem, schedule, strategy, beta)
             per_seed.append(record.weighted_grad_avg())
         metrics.append(float(np.median(per_seed)))
     return fit_power_law(list(horizons), metrics)

@@ -24,13 +24,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import audit as audit_mod
 from .audit import AuditRefusal, BoundReport, fit_rate
 from .dataio import (
-    DatasetMeta,
     ParseError,
     parse_libsvm,
     scale_features,
@@ -174,26 +174,36 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
     if kind == "exponential":
         return step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
     if kind == "cosine":
+        if T == 1:
+            raise UsageError("a cosine schedule over T=1 epoch has a zero first "
+                             "step for every gamma; use T >= 2")
         return step * n * T ** (1.0 / 3.0) / (1.0 + math.cos(math.pi / T))
     raise UsageError(f"unknown schedule kind {kind!r}")
 
 
-def execute_run(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
-                seed: int, w0=None) -> RunRecord:
-    strategy = ShufflingStrategy(cfg.strategy, seed)
-    beta = cfg.resolved_beta
-    if cfg.algo == "smg":
-        record = smg_run(problem, schedule, strategy, beta, w0)
-    elif cfg.algo == "ssmg":
-        record = ssmg_run(problem, schedule, strategy, beta, w0)
-    elif cfg.algo == "sgd":
-        record = shuffling_sgd_run(problem, schedule, strategy, w0)
-    elif cfg.algo == "sgdm":
-        record = sgdm_run(problem, schedule, strategy, beta, w0)
-    else:  # adam: gamma is the per-step rate
-        record = adam_run(problem, cfg.gamma, cfg.T, strategy, w0)
-    record.config_hash = cfg.hash()
-    return record
+def seeded_runs(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
+                w0=None) -> Iterator[RunRecord]:
+    """Yield cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1."""
+    for seed in range(cfg.seed, cfg.seed + cfg.repeats):
+        strategy = ShufflingStrategy(cfg.strategy, seed)
+        if cfg.algo == "adam":  # gamma is the per-step rate
+            record = adam_run(problem, cfg.gamma, cfg.T, strategy, w0)
+        elif cfg.algo == "sgd":
+            record = shuffling_sgd_run(problem, schedule, strategy, w0)
+        else:
+            run = {"smg": smg_run, "ssmg": ssmg_run, "sgdm": sgdm_run}[cfg.algo]
+            record = run(problem, schedule, strategy, cfg.resolved_beta, w0)
+        record.config_hash = cfg.hash()
+        yield record
+
+
+def write_table(path: Path, cfg: ExperimentConfig, header: str, rows) -> Path:
+    """Write CSV rows (lists of cells) under the config-hash and seed stamp."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", header]
+    lines += [",".join(cells) for cells in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def check_cap(cfg: ExperimentConfig, problem: Problem, schedule: Schedule):
@@ -237,9 +247,7 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
     shared_w0 = None
     if with_audit and cfg.algo == "smg" and cfg.strategy == RANDOM_RESHUFFLING:
         shared_w0 = init_point(problem.d, cfg.seed)
-    records = []
-    for r in range(cfg.repeats):
-        records.append(execute_run(problem, cfg, schedule, cfg.seed + r, shared_w0))
+    records = list(seeded_runs(problem, cfg, schedule, shared_w0))
     reports = audit_records(cfg, problem, schedule, records) if with_audit else []
     return problem, schedule, records, reports
 
@@ -303,8 +311,7 @@ def _grid_worker(cfg_dict: dict) -> dict:
         problem = build_problem(cfg)
         schedule = build_schedule(cfg, problem.n)
         losses, metrics = [], []
-        for r in range(cfg.repeats):
-            record = execute_run(problem, cfg, schedule, cfg.seed + r)
+        for record in seeded_runs(problem, cfg, schedule):
             losses.append(float(record.losses[-1]))
             metrics.append(record.weighted_grad_avg())
         row["final_loss"] = float(np.mean(losses))
@@ -394,21 +401,15 @@ def cmd_grid(args) -> int:
         rows = [_grid_worker(p) for p in points]
 
     rows.sort(key=lambda r: (r["status"] != "ok", r["final_loss"]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "grid_results.csv"
     header = "rank,step,gamma,lam,rho,beta,final_loss,weighted_grad_avg,status,abort_epoch,hash"
-    lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", header]
-    for rank, row in enumerate(rows, start=1):
-        lines.append(",".join([
-            str(rank), repr(row["step"]), repr(row["gamma"]),
-            "" if row["lam"] is None else repr(row["lam"]),
-            "" if row["rho"] is None else repr(row["rho"]),
-            repr(row["beta"]),
-            repr(row["final_loss"]), repr(row["weighted_grad_avg"]),
-            row["status"], row["abort_epoch"], row["hash"],
-        ]))
-    table.write_text("\n".join(lines) + "\n")
+    cells = [[str(rank), repr(row["step"]), repr(row["gamma"]),
+              "" if row["lam"] is None else repr(row["lam"]),
+              "" if row["rho"] is None else repr(row["rho"]),
+              repr(row["beta"]),
+              repr(row["final_loss"]), repr(row["weighted_grad_avg"]),
+              row["status"], row["abort_epoch"], row["hash"]]
+             for rank, row in enumerate(rows, start=1)]
+    table = write_table(Path(args.out) / "grid_results.csv", cfg, header, cells)
     best = rows[0]
     print(f"{len(rows)} grid points -> {table}")
     print(f"best: step={best['step']} (gamma={best['gamma']:.6g}, "
@@ -425,11 +426,8 @@ def cmd_rate(args) -> int:
                    strategy_kind=cfg.strategy, base_seed=cfg.seed,
                    n_seeds=cfg.repeats)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "rate.csv"
-    lines = ([f"# config_hash={cfg.hash()} seed={cfg.seed}", "T,metric"]
-             + [f"{T},{repr(m)}" for T, m in zip(fit.horizons, fit.metrics)])
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path = write_table(out / "rate.csv", cfg, "T,metric",
+                           ([str(T), repr(m)] for T, m in zip(fit.horizons, fit.metrics)))
     gp_path = out / "rate.gnuplot"
     gp_path.write_text(
         "set logscale xy\n"
@@ -454,33 +452,23 @@ def cmd_compare(args) -> int:
     problem = build_problem(cfg)
     curves: dict[str, np.ndarray] = {}
     for method in methods:
-        per_seed = []
-        for r in range(cfg.repeats):
-            d = cfg.to_dict()
-            d["algo"] = method
-            d["beta"] = None  # per-method default momentum
-            if method == "smg" or method == "ssmg":
-                d["beta"] = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
-            mcfg = ExperimentConfig.from_dict(d)
-            if method == "adam":
-                mcfg.gamma = cfg.gamma
-            else:
-                mcfg.gamma = gamma_for_initial_step(cfg.schedule, cfg.gamma,
-                                                    problem.n, cfg.T, cfg.lam, cfg.rho)
-            schedule = build_schedule(mcfg, problem.n)
-            record = execute_run(problem, mcfg, schedule, cfg.seed + r)
-            per_seed.append(record.losses)
-        curves[method] = np.stack(per_seed)
+        d = cfg.to_dict()
+        d["algo"] = method
+        d["beta"] = None  # per-method default momentum
+        if method == "smg" or method == "ssmg":
+            d["beta"] = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
+        mcfg = ExperimentConfig.from_dict(d)
+        if method != "adam":
+            mcfg.gamma = gamma_for_initial_step(cfg.schedule, cfg.gamma,
+                                                problem.n, cfg.T, cfg.lam, cfg.rho)
+        schedule = build_schedule(mcfg, problem.n)
+        curves[method] = np.stack([record.losses for record in
+                                   seeded_runs(problem, mcfg, schedule)])
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "compare.csv"
     if cfg.repeats == 1:
         header = "epoch," + ",".join(f"loss_{m}" for m in methods)
-        rows = []
-        for t in range(cfg.T):
-            rows.append(",".join([str(t + 1)] + [repr(float(curves[m][0, t]))
-                                                 for m in methods]))
+        rows = ([str(t + 1)] + [repr(float(curves[m][0, t])) for m in methods]
+                for t in range(cfg.T))
     else:
         header = "epoch," + ",".join(f"{m}_mean,{m}_std" for m in methods)
         rows = []
@@ -488,11 +476,10 @@ def cmd_compare(args) -> int:
             cells = [str(t + 1)]
             for m in methods:
                 col = curves[m][:, t]
-                cells.append(repr(float(col.mean())))
-                cells.append(repr(float(col.std(ddof=1))))
-            rows.append(",".join(cells))
-    stamp = f"# config_hash={cfg.hash()} seed={cfg.seed}"
-    csv_path.write_text(stamp + "\n" + header + "\n" + "\n".join(rows) + "\n")
+                cells += [repr(float(col.mean())), repr(float(col.std(ddof=1)))]
+            rows.append(cells)
+    out = Path(args.out)
+    csv_path = write_table(out / "compare.csv", cfg, header, rows)
 
     gp_path = out / "compare.gnuplot"
     plots = ", ".join(
@@ -509,11 +496,10 @@ def cmd_compare(args) -> int:
 
 def cmd_parse(args) -> int:
     samples, d = parse_libsvm(args.file)
-    meta = DatasetMeta(name=Path(args.file).name, n=len(samples), d=d,
-                       source=str(args.file))
+    n = len(samples)
     pos = sum(1 for s in samples if s.label == 1)
-    print(f"{meta.source}: {meta.n} samples, dimension {meta.d}, "
-          f"{pos} positive / {meta.n - pos} negative")
+    print(f"{args.file}: {n} samples, dimension {d}, "
+          f"{pos} positive / {n - pos} negative")
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -26,15 +25,6 @@ class ParseError(ValueError):
     def __init__(self, line_number: int, detail: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {detail}")
-
-
-@dataclass(frozen=True)
-class DatasetMeta:
-    name: str
-    n: int
-    d: int
-    source: str
-    checksum: Optional[str] = None
 
 
 def _parse_label(token: str, line_number: int) -> int:

@@ -1,9 +1,10 @@
 """Epoch-structured optimizers over finite-sum problems.
 
-All runs share the same shape: T epochs of n inner steps, per-step rate
-eta_t/n, objective and squared full-gradient norm recorded at each epoch
-start, and the output iterate sampled from the epoch-start points with
-probability proportional to eta_t.
+All methods run on one epoch driver: T epochs of n inner steps at per-step
+rate eta_t/n, objective and squared full-gradient norm recorded at each
+epoch start, and the output iterate sampled from the epoch-start points
+with probability proportional to eta_t.  Methods differ only in the update
+rule applied at each inner step.
 
 Methods:
 
@@ -15,7 +16,9 @@ Methods:
                  w <- w - (eta_t / n) * m
   ssmg_run   classical recursive momentum m <- beta m + (1 - beta) g under
              one permutation fixed for all epochs
-  shuffling_sgd_run / sgdm_run / adam_run
+  shuffling_sgd_run
+             plain shuffling SGD, run as the anchored rule with beta = 0
+  sgdm_run / adam_run
              baselines consuming the same permutation streams
 
 With beta = 0, smg_run and ssmg_run reduce exactly (bitwise) to plain
@@ -91,67 +94,146 @@ class RunRecord:
         return float(np.dot(self.etas, self.grad_norms_sq)) / total
 
 
-class _Recorder:
-    """Epoch-boundary bookkeeping shared by every optimizer loop."""
+class _Rule:
+    """Per-step update of one method, applied by the shared epoch driver.
 
-    def __init__(self, problem: Problem, etas: np.ndarray, seed: int,
-                 trace: bool):
-        self.problem = problem
-        self.etas = etas
-        self.seed = seed
-        T = etas.size
-        self.losses = np.empty(T)
-        self.grad_sq = np.empty(T)
-        self.keep_snapshots = T * problem.d <= SNAPSHOT_BUDGET
-        self.snapshots = [] if self.keep_snapshots else None
-        self.selected_index = select_output_index(etas, selection_rng(seed))
-        self.selected_w = None
-        self.trace = [] if trace else None
+    step(w, g, rate) updates w in place from the component gradient g at the
+    epoch's per-step rate eta_t / n; end_epoch() runs after the n steps.  A
+    rule that sets anchor (read at each epoch start) or momentum (read after
+    each step) has those arrays recorded in the inner trace.
+    """
 
-    def start_epoch(self, t: int, w: np.ndarray):
-        if not np.all(np.isfinite(w)):
-            raise RunAborted(t, "non-finite iterate")
-        loss = self.problem.full_value(w)
-        grad = self.problem.full_grad(w)
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-            raise RunAborted(t, "non-finite objective or gradient")
-        self.losses[t - 1] = loss
-        self.grad_sq[t - 1] = float(grad @ grad)
-        if self.keep_snapshots:
-            self.snapshots.append(w.copy())
-        if t - 1 == self.selected_index:
-            self.selected_w = w.copy()
+    anchor = momentum = None
 
-    def finish(self, algo: str, beta: float, w: np.ndarray,
-               strategy_kind: Optional[str]) -> RunRecord:
-        return RunRecord(
-            algo=algo,
-            etas=self.etas,
-            losses=self.losses,
-            grad_norms_sq=self.grad_sq,
-            selected_index=self.selected_index,
-            selected_w=self.selected_w,
-            final_w=w.copy(),
-            seed=self.seed,
-            beta=beta,
-            strategy_kind=strategy_kind,
-            snapshots=self.snapshots,
-            epochs=self.trace,
-        )
+    def end_epoch(self):
+        pass
 
 
-def _prepare(problem: Problem, schedule: Schedule, w0: Optional[np.ndarray],
-             seed: int) -> tuple[np.ndarray, np.ndarray]:
-    etas = schedule.etas()
+class _Anchored(_Rule):
+    """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
+    refreshed at each epoch end with the epoch's average gradient v."""
+
+    def __init__(self, n: int, d: int, beta: float, keep_anchor: bool = True):
+        self.n, self.beta, self.c = n, beta, 1.0 - beta
+        self.m0, self.v, self.m = np.zeros(d), np.zeros(d), np.empty(d)
+        if keep_anchor:
+            self.anchor = self.m0
+
+    def step(self, w, g, rate):
+        np.multiply(self.m0, self.beta, out=self.m)
+        self.m += self.c * g
+        self.v += g / self.n
+        w -= rate * self.m
+
+    def end_epoch(self):
+        self.m0[:] = self.v
+        self.v[:] = 0.0
+
+
+class _Recursive(_Rule):
+    """Momentum m <- beta m + c g carried across epoch boundaries."""
+
+    def __init__(self, d: int, beta: float, c: float):
+        self.beta, self.c = beta, c
+        self.momentum = np.zeros(d)
+
+    def step(self, w, g, rate):
+        m = self.momentum
+        m *= self.beta
+        m += self.c * g
+        w -= rate * m
+
+
+class _Adam(_Rule):
+    """Bias-corrected Adam at its own constant per-step rate lr."""
+
+    def __init__(self, d: int, lr: float, beta1: float, beta2: float, eps: float):
+        self.lr, self.beta, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self.k = np.zeros(d), np.zeros(d), 0
+
+    def step(self, w, g, rate):
+        self.k += 1
+        self.m *= self.beta
+        self.m += (1.0 - self.beta) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        m_hat = self.m / (1.0 - self.beta ** self.k)
+        v_hat = self.v / (1.0 - self.beta2 ** self.k)
+        w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _drive(algo: str, problem: Problem, etas: np.ndarray,
+           strategy: ShufflingStrategy, w0: Optional[np.ndarray], rule,
+           inner_trace: bool = False, fixed_order: bool = False) -> RunRecord:
+    """Run T = etas.size epochs of rule's update and record them.
+
+    Each epoch evaluates F and grad F at its start point, then applies
+    rule.step to the n component gradients taken along the epoch's
+    permutation (the epoch-1 permutation throughout with fixed_order).
+    """
+    n, d, T = problem.n, problem.d, etas.size
     if w0 is None:
-        w = init_point(problem.d, seed)
+        w = init_point(d, strategy.seed)
     else:
         w = np.asarray(w0, dtype=float).copy()
-        if w.shape != (problem.d,):
+        if w.shape != (d,):
             raise ValueError(
-                f"initial point has shape {w.shape}, problem dimension is {problem.d}"
+                f"initial point has shape {w.shape}, problem dimension is {d}"
             )
-    return etas, w
+    losses = np.empty(T)
+    grad_sq = np.empty(T)
+    snapshots = [] if T * d <= SNAPSHOT_BUDGET else None
+    selected_index = select_output_index(etas, selection_rng(strategy.seed))
+    selected_w = None
+    epochs = [] if inner_trace else None
+    if fixed_order:
+        perm = permutation_for_epoch(strategy, n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            if not np.all(np.isfinite(w)):
+                raise RunAborted(t, "non-finite iterate")
+            loss = problem.full_value(w)
+            grad = problem.full_grad(w)
+            if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+                raise RunAborted(t, "non-finite objective or gradient")
+            losses[t - 1] = loss
+            grad_sq[t - 1] = float(grad @ grad)
+            if snapshots is not None:
+                snapshots.append(w.copy())
+            if t - 1 == selected_index:
+                selected_w = w.copy()
+            if not fixed_order:
+                perm = permutation_for_epoch(strategy, n, t)
+            rate = etas[t - 1] / n
+            if inner_trace:
+                grads = np.empty((n, d))
+                inner = np.empty((n + 1, d))
+                inner[0] = w
+                anchor = None if rule.anchor is None else rule.anchor.copy()
+                momenta = None if rule.momentum is None else np.empty((n, d))
+            for i in range(n):
+                g = problem.component_grad(w, int(perm[i]))
+                rule.step(w, g, rate)
+                if inner_trace:
+                    grads[i] = g
+                    inner[i + 1] = w
+                    if momenta is not None:
+                        momenta[i] = rule.momentum
+            if not np.all(np.isfinite(w)):
+                raise RunAborted(t, "non-finite iterate after inner loop")
+            if inner_trace:
+                epochs.append(EpochTrace(
+                    permutation=perm, gradients=grads,
+                    start_w=inner[0].copy(), end_w=w.copy(),
+                    inner_iterates=inner, anchor=anchor, momenta=momenta,
+                ))
+            rule.end_epoch()
+    return RunRecord(
+        algo=algo, etas=etas, losses=losses, grad_norms_sq=grad_sq,
+        selected_index=selected_index, selected_w=selected_w,
+        final_w=w.copy(), seed=strategy.seed, beta=rule.beta,
+        strategy_kind=strategy.kind, snapshots=snapshots, epochs=epochs,
+    )
 
 
 def _check_beta(beta: float):
@@ -164,42 +246,8 @@ def smg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
             inner_trace: bool = False) -> RunRecord:
     """Shuffling gradient method with an epoch-fixed momentum anchor."""
     _check_beta(beta)
-    etas, w = _prepare(problem, schedule, w0, strategy.seed)
-    n, d = problem.n, problem.d
-    rec = _Recorder(problem, etas, strategy.seed, inner_trace)
-    m0 = np.zeros(d)
-    v = np.zeros(d)
-    m = np.empty(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, schedule.horizon + 1):
-            rec.start_epoch(t, w)
-            perm = permutation_for_epoch(strategy, n, t)
-            step = etas[t - 1] / n
-            v[:] = 0.0
-            if inner_trace:
-                grads = np.empty((n, d))
-                inner = np.empty((n + 1, d))
-                inner[0] = w
-                anchor = m0.copy()
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                np.multiply(m0, beta, out=m)
-                m += (1.0 - beta) * g
-                v += g / n
-                w -= step * m
-                if inner_trace:
-                    grads[i] = g
-                    inner[i + 1] = w
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
-            if inner_trace:
-                rec.trace.append(EpochTrace(
-                    permutation=perm, gradients=grads,
-                    start_w=inner[0].copy(), end_w=w.copy(),
-                    inner_iterates=inner, anchor=anchor,
-                ))
-            m0, v = v, m0  # refresh the anchor with this epoch's average
-    return rec.finish("smg", beta, w, strategy.kind)
+    return _drive("smg", problem, schedule.etas(), strategy, w0,
+                  _Anchored(problem.n, problem.d, beta), inner_trace)
 
 
 def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -211,72 +259,19 @@ def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     epoch; the momentum buffer carries across epoch boundaries.
     """
     _check_beta(beta)
-    etas, w = _prepare(problem, schedule, w0, strategy.seed)
-    n, d = problem.n, problem.d
-    perm = permutation_for_epoch(strategy, n, 1)
-    rec = _Recorder(problem, etas, strategy.seed, inner_trace)
-    m = np.zeros(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, schedule.horizon + 1):
-            rec.start_epoch(t, w)
-            step = etas[t - 1] / n
-            if inner_trace:
-                grads = np.empty((n, d))
-                momenta = np.empty((n, d))
-                inner = np.empty((n + 1, d))
-                inner[0] = w
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                m *= beta
-                m += (1.0 - beta) * g
-                w -= step * m
-                if inner_trace:
-                    grads[i] = g
-                    momenta[i] = m
-                    inner[i + 1] = w
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
-            if inner_trace:
-                rec.trace.append(EpochTrace(
-                    permutation=perm, gradients=grads,
-                    start_w=inner[0].copy(), end_w=w.copy(),
-                    inner_iterates=inner, momenta=momenta,
-                ))
-    return rec.finish("ssmg", beta, w, strategy.kind)
+    return _drive("ssmg", problem, schedule.etas(), strategy, w0,
+                  _Recursive(problem.d, beta, 1.0 - beta), inner_trace,
+                  fixed_order=True)
 
 
 def shuffling_sgd_run(problem: Problem, schedule: Schedule,
                       strategy: ShufflingStrategy,
                       w0: Optional[np.ndarray] = None,
                       inner_trace: bool = False) -> RunRecord:
-    """Plain shuffling SGD: w <- w - (eta_t/n) g along the permuted order."""
-    etas, w = _prepare(problem, schedule, w0, strategy.seed)
-    n = problem.n
-    rec = _Recorder(problem, etas, strategy.seed, inner_trace)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, schedule.horizon + 1):
-            rec.start_epoch(t, w)
-            perm = permutation_for_epoch(strategy, n, t)
-            step = etas[t - 1] / n
-            if inner_trace:
-                grads = np.empty((n, problem.d))
-                inner = np.empty((n + 1, problem.d))
-                inner[0] = w
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                w -= step * g
-                if inner_trace:
-                    grads[i] = g
-                    inner[i + 1] = w
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
-            if inner_trace:
-                rec.trace.append(EpochTrace(
-                    permutation=perm, gradients=grads,
-                    start_w=inner[0].copy(), end_w=w.copy(),
-                    inner_iterates=inner,
-                ))
-    return rec.finish("sgd", 0.0, w, strategy.kind)
+    """Plain shuffling SGD: the anchored update with beta = 0."""
+    rule = _Anchored(problem.n, problem.d, 0.0, keep_anchor=False)
+    return _drive("sgd", problem, schedule.etas(), strategy, w0, rule,
+                  inner_trace)
 
 
 def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -287,23 +282,8 @@ def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     deep-learning-framework implementation.
     """
     _check_beta(beta)
-    etas, w = _prepare(problem, schedule, w0, strategy.seed)
-    n = problem.n
-    rec = _Recorder(problem, etas, strategy.seed, trace=False)
-    m = np.zeros(problem.d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, schedule.horizon + 1):
-            rec.start_epoch(t, w)
-            perm = permutation_for_epoch(strategy, n, t)
-            step = etas[t - 1] / n
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                m *= beta
-                m += g
-                w -= step * m
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
-    return rec.finish("sgdm", beta, w, strategy.kind)
+    return _drive("sgdm", problem, schedule.etas(), strategy, w0,
+                  _Recursive(problem.d, beta, 1.0))
 
 
 def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
@@ -318,34 +298,5 @@ def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
         raise ValueError(f"learning rate must be positive, got {lr}")
     if T < 1:
         raise ValueError(f"need at least one epoch, got T={T}")
-    etas = np.full(T, float(lr))
-    if w0 is None:
-        w = init_point(problem.d, strategy.seed)
-    else:
-        w = np.asarray(w0, dtype=float).copy()
-        if w.shape != (problem.d,):
-            raise ValueError(
-                f"initial point has shape {w.shape}, problem dimension is {problem.d}"
-            )
-    n, d = problem.n, problem.d
-    rec = _Recorder(problem, etas, strategy.seed, trace=False)
-    m = np.zeros(d)
-    v = np.zeros(d)
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            rec.start_epoch(t, w)
-            perm = permutation_for_epoch(strategy, n, t)
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                k += 1
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                m_hat = m / (1.0 - beta1 ** k)
-                v_hat = v / (1.0 - beta2 ** k)
-                w -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
-    return rec.finish("adam", beta1, w, strategy.kind)
+    return _drive("adam", problem, np.full(T, float(lr)), strategy, w0,
+                  _Adam(problem.d, lr, beta1, beta2, eps))

@@ -55,17 +55,6 @@ def permutation_for_epoch(strategy: ShufflingStrategy, n: int, t: int) -> np.nda
     return rng.permutation(n)
 
 
-@dataclass(frozen=True)
-class PermutationStream:
-    """Per-run view of a strategy's permutation sequence."""
-
-    strategy: ShufflingStrategy
-    n: int
-
-    def for_epoch(self, t: int) -> np.ndarray:
-        return permutation_for_epoch(self.strategy, self.n, t)
-
-
 def init_point(d: int, seed: int, scale: float = 0.01) -> np.ndarray:
     """Default initial iterate: seeded standard normal scaled down."""
     rng = np.random.default_rng((seed, _INIT_DOMAIN))
@@ -95,13 +84,3 @@ def select_output_index(etas: np.ndarray, rng: np.random.Generator) -> int:
     # guard against rounding drift before handing to the sampler
     assert abs(float(p.sum()) - 1.0) <= 1e-15
     return int(rng.choice(etas.size, p=p))
-
-
-def select_output_iterate(iterates, etas, rng: np.random.Generator):
-    """Pick one of the epoch-start iterates with weights proportional to etas."""
-    if len(iterates) != len(etas):
-        raise ValueError(
-            f"{len(iterates)} iterates but {len(etas)} weights"
-        )
-    idx = select_output_index(np.asarray(etas, dtype=float), rng)
-    return idx, iterates[idx]

@@ -229,6 +229,14 @@ class TestCompareCommand:
         assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["grid", "compare"])
+def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
+    # eta_1 = 0 at T = 1, so no schedule parameter gives the requested step
+    rc = run_cli(command, "--schedule", "cosine", "--T", "1", "--out", str(tmp_path))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 class TestParseCommand:
     def test_parse_reports_counts(self, tmp_path, capsys):
         path = tmp_path / "tiny.libsvm"

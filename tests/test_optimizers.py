@@ -196,15 +196,15 @@ class TestRunRecord:
                                       rec.snapshots[rec.selected_index])
 
     def test_selection_consistent_with_public_sampler(self):
-        # drawing from the finished snapshot list with the run's seed must
-        # reproduce the run's own output choice
-        from smgopt.shuffling import select_output_iterate, selection_rng
+        # sampling the run's step sizes with the run's seed must reproduce
+        # the run's own output choice
+        from smgopt.shuffling import select_output_index, selection_rng
         prob = quad_problem()
         sch = Schedule("diminishing", gamma=0.3, horizon=11, lam=1.0)
         rec = smg_run(prob, sch, ShufflingStrategy("rr", 6), beta=0.5)
-        idx, w = select_output_iterate(rec.snapshots, rec.etas, selection_rng(6))
+        idx = select_output_index(rec.etas, selection_rng(6))
         assert idx == rec.selected_index
-        np.testing.assert_array_equal(w, rec.selected_w)
+        np.testing.assert_array_equal(rec.snapshots[idx], rec.selected_w)
 
     def test_snapshot_budget_drops_history_not_selection(self, monkeypatch):
         prob = quad_problem(n=3, d=2, seed=6)

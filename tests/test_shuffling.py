@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from smgopt.shuffling import (
-    PermutationStream,
     ShufflingStrategy,
     permutation_for_epoch,
     select_output_index,
-    select_output_iterate,
     selection_rng,
 )
 
@@ -35,11 +33,11 @@ class TestPermutations:
         assert not np.array_equal(p1, p2)
 
     def test_stream_reproducible_out_of_order(self):
-        stream = PermutationStream(ShufflingStrategy("rr", seed=3), n=30)
-        late = stream.for_epoch(9)
-        early = stream.for_epoch(2)
-        np.testing.assert_array_equal(late, stream.for_epoch(9))
-        np.testing.assert_array_equal(early, stream.for_epoch(2))
+        strat = ShufflingStrategy("rr", seed=3)
+        late = permutation_for_epoch(strat, 30, 9)
+        early = permutation_for_epoch(strat, 30, 2)
+        np.testing.assert_array_equal(late, permutation_for_epoch(strat, 30, 9))
+        np.testing.assert_array_equal(early, permutation_for_epoch(strat, 30, 2))
 
     def test_empty_component_count_rejected(self):
         with pytest.raises(ValueError):
@@ -97,14 +95,11 @@ class TestOutputSelection:
 
     def test_weighted_frequencies_monte_carlo(self):
         etas = np.array([1.0, 2.0, 3.0])
-        iterates = [np.array([float(i)]) for i in range(3)]
         rng = selection_rng(999)
         draws = 100_000
         counts = np.zeros(3, dtype=int)
         for _ in range(draws):
-            idx, w = select_output_iterate(iterates, etas, rng)
-            assert w is iterates[idx]
-            counts[idx] += 1
+            counts[select_output_index(etas, rng)] += 1
         p = etas / etas.sum()
         sigma = np.sqrt(draws * p * (1 - p))
         assert (np.abs(counts - draws * p) <= 3 * sigma).all()
@@ -129,5 +124,3 @@ class TestOutputSelection:
             select_output_index(np.array([1.0, -0.5]), rng)
         with pytest.raises(ValueError):
             select_output_index(np.zeros(3), rng)
-        with pytest.raises(ValueError):
-            select_output_iterate([np.zeros(1)], [1.0, 2.0], rng)
