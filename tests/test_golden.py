@@ -1,20 +1,30 @@
-"""Golden outputs: the five optimizers and the CLI tables, locked by hash.
+"""Golden outputs: the five optimizers and the CLI tables.
 
-Every case below is recomputed and compared with `golden_manifest.json`:
+Every case below is recomputed and compared with `golden_manifest.json`.
 
-  * optimizer cases (5 algorithms x 3 strategies x {quadratic, logistic})
-    lock the sha256 of the trace CSV bytes and of the JSON sidecar bytes,
-    the selected output index, the raw bytes of the final iterate and of
-    the epoch-start snapshots, and, for the methods with an inner trace,
-    the raw bytes of every recorded inner-loop array;
-  * CLI cases lock the sha256 of every file (name and bytes) a small
-    fixed `run`, `audit`, `grid`, `rate` or `compare` invocation writes,
-    which covers `grid_results.csv`, `rate.csv` and `compare.csv`.
+Quadratic cases are locked bitwise, by sha256: for 5 algorithms x 3
+strategies the manifest holds the hash of the trace CSV bytes and of the
+JSON sidecar bytes, the selected output index, the hash of the raw bytes of
+the final iterate and of the epoch-start snapshots, and, for the methods
+with an inner trace, the hash of the raw bytes of every recorded inner-loop
+array.
 
-The hashes are per-platform: outputs are byte-stable on a single platform
-(see the README), but float rounding in numpy and libm may differ between
-platforms and builds.  After a deliberate output change, or on a new
-platform, regenerate the manifest with
+Logistic cases are locked by value, because the logistic oracles may sum in
+another order than the code that stored them.  The manifest holds the same
+outputs as numbers: the tokens of the trace CSV, the parsed sidecar, the
+selected index, the iterates and the inner-trace arrays for the optimizer
+cases, and, for the CLI cases (every one runs on logistic data), the name
+and the parsed contents of every file a small fixed `run`, `audit`, `grid`,
+`rate` or `compare` invocation writes.  JSON files are parsed as JSON; every
+other file is split into text and numeric tokens.  Floats match within
+RTOL = 1e-12 relative, taken against the largest magnitude of the list a
+float sits in when it sits in a list of numbers; everything else (text,
+headers, file names, config hashes, seeds, epochs, ranks, selected_index,
+status and abort_epoch) must be equal exactly.
+
+Outputs are byte-stable on a single platform (see the README), but float
+rounding in numpy and libm may differ between platforms and builds.  After a
+deliberate output change, or on a new platform, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +32,8 @@ and review the diff of the manifest before committing it.
 """
 import hashlib
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -44,8 +56,13 @@ from smgopt.shuffling import STRATEGY_KINDS, ShufflingStrategy
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 ALGOS = ("smg", "ssmg", "sgd", "sgdm", "adam")
 FIXTURES = ("quadratic", "logistic")
+INNER = ("permutation", "gradients", "start_w", "end_w", "inner_iterates",
+         "anchor", "momenta")
 SEED = 11
 T = 6
+RTOL = 1e-12
+# a number standing alone, not part of a word such as a config hash
+NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
 
 
 def _problem(fixture):
@@ -77,6 +94,24 @@ def _sha(*chunks) -> str:
     return h.hexdigest()
 
 
+def _tokens(text: str) -> list:
+    """Text split into strings and the ints and floats standing between them."""
+    parts = NUMBER.split(text)
+    for k in range(1, len(parts), 2):
+        token = parts[k]
+        parts[k] = int(token) if token.lstrip("+-").isdigit() else float(token)
+    return parts
+
+
+def _contents(path: Path):
+    text = path.read_text()
+    return json.loads(text) if path.suffix == ".json" else _tokens(text)
+
+
+def _array(value):
+    return None if value is None else value.tolist()
+
+
 def optimizer_case(fixture, algo, kind, workdir: Path) -> dict:
     problem = _problem(fixture)
     strategy = ShufflingStrategy(kind, SEED)
@@ -84,19 +119,31 @@ def optimizer_case(fixture, algo, kind, workdir: Path) -> dict:
     csv_path = workdir / f"trace_{fixture}_{algo}_{kind}.csv"
     sidecar_path = write_trace(record, csv_path,
                                config={"fixture": fixture, "algo": algo})
+    iterates = [record.final_w] + record.snapshots
+    epochs = []
+    if algo in ("smg", "ssmg", "sgd"):
+        epochs = _run(algo, problem, strategy, inner_trace=True).epochs
+    if fixture == "logistic":
+        entry = {
+            "trace": _contents(csv_path),
+            "sidecar": _contents(sidecar_path),
+            "selected_index": record.selected_index,
+            "iterates": [w.tolist() for w in iterates],
+        }
+        if epochs:
+            entry["inner"] = [{name: _array(getattr(epoch, name)) for name in INNER}
+                              for epoch in epochs]
+        return entry
     entry = {
         "csv_sha256": _sha(csv_path.read_bytes()),
         "sidecar_sha256": _sha(sidecar_path.read_bytes()),
         "selected_index": record.selected_index,
-        "iterates_sha256": _sha(record.final_w.tobytes(),
-                                *(w.tobytes() for w in record.snapshots)),
+        "iterates_sha256": _sha(*(w.tobytes() for w in iterates)),
     }
-    if algo in ("smg", "ssmg", "sgd"):
-        traced = _run(algo, problem, strategy, inner_trace=True)
+    if epochs:
         chunks = []
-        for epoch in traced.epochs:
-            for name in ("permutation", "gradients", "start_w", "end_w",
-                         "inner_iterates", "anchor", "momenta"):
+        for epoch in epochs:
+            for name in INNER:
                 value = getattr(epoch, name)
                 chunks.append(name.encode())
                 chunks.append(b"-" if value is None else value.tobytes())
@@ -135,15 +182,49 @@ CLI_CASES = {
 
 
 def cli_case(name, workdir: Path) -> dict:
+    """Names and contents of every file one CLI case writes (all logistic)."""
     out = workdir / name
     assert cli_main(CLI_CASES[name] + ["--out", str(out)]) == 0
     files = sorted(p for p in out.rglob("*") if p.is_file())
-    chunks = []
-    for path in files:
-        chunks.append(path.relative_to(out).as_posix().encode())
-        chunks.append(path.read_bytes())
     return {"files": [p.relative_to(out).as_posix() for p in files],
-            "tree_sha256": _sha(*chunks)}
+            "contents": [_contents(p) for p in files]}
+
+
+def assert_matches(actual, expected, where="case"):
+    """Floats within RTOL, everything else exactly (see the module docstring)."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
+        for key in expected:
+            assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        scale = _scale(expected)
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            if isinstance(e, float):
+                _assert_float(a, e, f"{where}[{k}]", scale)
+            else:
+                assert_matches(a, e, f"{where}[{k}]")
+    elif isinstance(expected, float):
+        _assert_float(actual, expected, where, 0.0)
+    else:
+        assert type(actual) is type(expected) and actual == expected, \
+            f"{where}: {actual!r} != {expected!r}"
+
+
+def _scale(values: list) -> float:
+    """Largest finite magnitude of a list of numbers; 0 for any other list."""
+    if not all(type(v) in (int, float) for v in values):
+        return 0.0
+    return max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+
+
+def _assert_float(actual, expected: float, where: str, scale: float):
+    assert type(actual) is float, f"{where}: {actual!r} != {expected!r}"
+    if math.isfinite(expected):
+        same = abs(actual - expected) <= RTOL * max(abs(expected), scale)
+    else:
+        same = actual == expected or (math.isnan(actual) and math.isnan(expected))
+    assert same, f"{where}: {actual!r} != {expected!r}"
 
 
 OPTIMIZER_KEYS = [f"{f}-{a}-{k}" for f in FIXTURES for a in ALGOS
@@ -157,13 +238,13 @@ def _manifest():
 @pytest.mark.parametrize("key", OPTIMIZER_KEYS)
 def test_optimizer_golden(key, tmp_path):
     expected = _manifest()["optimizers"][key]
-    assert optimizer_case(*key.split("-"), tmp_path) == expected
+    assert_matches(optimizer_case(*key.split("-"), tmp_path), expected, key)
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_golden(name, tmp_path):
     expected = _manifest()["cli"][name]
-    assert cli_case(name, tmp_path) == expected
+    assert_matches(cli_case(name, tmp_path), expected, name)
 
 
 def regenerate():
