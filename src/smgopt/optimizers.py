@@ -17,7 +17,7 @@ Methods:
   ssmg_run   classical recursive momentum m <- beta m + (1 - beta) g under
              one permutation fixed for all epochs
   shuffling_sgd_run
-             plain shuffling SGD, run as the anchored rule with beta = 0
+             plain shuffling SGD, w <- w - (eta_t / n) * g
   sgdm_run / adam_run
              baselines consuming the same permutation streams
 
@@ -109,15 +109,23 @@ class _Rule:
         pass
 
 
+class _Plain(_Rule):
+    """Shuffling SGD: a step along the component gradient, no momentum."""
+
+    beta = 0.0
+
+    def step(self, w, g, rate):
+        w -= rate * g
+
+
 class _Anchored(_Rule):
     """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
     refreshed at each epoch end with the epoch's average gradient v."""
 
-    def __init__(self, n: int, d: int, beta: float, keep_anchor: bool = True):
+    def __init__(self, n: int, d: int, beta: float):
         self.n, self.beta, self.c = n, beta, 1.0 - beta
         self.m0, self.v, self.m = np.zeros(d), np.zeros(d), np.empty(d)
-        if keep_anchor:
-            self.anchor = self.m0
+        self.anchor = self.m0
 
     def step(self, w, g, rate):
         np.multiply(self.m0, self.beta, out=self.m)
@@ -268,9 +276,8 @@ def shuffling_sgd_run(problem: Problem, schedule: Schedule,
                       strategy: ShufflingStrategy,
                       w0: Optional[np.ndarray] = None,
                       inner_trace: bool = False) -> RunRecord:
-    """Plain shuffling SGD: the anchored update with beta = 0."""
-    rule = _Anchored(problem.n, problem.d, 0.0, keep_anchor=False)
-    return _drive("sgd", problem, schedule.etas(), strategy, w0, rule,
+    """Plain shuffling SGD: w <- w - (eta_t / n) g along each permutation."""
+    return _drive("sgd", problem, schedule.etas(), strategy, w0, _Plain(),
                   inner_trace)
 
 
