@@ -420,6 +420,19 @@ def cmd_grid(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg = config_from_args(args)
+    # fit_rate runs smg (sgd is its beta = 0 case) under a constant schedule
+    unsupported = [flag for flag, given in (
+        (f"--algo {cfg.algo}", cfg.algo not in ("smg", "sgd")),
+        ("--beta with --algo sgd", cfg.algo == "sgd" and cfg.resolved_beta != 0),
+        (f"--schedule {cfg.schedule}", cfg.schedule != "constant"),
+        ("--lambda", cfg.lam != 0),
+        ("--rho", cfg.rho is not None),
+        ("--rr-scaling", cfg.rr_scaling),
+        ("--enforce-cap", cfg.enforce_cap),
+    ) if given]
+    if unsupported:
+        raise UsageError("rate fits smg or sgd under a constant schedule; "
+                         f"it does not take {', '.join(unsupported)}")
     horizons = [int(h) for h in args.horizons.split(",")]
     problem = build_problem(cfg)
     fit = fit_rate(problem, horizons, gamma=cfg.gamma, beta=cfg.resolved_beta,

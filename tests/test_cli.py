@@ -198,6 +198,26 @@ class TestRateCommand:
         assert len(rows) == 6
 
 
+
+@pytest.mark.parametrize("flags", [
+    ["--algo", "adam", "--schedule", "cosine"],
+    ["--algo", "ssmg"],
+    ["--algo", "sgdm"],
+    ["--algo", "sgd", "--beta", "0.5"],
+    ["--schedule", "diminishing"],
+    ["--lambda", "1.0"],
+    ["--rho", "0.9"],
+    ["--rr-scaling"],
+    ["--enforce-cap"],
+])
+def test_rate_refuses_flags_it_would_ignore(flags, tmp_path, capsys):
+    # fit_rate only runs smg (or sgd, its beta = 0 case) on a constant schedule
+    rc = run_cli("rate", "--horizons", "4,8", *flags, "--out", str(tmp_path))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "rate.csv").exists()
+
+
 class TestCompareCommand:
     def test_shared_initialization_and_sgd_reduction(self, tmp_path):
         rc = run_cli("compare", "--methods", "smg,sgd,sgdm,adam", "--T", "6",
