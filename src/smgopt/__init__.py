@@ -4,9 +4,8 @@ from .problems import (
     DimensionMismatch,
     Problem,
     ProblemConstants,
+    SparseDataset,
     SparseSample,
-    logistic_component_grad,
-    logistic_component_value,
     logistic_constants,
     logistic_problem,
     quadratic_mean_problem,

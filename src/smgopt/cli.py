@@ -46,7 +46,7 @@ from .optimizers import (
     smg_run,
     ssmg_run,
 )
-from .problems import Problem, logistic_problem
+from .problems import Problem, SparseDataset, logistic_problem
 from .schedules import Schedule, cap_general, cap_rr, exceeds_cap, schedule_sums
 from .shuffling import RANDOM_RESHUFFLING, STRATEGY_KINDS, ShufflingStrategy, init_point
 
@@ -139,17 +139,22 @@ def resolve_dataset_path(name: str) -> Path:
         f"dataset {name!r} not found (checked the path and $SMG_DATA_DIR)")
 
 
-def build_problem(cfg: ExperimentConfig) -> Problem:
+def load_dataset(cfg: ExperimentConfig) -> SparseDataset:
+    """The configured LIBSVM file or synthetic dataset, scaled if asked."""
     if cfg.dataset:
-        samples, _ = parse_libsvm(resolve_dataset_path(cfg.dataset))
-        if not samples:
+        dataset, _ = parse_libsvm(resolve_dataset_path(cfg.dataset))
+        if not len(dataset):
             raise UsageError(f"dataset {cfg.dataset!r} is empty")
     else:
-        samples = synth_binary_dataset(cfg.synth_n, cfg.synth_d, cfg.synth_seed,
+        dataset = synth_binary_dataset(cfg.synth_n, cfg.synth_d, cfg.synth_seed,
                                        cfg.synth_sep)
     if cfg.scale:
-        samples = scale_features(samples)
-    return logistic_problem(samples, lam=cfg.reg)
+        dataset = scale_features(dataset)
+    return dataset
+
+
+def build_problem(cfg: ExperimentConfig) -> Problem:
+    return logistic_problem(load_dataset(cfg), lam=cfg.reg)
 
 
 def build_schedule(cfg: ExperimentConfig, n: int,
@@ -382,7 +387,7 @@ def cmd_audit(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = config_from_args(args)
-    probe = build_problem(cfg)
+    n = len(load_dataset(cfg))  # each grid point builds its own problem
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
         steps = sorted(set(g["coarse"]) | set(g["fine"]), reverse=True)
@@ -392,7 +397,7 @@ def cmd_grid(args) -> int:
         lams = _parse_float_list(args.lambda_grid) or [None]
         rhos = _parse_float_list(args.rho_grid) or [None]
         betas = _parse_float_list(args.beta_grid) or [None]
-    points = _grid_point_configs(cfg, steps, lams, rhos, betas, probe.n)
+    points = _grid_point_configs(cfg, steps, lams, rhos, betas, n)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -508,9 +513,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    samples, d = parse_libsvm(args.file)
-    n = len(samples)
-    pos = sum(1 for s in samples if s.label == 1)
+    dataset, d = parse_libsvm(args.file)
+    n = len(dataset)
+    pos = int(np.count_nonzero(dataset.labels == 1))
     print(f"{args.file}: {n} samples, dimension {d}, "
           f"{pos} positive / {n - pos} negative")
     return EXIT_OK

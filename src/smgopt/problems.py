@@ -23,7 +23,7 @@ REG_GRAD_PEAK = 3.0 * math.sqrt(3.0) / 16.0
 
 
 class DimensionMismatch(ValueError):
-    """A sample feature index falls outside the iterate's dimension."""
+    """A sample feature index falls outside the dataset's dimension."""
 
     def __init__(self, index: int, dimension: int):
         self.index = index
@@ -67,7 +67,8 @@ class ProblemConstants:
 @dataclass(frozen=True)
 class SparseSample:
     """One labeled sparse example: label in {-1, +1}, features as sorted
-    (1-based index, value) pairs with strictly increasing indices."""
+    (1-based index, value) pairs with strictly increasing indices.  Indexing
+    or iterating a SparseDataset gives its rows in this form."""
 
     label: int
     features: tuple[tuple[int, float], ...]
@@ -84,22 +85,67 @@ class SparseSample:
                 )
             prev = idx
 
-    @property
-    def max_index(self) -> int:
-        return self.features[-1][0] if self.features else 0
 
-    def dot(self, w: np.ndarray) -> float:
-        """Sparse-dense inner product x^T w."""
-        d = w.shape[0]
-        acc = 0.0
-        for idx, val in self.features:
-            if idx > d:
-                raise DimensionMismatch(idx, d)
-            acc += val * w[idx - 1]
-        return acc
+@dataclass(frozen=True, eq=False)
+class SparseDataset:
+    """Labeled sparse rows in compressed sparse row (CSR) form.
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for _, v in self.features))
+    Row i holds the 0-based columns indices[indptr[i]:indptr[i + 1]], which
+    strictly increase, with the matching entries of values, and the label
+    labels[i] in {-1, +1}.  Every column lies below the dimension d, which
+    may exceed the largest column used.  The arrays are coerced to int64
+    (indptr, indices, labels) and float64 (values) and validated once here.
+    len() counts rows; indexing and iteration give SparseSample rows with
+    1-based indices.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("values", np.float64), ("labels", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "d", int(self.d))
+        indptr, indices, n = self.indptr, self.indices, self.labels.size
+        lengths = np.diff(indptr)
+        if (self.labels.ndim != 1 or indptr.shape != (n + 1,) or indptr[0] != 0
+                or np.any(lengths < 0) or indptr[-1] != indices.size
+                or indices.ndim != 1 or self.values.shape != indices.shape):
+            raise ValueError("malformed CSR arrays: need indptr of length n + 1 "
+                             "rising from 0 to the entry count of indices and values")
+        if np.any(np.abs(self.labels) != 1):
+            raise ValueError("labels must be -1 or +1")
+        if self.d < 0:
+            raise ValueError(f"dimension must be nonnegative, got {self.d}")
+        if indices.size:
+            # a step between neighbouring entries of one row must rise
+            within = np.ones(indices.size, dtype=bool)
+            within[indptr[:-1][lengths > 0]] = False
+            if indices.min() < 0 or np.any(np.diff(indices)[within[1:]] <= 0):
+                raise ValueError("column indices must be nonnegative and strictly "
+                                 "increasing within each row")
+            if indices.max() >= self.d:
+                raise DimensionMismatch(int(indices.max()) + 1, self.d)
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i: int) -> SparseSample:
+        i = range(len(self))[i]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        features = zip((self.indices[lo:hi] + 1).tolist(), self.values[lo:hi].tolist())
+        return SparseSample(label=int(self.labels[i]), features=tuple(features))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -139,27 +185,7 @@ def regularizer_grad(w: np.ndarray) -> np.ndarray:
     return w / (1.0 + w * w) ** 2
 
 
-def logistic_component_value(w: np.ndarray, sample: SparseSample, lam: float) -> float:
-    z = sample.label * sample.dot(w)
-    return float(np.logaddexp(0.0, -z)) + lam * regularizer_value(w)
-
-
-def logistic_component_grad(w: np.ndarray, sample: SparseSample, lam: float) -> np.ndarray:
-    """Gradient -y * s * x + lam * r'(w) with s = 1/(1 + exp(y x^T w))."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    z = sample.label * sample.dot(w)
-    # sigmoid(-z) computed as exp(-logaddexp(0, z)) to avoid overflow
-    s = math.exp(-np.logaddexp(0.0, z))
-    g = lam * regularizer_grad(w)
-    coef = -sample.label * s
-    for idx, val in sample.features:
-        g[idx - 1] += coef * val
-    return g
-
-
-def logistic_constants(dataset: Sequence[SparseSample], lam: float,
-                       d: int | None = None) -> ProblemConstants:
+def logistic_constants(dataset: SparseDataset, lam: float) -> ProblemConstants:
     """Conservative certificates for the regularized logistic objective.
 
     The logistic curvature is at most 1/4 and |r''| <= 1, so
@@ -168,51 +194,68 @@ def logistic_constants(dataset: Sequence[SparseSample], lam: float,
     The variance pair is theta = 0, sigma_sq = 4 G^2 (triangle inequality),
     and f_lower = 0 since both terms of f are nonnegative.
     """
-    if not dataset:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("cannot certify constants for an empty dataset")
-    if d is None:
-        d = max(s.max_index for s in dataset)
-    max_norm = max(s.norm() for s in dataset)
+    values = dataset.values
+    sq_norms = np.bincount(dataset.row_ids(), weights=values * values, minlength=n)
+    max_norm = math.sqrt(sq_norms.max())
     L = 0.25 * max_norm ** 2 + lam
-    G = max_norm + lam * REG_GRAD_PEAK * math.sqrt(d)
+    G = max_norm + lam * REG_GRAD_PEAK * math.sqrt(dataset.d)
     return ProblemConstants(L=L, G=G, theta=0.0, sigma_sq=4.0 * G * G, f_lower=0.0)
 
 
-def logistic_problem(dataset: Sequence[SparseSample], lam: float = 0.01,
-                     d: int | None = None) -> Problem:
-    """Build the regularized logistic-regression problem over a dataset."""
-    if not dataset:
+def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
+    """Build the regularized logistic-regression problem over a dataset.
+
+    A component oracle gathers its one row of the CSR arrays; the full
+    value and gradient compute all margins y_i x_i^T w, and X^T s, with
+    np.bincount, which adds the entries of each row (and of each column) in
+    storage order.
+    """
+    n, d = len(dataset), dataset.d
+    if n == 0:
         raise ValueError("cannot build a problem from an empty dataset")
-    samples = list(dataset)
-    n = len(samples)
-    if d is None:
-        d = max(s.max_index for s in samples)
     if d < 1:
         raise ValueError("dataset has no features; dimension would be zero")
-    for s in samples:
-        if s.max_index > d:
-            raise DimensionMismatch(s.max_index, d)
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    indptr = dataset.indptr.tolist()
+    indices, values = dataset.indices, dataset.values
+    y = dataset.labels.astype(float)
+    ys = y.tolist()
+    rows = dataset.row_ids()
+
+    def margins(w):
+        return y * np.bincount(rows, weights=values * w[indices], minlength=n)
 
     def component_value(w, i):
-        return logistic_component_value(w, samples[i], lam)
+        lo, hi = indptr[i], indptr[i + 1]
+        z = ys[i] * (values[lo:hi] @ w[indices[lo:hi]])
+        return float(np.logaddexp(0.0, -z)) + lam * regularizer_value(w)
 
     def component_grad(w, i):
-        return logistic_component_grad(w, samples[i], lam)
+        # -y s x + lam r'(w) with s = 1 / (1 + exp(z)), z = y x^T w
+        lo, hi = indptr[i], indptr[i + 1]
+        cols, vals = indices[lo:hi], values[lo:hi]
+        z = ys[i] * (vals @ w[cols])
+        # scalar math is cheaper than a numpy call here; exponents stay <= 0
+        if z >= 0:
+            e = math.exp(-z)
+            s = e / (1.0 + e)
+        else:
+            s = 1.0 / (1.0 + math.exp(z))
+        g = lam * regularizer_grad(w)
+        g[cols] -= (ys[i] * s) * vals
+        return g
 
     def full_value(w):
-        loss = 0.0
-        for s in samples:
-            z = s.label * s.dot(w)
-            loss += float(np.logaddexp(0.0, -z))
-        return loss / n + lam * regularizer_value(w)
+        return float(np.mean(np.logaddexp(0.0, -margins(w)))) + lam * regularizer_value(w)
 
     def full_grad(w):
-        g = np.zeros(d)
-        for s in samples:
-            z = s.label * s.dot(w)
-            coef = -s.label * math.exp(-np.logaddexp(0.0, z))
-            for idx, val in s.features:
-                g[idx - 1] += coef * val
+        # exp(-logaddexp(0, z)) is 1 / (1 + exp(z)) without overflow
+        coef = -y * np.exp(-np.logaddexp(0.0, margins(w)))
+        g = np.bincount(indices, weights=coef[rows] * values, minlength=d)
         g /= n
         g += lam * regularizer_grad(w)
         return g
@@ -223,7 +266,7 @@ def logistic_problem(dataset: Sequence[SparseSample], lam: float = 0.01,
         component_grad=component_grad,
         full_value=full_value,
         full_grad=full_grad,
-        constants=logistic_constants(samples, lam, d),
+        constants=logistic_constants(dataset, lam),
     )
 
 

@@ -21,12 +21,7 @@ from smgopt.audit import (
 from smgopt.cli import main as cli_main
 from smgopt.dataio import parse_libsvm, synth_binary_dataset
 from smgopt.optimizers import smg_run, shuffling_sgd_run, ssmg_run
-from smgopt.problems import (
-    logistic_component_grad,
-    logistic_component_value,
-    logistic_problem,
-    quadratic_mean_problem,
-)
+from smgopt.problems import logistic_problem, quadratic_mean_problem
 from smgopt.schedules import Schedule, cap_general, cap_rr, schedule_sums
 from smgopt.shuffling import ShufflingStrategy, init_point
 
@@ -133,23 +128,23 @@ def test_05_identity_suite():
 
 
 def test_06_gradient_correctness():
-    samples = synth_binary_dataset(25, 5, seed=4, separability=0.7)
-    lam = 0.01
+    prob = logistic_problem(synth_binary_dataset(25, 5, seed=4, separability=0.7),
+                            lam=0.01)
     step = 1e-5
     rng = np.random.default_rng(6)
     start = time.time()
     worst = 0.0
     for k in range(100):
         w = rng.standard_normal(5)
-        s = samples[k % len(samples)]
-        analytic = logistic_component_grad(w, s, lam)
+        i = k % prob.n
+        analytic = prob.component_grad(w, i)
         fd = np.zeros(5)
         for j in range(5):
             wp, wm = w.copy(), w.copy()
             wp[j] += step
             wm[j] -= step
-            fd[j] = (logistic_component_value(wp, s, lam)
-                     - logistic_component_value(wm, s, lam)) / (2 * step)
+            fd[j] = (prob.component_value(wp, i)
+                     - prob.component_value(wm, i)) / (2 * step)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, err)
     elapsed = time.time() - start

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from smgopt.problems import (
     DimensionMismatch,
-    SparseSample,
-    logistic_component_grad,
-    logistic_component_value,
+    SparseDataset,
     logistic_constants,
     logistic_problem,
     quadratic_mean_problem,
@@ -33,15 +31,17 @@ def central_diff(f, w, step=FD_STEP):
     return g
 
 
-def unit_sample(d, j=1, label=1):
-    return SparseSample(label=label, features=((j, 1.0),))
+def unit_dataset(d, j=1, label=1):
+    """One sample with the single feature x_j = 1."""
+    return SparseDataset(indptr=[0, 1], indices=[j - 1], values=[1.0],
+                         labels=[label], d=d)
 
 
 class TestLogisticGradient:
     def test_zero_point_symmetry(self):
         # sigmoid at 0 is 1/2 and the regularizer gradient vanishes at 0
         w = np.zeros(3)
-        g = logistic_component_grad(w, unit_sample(3), lam=0.01)
+        g = logistic_problem(unit_dataset(3), lam=0.01).component_grad(w, 0)
         np.testing.assert_allclose(g, [-0.5, 0.0, 0.0], atol=1e-15)
 
     def test_regularizer_slope_at_one(self):
@@ -54,30 +54,31 @@ class TestLogisticGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         samples = synth_binary_dataset(20, 5, seed=3, separability=0.7)
-        lam = 0.01
+        prob = logistic_problem(samples, lam=0.01)
         for k in range(100):
             w = rng.standard_normal(5)
-            s = samples[k % len(samples)]
-            analytic = logistic_component_grad(w, s, lam)
-            oracle = central_diff(lambda v: logistic_component_value(v, s, lam), w)
+            i = k % prob.n
+            analytic = prob.component_grad(w, i)
+            oracle = central_diff(lambda v: prob.component_value(v, i), w)
             err = np.linalg.norm(analytic - oracle) / max(np.linalg.norm(oracle), 1e-12)
             assert err <= 1e-6
 
     def test_dimension_mismatch_names_index(self):
-        sample = SparseSample(label=1, features=((1, 1.0), (7, 2.0)))
+        # checked once when the dataset is built, not on each oracle call
         with pytest.raises(DimensionMismatch) as exc:
-            logistic_component_grad(np.zeros(3), sample, 0.0)
+            SparseDataset(indptr=[0, 2], indices=[0, 6], values=[1.0, 2.0],
+                          labels=[1], d=3)
         assert exc.value.index == 7
         assert "7" in str(exc.value)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            logistic_component_grad(np.zeros(2), unit_sample(2), lam=-0.1)
+            logistic_problem(unit_dataset(2), lam=-0.1)
 
 
 class TestLogisticConstants:
     def test_single_unit_sample(self):
-        consts = logistic_constants([unit_sample(1)], lam=0.0)
+        consts = logistic_constants(unit_dataset(1), lam=0.0)
         assert consts.L == pytest.approx(0.25)
         assert consts.G == pytest.approx(1.0)
         assert consts.sigma_sq == pytest.approx(4.0)
@@ -98,8 +99,8 @@ class TestLogisticConstants:
         peak = (w / (1 + w * w) ** 2).max()
         assert abs(peak - 3 * math.sqrt(3) / 16) < 1e-10
 
-        consts0 = logistic_constants([unit_sample(4)], lam=0.0, d=4)
-        consts = logistic_constants([unit_sample(4)], lam=0.01, d=4)
+        consts0 = logistic_constants(unit_dataset(4), lam=0.0)
+        consts = logistic_constants(unit_dataset(4), lam=0.01)
         assert consts.G - consts0.G == pytest.approx(0.01 * peak * 2.0, rel=1e-9)
 
     def test_variance_inequality_at_origin(self):
@@ -132,10 +133,38 @@ class TestLogisticConstants:
             assert spread <= c.theta * np.dot(full, full) + c.sigma_sq + 1e-12
 
     def test_empty_dataset_rejected(self):
+        empty = SparseDataset(indptr=[0], indices=[], values=[], labels=[], d=0)
         with pytest.raises(ValueError):
-            logistic_constants([], lam=0.01)
+            logistic_constants(empty, lam=0.01)
         with pytest.raises(ValueError):
-            logistic_problem([], lam=0.01)
+            logistic_problem(empty, lam=0.01)
+
+
+@pytest.mark.parametrize("arrays", [
+    dict(indptr=[0, 2], indices=[0], values=[1.0], labels=[1]),          # short
+    dict(indptr=[1, 2], indices=[0, 1], values=[1.0, 1.0], labels=[1]),  # not from 0
+    dict(indptr=[0, 2, 1], indices=[0, 1], values=[1.0, 1.0], labels=[1, 1]),
+    dict(indptr=[0, 1], indices=[0], values=[1.0, 2.0], labels=[1]),
+    dict(indptr=[0, 1], indices=[0], values=[1.0], labels=[0]),
+    dict(indptr=[0, 2], indices=[1, 1], values=[1.0, 1.0], labels=[1]),
+    dict(indptr=[0, 2], indices=[1, 0], values=[1.0, 1.0], labels=[1]),
+    dict(indptr=[0, 1], indices=[-1], values=[1.0], labels=[1]),
+])
+def test_malformed_csr_rejected(arrays):
+    with pytest.raises(ValueError):
+        SparseDataset(d=3, **arrays)
+
+
+def test_rows_read_back_one_based():
+    dataset = SparseDataset(indptr=[0, 2, 2, 3], indices=[0, 2, 1],
+                            values=[0.5, -1.0, 2.0], labels=[1, -1, 1], d=4)
+    assert len(dataset) == 3
+    assert dataset[0].features == ((1, 0.5), (3, -1.0))
+    assert dataset[1].features == () and dataset[1].label == -1
+    assert dataset[-1].features == ((2, 2.0),)
+    assert [s.label for s in dataset] == [1, -1, 1]
+    with pytest.raises(IndexError):
+        dataset[3]
 
 
 class TestQuadraticFixture:
