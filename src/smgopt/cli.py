@@ -143,7 +143,7 @@ def load_dataset(cfg: ExperimentConfig) -> SparseDataset:
     """The configured LIBSVM file or synthetic dataset, scaled if asked."""
     if cfg.dataset:
         dataset, _ = parse_libsvm(resolve_dataset_path(cfg.dataset))
-        if not len(dataset):
+        if len(dataset) == 0:
             raise UsageError(f"dataset {cfg.dataset!r} is empty")
     else:
         dataset = synth_binary_dataset(cfg.synth_n, cfg.synth_d, cfg.synth_seed,
