@@ -140,16 +140,23 @@ class TestLogisticConstants:
             logistic_problem(empty, lam=0.01)
 
 
-@pytest.mark.parametrize("arrays", [
-    dict(indptr=[0, 2], indices=[0], values=[1.0], labels=[1]),          # short
-    dict(indptr=[1, 2], indices=[0, 1], values=[1.0, 1.0], labels=[1]),  # not from 0
-    dict(indptr=[0, 2, 1], indices=[0, 1], values=[1.0, 1.0], labels=[1, 1]),
-    dict(indptr=[0, 1], indices=[0], values=[1.0, 2.0], labels=[1]),
-    dict(indptr=[0, 1], indices=[0], values=[1.0], labels=[0]),
-    dict(indptr=[0, 2], indices=[1, 1], values=[1.0, 1.0], labels=[1]),
-    dict(indptr=[0, 2], indices=[1, 0], values=[1.0, 1.0], labels=[1]),
-    dict(indptr=[0, 1], indices=[-1], values=[1.0], labels=[1]),
-])
+MALFORMED_CSR = {
+    "indptr-past-entries": dict(indptr=[0, 2], indices=[0], values=[1.0], labels=[1]),
+    "indptr-not-from-0": dict(indptr=[1, 2], indices=[0, 1], values=[1.0, 1.0],
+                              labels=[1]),
+    "indptr-falls": dict(indptr=[0, 2, 1], indices=[0, 1], values=[1.0, 1.0],
+                         labels=[1, 1]),
+    "values-length": dict(indptr=[0, 1], indices=[0], values=[1.0, 2.0], labels=[1]),
+    "label-zero": dict(indptr=[0, 1], indices=[0], values=[1.0], labels=[0]),
+    "repeated-column": dict(indptr=[0, 2], indices=[1, 1], values=[1.0, 1.0],
+                            labels=[1]),
+    "falling-columns": dict(indptr=[0, 2], indices=[1, 0], values=[1.0, 1.0],
+                            labels=[1]),
+    "negative-column": dict(indptr=[0, 1], indices=[-1], values=[1.0], labels=[1]),
+}
+
+
+@pytest.mark.parametrize("arrays", MALFORMED_CSR.values(), ids=MALFORMED_CSR.keys())
 def test_malformed_csr_rejected(arrays):
     with pytest.raises(ValueError):
         SparseDataset(d=3, **arrays)
