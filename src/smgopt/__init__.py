@@ -31,6 +31,7 @@ from .optimizers import (
     RunAborted,
     RunRecord,
     adam_run,
+    ensemble_run,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,

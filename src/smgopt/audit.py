@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimizers import RunRecord, smg_run, ssmg_run
+from .optimizers import RunRecord, ensemble_run, smg_run, ssmg_run
 from .problems import Problem, ProblemConstants
 from .schedules import (
     Schedule,
@@ -249,17 +249,16 @@ def fit_rate(problem: Problem, horizons: Sequence[int], gamma: float,
 
     Each horizon uses its own constant schedule gamma / T^(1/3); the metric
     per horizon is the median over seeds of the weighted average squared
-    gradient norm of the anchored-momentum method.
+    gradient norm of the anchored-momentum method, whose seeds advance in
+    lockstep.
     """
+    strategies = [ShufflingStrategy(strategy_kind, base_seed + s)
+                  for s in range(n_seeds)]
     metrics = []
     for T in horizons:
         schedule = Schedule(kind="constant", gamma=gamma, horizon=int(T))
-        per_seed = []
-        for s in range(n_seeds):
-            strategy = ShufflingStrategy(strategy_kind, base_seed + s)
-            record = smg_run(problem, schedule, strategy, beta)
-            per_seed.append(record.weighted_grad_avg())
-        metrics.append(float(np.median(per_seed)))
+        records = ensemble_run("smg", problem, schedule.etas(), strategies, beta)
+        metrics.append(float(np.median([r.weighted_grad_avg() for r in records])))
     return fit_power_law(list(horizons), metrics)
 
 

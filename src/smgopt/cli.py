@@ -24,8 +24,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator
-
 import numpy as np
 
 from . import audit as audit_mod
@@ -37,15 +35,7 @@ from .dataio import (
     synth_binary_dataset,
     write_trace,
 )
-from .optimizers import (
-    RunAborted,
-    RunRecord,
-    adam_run,
-    sgdm_run,
-    shuffling_sgd_run,
-    smg_run,
-    ssmg_run,
-)
+from .optimizers import RunAborted, RunRecord, ensemble_run
 from .problems import Problem, SparseDataset, logistic_problem
 from .schedules import Schedule, cap_general, cap_rr, exceeds_cap, schedule_sums
 from .shuffling import RANDOM_RESHUFFLING, STRATEGY_KINDS, ShufflingStrategy, init_point
@@ -187,19 +177,18 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
 
 
 def seeded_runs(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
-                w0=None) -> Iterator[RunRecord]:
-    """Yield cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1."""
-    for seed in range(cfg.seed, cfg.seed + cfg.repeats):
-        strategy = ShufflingStrategy(cfg.strategy, seed)
-        if cfg.algo == "adam":  # gamma is the per-step rate
-            record = adam_run(problem, cfg.gamma, cfg.T, strategy, w0)
-        elif cfg.algo == "sgd":
-            record = shuffling_sgd_run(problem, schedule, strategy, w0)
-        else:
-            run = {"smg": smg_run, "ssmg": ssmg_run, "sgdm": sgdm_run}[cfg.algo]
-            record = run(problem, schedule, strategy, cfg.resolved_beta, w0)
+                w0=None) -> list[RunRecord]:
+    """cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1, in lockstep."""
+    strategies = [ShufflingStrategy(cfg.strategy, seed)
+                  for seed in range(cfg.seed, cfg.seed + cfg.repeats)]
+    if cfg.algo == "adam":  # gamma is the per-step rate; beta1 stays Adam's own
+        etas, beta = np.full(cfg.T, float(cfg.gamma)), DEFAULT_BETA["adam"]
+    else:
+        etas, beta = schedule.etas(), cfg.resolved_beta
+    records = ensemble_run(cfg.algo, problem, etas, strategies, beta, w0)
+    for record in records:
         record.config_hash = cfg.hash()
-        yield record
+    return records
 
 
 def write_table(path: Path, cfg: ExperimentConfig, header: str, rows) -> Path:
@@ -252,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
     shared_w0 = None
     if with_audit and cfg.algo == "smg" and cfg.strategy == RANDOM_RESHUFFLING:
         shared_w0 = init_point(problem.d, cfg.seed)
-    records = list(seeded_runs(problem, cfg, schedule, shared_w0))
+    records = seeded_runs(problem, cfg, schedule, shared_w0)
     reports = audit_records(cfg, problem, schedule, records) if with_audit else []
     return problem, schedule, records, reports
 

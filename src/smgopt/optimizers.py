@@ -23,17 +23,23 @@ Methods:
 
 With beta = 0, smg_run and ssmg_run reduce exactly (bitwise) to plain
 shuffling SGD.
+
+ensemble_run runs one method for several seeds at once: the seeds advance
+in lockstep as the rows of one (R, d) iterate matrix, each on its own
+permutation stream, and give the records of separate runs up to rounding.
+A single run keeps the scalar oracles on a (d,) iterate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .problems import Problem
 from .schedules import Schedule
 from .shuffling import (
+    RANDOM_RESHUFFLING,
     ShufflingStrategy,
     init_point,
     permutation_for_epoch,
@@ -41,7 +47,7 @@ from .shuffling import (
     selection_rng,
 )
 
-# keep full epoch-start snapshots only while T*d stays within this budget
+# keep a run's full epoch-start snapshots only while T*d stays within this budget
 SNAPSHOT_BUDGET = 1_000_000
 
 
@@ -98,9 +104,11 @@ class _Rule:
     """Per-step update of one method, applied by the shared epoch driver.
 
     step(w, g, rate) updates w in place from the component gradient g at the
-    epoch's per-step rate eta_t / n; end_epoch() runs after the n steps.  A
-    rule that sets anchor (read at each epoch start) or momentum (read after
-    each step) has those arrays recorded in the inner trace.
+    epoch's per-step rate eta_t / n; end_epoch() runs after the n steps.
+    The operations are elementwise, so w, g and the rule's state may hold
+    one iterate, shape (d,), or one per row, shape (R, d).  A rule that sets
+    anchor (read at each epoch start) or momentum (read after each step)
+    has those arrays recorded in the inner trace.
     """
 
     anchor = momentum = None
@@ -122,9 +130,9 @@ class _Anchored(_Rule):
     """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
     refreshed at each epoch end with the epoch's average gradient v."""
 
-    def __init__(self, n: int, d: int, beta: float):
+    def __init__(self, n: int, shape: tuple, beta: float):
         self.n, self.beta, self.c = n, beta, 1.0 - beta
-        self.m0, self.v, self.m = np.zeros(d), np.zeros(d), np.empty(d)
+        self.m0, self.v, self.m = np.zeros(shape), np.zeros(shape), np.empty(shape)
         self.anchor = self.m0
 
     def step(self, w, g, rate):
@@ -141,9 +149,9 @@ class _Anchored(_Rule):
 class _Recursive(_Rule):
     """Momentum m <- beta m + c g carried across epoch boundaries."""
 
-    def __init__(self, d: int, beta: float, c: float):
+    def __init__(self, shape: tuple, beta: float, c: float):
         self.beta, self.c = beta, c
-        self.momentum = np.zeros(d)
+        self.momentum = np.zeros(shape)
 
     def step(self, w, g, rate):
         m = self.momentum
@@ -155,9 +163,10 @@ class _Recursive(_Rule):
 class _Adam(_Rule):
     """Bias-corrected Adam at its own constant per-step rate lr."""
 
-    def __init__(self, d: int, lr: float, beta1: float, beta2: float, eps: float):
+    def __init__(self, shape: tuple, lr: float, beta1: float, beta2: float,
+                 eps: float):
         self.lr, self.beta, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m, self.v, self.k = np.zeros(d), np.zeros(d), 0
+        self.m, self.v, self.k = np.zeros(shape), np.zeros(shape), 0
 
     def step(self, w, g, rate):
         self.k += 1
@@ -171,77 +180,117 @@ class _Adam(_Rule):
 
 
 def _drive(algo: str, problem: Problem, etas: np.ndarray,
-           strategy: ShufflingStrategy, w0: Optional[np.ndarray], rule,
-           inner_trace: bool = False, fixed_order: bool = False) -> RunRecord:
-    """Run T = etas.size epochs of rule's update and record them.
+           strategies: Sequence[ShufflingStrategy], w0: Optional[np.ndarray],
+           rule, inner_trace: bool = False,
+           fixed_order: bool = False) -> list[RunRecord]:
+    """Run T = etas.size epochs of rule's update, one run per strategy.
 
     Each epoch evaluates F and grad F at its start point, then applies
     rule.step to the n component gradients taken along the epoch's
-    permutation (the epoch-1 permutation throughout with fixed_order).
+    permutation.  Reshuffling takes a fresh permutation every epoch; with
+    fixed_order, or under shuffle-once or incremental order, the epoch-1
+    permutation serves every epoch.
+
+    One strategy runs the scalar oracles on the (d,) row of the iterate
+    matrix W.  R > 1 strategies run in lockstep: one batched oracle call
+    and one rule step per inner index move every row of W.  A run that
+    produces a non-finite value aborts as it would alone; the error raised
+    is that of the first aborted run in strategy order, the one a loop over
+    the strategies would meet first.
     """
-    n, d, T = problem.n, problem.d, etas.size
+    n, d, T, R = problem.n, problem.d, etas.size, len(strategies)
     if w0 is None:
-        w = init_point(d, strategy.seed)
+        W = np.array([init_point(d, s.seed) for s in strategies])
     else:
-        w = np.asarray(w0, dtype=float).copy()
-        if w.shape != (d,):
+        w0 = np.asarray(w0, dtype=float)
+        if w0.shape != (d,):
             raise ValueError(
-                f"initial point has shape {w.shape}, problem dimension is {d}"
+                f"initial point has shape {w0.shape}, problem dimension is {d}"
             )
-    losses = np.empty(T)
-    grad_sq = np.empty(T)
-    snapshots = [] if T * d <= SNAPSHOT_BUDGET else None
-    selected_index = select_output_index(etas, selection_rng(strategy.seed))
-    selected_w = None
+        W = np.tile(w0, (R, 1))
+    if R == 1:
+        x, component_grad = W[0], problem.component_grad
+
+        def start_pass(w):
+            grad = problem.full_grad(w)
+            return problem.full_value(w), grad, grad @ grad
+    else:
+        if inner_trace:
+            raise ValueError("inner traces are recorded for single runs only")
+        x, component_grad = W, problem.batch_component_grad
+
+        def start_pass(W):
+            grad = problem.batch_full_grad(W)
+            # a stacked matmul takes each member's grad @ grad as above
+            sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
+            return problem.batch_full_value(W), grad, sq
+
+    losses = np.empty((R, T))
+    grad_sq = np.empty((R, T))
+    snapshots = np.empty((R, T, d)) if T * d <= SNAPSHOT_BUDGET else None
+    selected = np.array([select_output_index(etas, selection_rng(s.seed))
+                         for s in strategies])
+    selected_w = np.empty((R, d))
     epochs = [] if inner_trace else None
-    if fixed_order:
-        perm = permutation_for_epoch(strategy, n, 1)
+    aborted = {}   # run -> RunAborted of its first failed check
+
+    def check(ok, t, detail):
+        for k in np.flatnonzero(~ok):
+            aborted.setdefault(int(k), RunAborted(t, detail))
+        if 0 in aborted:   # no earlier run can take precedence
+            raise aborted[0]
+
+    reshuffle = not fixed_order and any(s.kind == RANDOM_RESHUFFLING
+                                        for s in strategies)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate")
-            loss = problem.full_value(w)
-            grad = problem.full_grad(w)
-            if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-                raise RunAborted(t, "non-finite objective or gradient")
-            losses[t - 1] = loss
-            grad_sq[t - 1] = float(grad @ grad)
+            check(np.isfinite(W).all(axis=1), t, "non-finite iterate")
+            loss, grad, sq = start_pass(x)
+            check(np.isfinite(loss) & np.isfinite(grad).all(axis=-1), t,
+                  "non-finite objective or gradient")
+            losses[:, t - 1] = loss
+            grad_sq[:, t - 1] = sq
             if snapshots is not None:
-                snapshots.append(w.copy())
-            if t - 1 == selected_index:
-                selected_w = w.copy()
-            if not fixed_order:
-                perm = permutation_for_epoch(strategy, n, t)
+                snapshots[:, t - 1] = W
+            chosen = selected == t - 1
+            selected_w[chosen] = W[chosen]
+            if t == 1 or reshuffle:
+                perms = [permutation_for_epoch(s, n, t) for s in strategies]
+                # the inner index runs over a list of row ids, or an (n, R)
+                # array whose row i holds every member's i-th row id
+                order = perms[0].tolist() if R == 1 else np.stack(perms, axis=1)
             rate = etas[t - 1] / n
             if inner_trace:
                 grads = np.empty((n, d))
                 inner = np.empty((n + 1, d))
-                inner[0] = w
+                inner[0] = x
                 anchor = None if rule.anchor is None else rule.anchor.copy()
                 momenta = None if rule.momentum is None else np.empty((n, d))
-            for i in range(n):
-                g = problem.component_grad(w, int(perm[i]))
-                rule.step(w, g, rate)
+            for i, ids in enumerate(order):
+                g = component_grad(x, ids)
+                rule.step(x, g, rate)
                 if inner_trace:
                     grads[i] = g
-                    inner[i + 1] = w
+                    inner[i + 1] = x
                     if momenta is not None:
                         momenta[i] = rule.momentum
-            if not np.all(np.isfinite(w)):
-                raise RunAborted(t, "non-finite iterate after inner loop")
+            check(np.isfinite(W).all(axis=1), t, "non-finite iterate after inner loop")
             if inner_trace:
                 epochs.append(EpochTrace(
-                    permutation=perm, gradients=grads,
-                    start_w=inner[0].copy(), end_w=w.copy(),
+                    permutation=perms[0], gradients=grads,
+                    start_w=inner[0].copy(), end_w=x.copy(),
                     inner_iterates=inner, anchor=anchor, momenta=momenta,
                 ))
             rule.end_epoch()
-    return RunRecord(
-        algo=algo, etas=etas, losses=losses, grad_norms_sq=grad_sq,
-        selected_index=selected_index, selected_w=selected_w,
-        final_w=w.copy(), seed=strategy.seed, beta=rule.beta,
-        strategy_kind=strategy.kind, snapshots=snapshots, epochs=epochs,
-    )
+    if aborted:
+        raise aborted[min(aborted)]
+    return [RunRecord(
+        algo=algo, etas=etas, losses=losses[k], grad_norms_sq=grad_sq[k],
+        selected_index=int(selected[k]), selected_w=selected_w[k],
+        final_w=W[k].copy(), seed=s.seed, beta=rule.beta,
+        strategy_kind=s.kind, epochs=epochs,
+        snapshots=None if snapshots is None else list(snapshots[k]),
+    ) for k, s in enumerate(strategies)]
 
 
 def _check_beta(beta: float):
@@ -249,13 +298,39 @@ def _check_beta(beta: float):
         raise ValueError(f"momentum weight must lie in [0, 1), got {beta}")
 
 
+def ensemble_run(algo: str, problem: Problem, etas: np.ndarray,
+                 strategies: Sequence[ShufflingStrategy], beta: float,
+                 w0: Optional[np.ndarray] = None, inner_trace: bool = False,
+                 beta2: float = 0.999, eps: float = 1e-8) -> list[RunRecord]:
+    """Runs of algo ("smg", "ssmg", "sgd", "sgdm" or "adam"), one per strategy.
+
+    etas holds the per-epoch rates (Adam takes etas[0] as its constant
+    per-step rate), beta the momentum weight (Adam's beta1; sgd has none),
+    and w0 the starting point shared by every run, each run's init_point
+    when None.  Several strategies advance in lockstep, and every record
+    matches the run's own *_run call up to rounding; a single strategy
+    takes the scalar path of the *_run calls.
+    """
+    shape = (problem.d,) if len(strategies) == 1 else (len(strategies), problem.d)
+    if algo == "adam":
+        rule = _Adam(shape, float(etas[0]), beta, beta2, eps)
+    elif algo == "sgd":
+        rule = _Plain()
+    else:
+        _check_beta(beta)
+        rule = {"smg": lambda: _Anchored(problem.n, shape, beta),
+                "ssmg": lambda: _Recursive(shape, beta, 1.0 - beta),
+                "sgdm": lambda: _Recursive(shape, beta, 1.0)}[algo]()
+    return _drive(algo, problem, etas, strategies, w0, rule, inner_trace,
+                  fixed_order=algo == "ssmg")
+
+
 def smg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
             beta: float, w0: Optional[np.ndarray] = None,
             inner_trace: bool = False) -> RunRecord:
     """Shuffling gradient method with an epoch-fixed momentum anchor."""
-    _check_beta(beta)
-    return _drive("smg", problem, schedule.etas(), strategy, w0,
-                  _Anchored(problem.n, problem.d, beta), inner_trace)
+    return ensemble_run("smg", problem, schedule.etas(), [strategy], beta, w0,
+                        inner_trace)[0]
 
 
 def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -266,10 +341,8 @@ def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     The permutation is the strategy's epoch-1 permutation, reused for every
     epoch; the momentum buffer carries across epoch boundaries.
     """
-    _check_beta(beta)
-    return _drive("ssmg", problem, schedule.etas(), strategy, w0,
-                  _Recursive(problem.d, beta, 1.0 - beta), inner_trace,
-                  fixed_order=True)
+    return ensemble_run("ssmg", problem, schedule.etas(), [strategy], beta, w0,
+                        inner_trace)[0]
 
 
 def shuffling_sgd_run(problem: Problem, schedule: Schedule,
@@ -277,8 +350,8 @@ def shuffling_sgd_run(problem: Problem, schedule: Schedule,
                       w0: Optional[np.ndarray] = None,
                       inner_trace: bool = False) -> RunRecord:
     """Plain shuffling SGD: w <- w - (eta_t / n) g along each permutation."""
-    return _drive("sgd", problem, schedule.etas(), strategy, w0, _Plain(),
-                  inner_trace)
+    return ensemble_run("sgd", problem, schedule.etas(), [strategy], 0.0, w0,
+                        inner_trace)[0]
 
 
 def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -288,9 +361,7 @@ def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     The momentum buffer persists across epochs, matching the common
     deep-learning-framework implementation.
     """
-    _check_beta(beta)
-    return _drive("sgdm", problem, schedule.etas(), strategy, w0,
-                  _Recursive(problem.d, beta, 1.0))
+    return ensemble_run("sgdm", problem, schedule.etas(), [strategy], beta, w0)[0]
 
 
 def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
@@ -305,5 +376,5 @@ def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
         raise ValueError(f"learning rate must be positive, got {lr}")
     if T < 1:
         raise ValueError(f"need at least one epoch, got T={T}")
-    return _drive("adam", problem, np.full(T, float(lr)), strategy, w0,
-                  _Adam(problem.d, lr, beta1, beta2, eps))
+    return ensemble_run("adam", problem, np.full(T, float(lr)), [strategy], beta1,
+                        w0, beta2=beta2, eps=eps)[0]

@@ -21,6 +21,10 @@ import numpy as np
 # max of |w|/(1+w^2)^2 over the reals, attained at |w| = 1/sqrt(3)
 REG_GRAD_PEAK = 3.0 * math.sqrt(3.0) / 16.0
 
+# a batched full pass takes members in chunks whose (members x stored
+# entries) temporaries stay within this many elements
+BATCH_BUDGET = 4_000_000
+
 
 class DimensionMismatch(ValueError):
     """A sample feature index falls outside the dataset's dimension."""
@@ -152,6 +156,9 @@ class SparseDataset:
 class Problem:
     """Finite-sum objective with component oracles and certified constants.
 
+    The batch_ oracles serve R runs at once: they take an (R, d) matrix W
+    holding one iterate per row and return one result per row,
+    batch_component_grad(W, ids) the gradient of component ids[r] at W[r].
     Immutable after construction; the callables are pure and safe to invoke
     concurrently.
     """
@@ -163,6 +170,9 @@ class Problem:
     full_value: Callable[[np.ndarray], float]
     full_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
+    batch_component_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    batch_full_value: Callable[[np.ndarray], np.ndarray]
+    batch_full_grad: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -183,6 +193,13 @@ def regularizer_value(w: np.ndarray) -> float:
 
 def regularizer_grad(w: np.ndarray) -> np.ndarray:
     return w / (1.0 + w * w) ** 2
+
+
+def _logistic_weight(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) elementwise, by the scalar steps of a component
+    gradient: math.exp of -|z| <= 0, so nothing overflows."""
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
+    return np.where(z >= 0, e, 1.0) / (1.0 + e)
 
 
 def logistic_constants(dataset: SparseDataset, lam: float) -> ProblemConstants:
@@ -211,7 +228,12 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     A component oracle gathers its one row of the CSR arrays; the full
     value and gradient compute all margins y_i x_i^T w, and X^T s, with
     np.bincount, which adds the entries of each row (and of each column) in
-    storage order.
+    storage order.  The batched full passes give each member its own bins,
+    so every member's sums are those of the scalar passes; they take the
+    members in chunks within BATCH_BUDGET.  The batched component gradient
+    gathers each member's row, whatever its length, without padding.  Each
+    batched oracle repeats its scalar oracle's floating-point steps, so a
+    member's result equals the scalar result bit for bit.
     """
     n, d = len(dataset), dataset.d
     if n == 0:
@@ -222,6 +244,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     indptr = dataset.indptr.tolist()
     indices, values = dataset.indices, dataset.values
+    starts = dataset.indptr
     y = dataset.labels.astype(float)
     ys = y.tolist()
     rows = dataset.row_ids()
@@ -260,6 +283,57 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         g += lam * regularizer_grad(w)
         return g
 
+    def batch_component_grad(W, ids):
+        W = np.ascontiguousarray(W)   # its flattening is a view
+        lo = starts[ids]
+        lengths = starts[ids + 1] - lo
+        yi = y[ids]
+        G = lam * regularizer_grad(W)
+        # members whose rows share a length take one stacked matmul, which
+        # forms each x^T w with the dot product component_grad uses
+        for length in np.unique(lengths).tolist():
+            m = np.flatnonzero(lengths == length)
+            pos = lo[m, None] + np.arange(length)
+            flat = m[:, None] * d + indices[pos]   # entries of the flattened (R, d)
+            vals = values[pos]
+            z = yi[m] * np.matmul(vals[:, None, :], W.ravel()[flat][:, :, None])[:, 0, 0]
+            G.ravel()[flat] -= (yi[m] * _logistic_weight(z))[:, None] * vals
+        return G
+
+    def batch_margins(W):
+        # bin r * n + i adds member r's entries of row i in storage order
+        R = len(W)
+        bins = (rows + n * np.arange(R)[:, None]).ravel()
+        sums = np.bincount(bins, weights=(values * W[:, indices]).ravel(), minlength=R * n)
+        return y * sums.reshape(R, n)
+
+    def in_chunks(fn):
+        # fn over slices of members whose temporaries stay within the budget
+        size = max(1, BATCH_BUDGET // max(1, values.size))
+
+        def batched(W):
+            if len(W) <= size:
+                return fn(W)
+            return np.concatenate([fn(W[k:k + size]) for k in range(0, len(W), size)])
+        return batched
+
+    @in_chunks
+    def batch_full_value(W):
+        wsq = W * W
+        losses = np.mean(np.logaddexp(0.0, -batch_margins(W)), axis=1)
+        return losses + lam * (0.5 * np.sum(wsq / (1.0 + wsq), axis=1))
+
+    @in_chunks
+    def batch_full_grad(W):
+        R = len(W)
+        coef = -y * np.exp(-np.logaddexp(0.0, batch_margins(W)))
+        bins = (indices + d * np.arange(R)[:, None]).ravel()
+        G = np.bincount(bins, weights=(coef[:, rows] * values).ravel(), minlength=R * d)
+        G = G.reshape(R, d)
+        G /= n
+        G += lam * regularizer_grad(W)
+        return G
+
     return Problem(
         n=n, d=d,
         component_value=component_value,
@@ -267,6 +341,9 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         full_value=full_value,
         full_grad=full_grad,
         constants=logistic_constants(dataset, lam),
+        batch_component_grad=batch_component_grad,
+        batch_full_value=batch_full_value,
+        batch_full_grad=batch_full_grad,
     )
 
 
@@ -314,6 +391,18 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
     def full_grad(w):
         return A @ (w - cbar)
 
+    # a stacked matmul takes one matrix-vector product per member, the
+    # product the scalar oracles take
+    def batch_component_grad(W, ids):
+        return np.matmul(A, (W - centers[ids])[:, :, None])[:, :, 0]
+
+    def batch_full_value(W):
+        R = (W - cbar)[:, :, None]
+        return 0.5 * np.matmul(R.transpose(0, 2, 1), np.matmul(A, R))[:, 0, 0] + f_star
+
+    def batch_full_grad(W):
+        return np.matmul(A, (W - cbar)[:, :, None])[:, :, 0]
+
     constants = ProblemConstants(
         L=float(eigs[-1]), G=math.inf, theta=0.0,
         sigma_sq=sigma_sq, f_lower=f_star,
@@ -325,4 +414,7 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         full_value=full_value,
         full_grad=full_grad,
         constants=constants,
+        batch_component_grad=batch_component_grad,
+        batch_full_value=batch_full_value,
+        batch_full_grad=batch_full_grad,
     )
