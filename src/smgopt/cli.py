@@ -24,6 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
 import numpy as np
 
 from . import audit as audit_mod

@@ -311,16 +311,23 @@ def ensemble_run(algo: str, problem: Problem, etas: np.ndarray,
     matches the run's own *_run call up to rounding; a single strategy
     takes the scalar path of the *_run calls.
     """
+    if not strategies:
+        raise ValueError("need at least one strategy")
     shape = (problem.d,) if len(strategies) == 1 else (len(strategies), problem.d)
-    if algo == "adam":
-        rule = _Adam(shape, float(etas[0]), beta, beta2, eps)
+    if algo in ("smg", "ssmg", "sgdm"):
+        _check_beta(beta)
+    if algo == "smg":
+        rule = _Anchored(problem.n, shape, beta)
+    elif algo == "ssmg":
+        rule = _Recursive(shape, beta, 1.0 - beta)
+    elif algo == "sgdm":
+        rule = _Recursive(shape, beta, 1.0)
     elif algo == "sgd":
         rule = _Plain()
+    elif algo == "adam":
+        rule = _Adam(shape, float(etas[0]), beta, beta2, eps)
     else:
-        _check_beta(beta)
-        rule = {"smg": lambda: _Anchored(problem.n, shape, beta),
-                "ssmg": lambda: _Recursive(shape, beta, 1.0 - beta),
-                "sgdm": lambda: _Recursive(shape, beta, 1.0)}[algo]()
+        raise ValueError(f"unknown method {algo!r}")
     return _drive(algo, problem, etas, strategies, w0, rule, inner_trace,
                   fixed_order=algo == "ssmg")
 

@@ -291,7 +291,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         G = lam * regularizer_grad(W)
         # members whose rows share a length take one stacked matmul, which
         # forms each x^T w with the dot product component_grad uses
-        for length in np.unique(lengths).tolist():
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
             m = np.flatnonzero(lengths == length)
             pos = lo[m, None] + np.arange(length)
             flat = m[:, None] * d + indices[pos]   # entries of the flattened (R, d)

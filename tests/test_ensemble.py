@@ -148,11 +148,17 @@ def test_permutations_once_per_run_unless_reshuffled(kind, monkeypatch):
     assert calls == [(seed, t) for t in epochs for seed in (1, 2, 3)]
 
 
-def test_inner_trace_is_for_single_runs():
+def test_refused_ensembles():
+    problem, etas = make_problem("quadratic"), schedule().etas()
     strategies = [ShufflingStrategy("rr", seed) for seed in (1, 2)]
     with pytest.raises(ValueError, match="single runs"):
-        ensemble_run("smg", make_problem("quadratic"), schedule().etas(), strategies,
-                     0.5, inner_trace=True)
+        ensemble_run("smg", problem, etas, strategies, 0.5, inner_trace=True)
+    with pytest.raises(ValueError, match="at least one strategy"):
+        ensemble_run("smg", problem, etas, [], 0.5)
+    with pytest.raises(ValueError, match="unknown method"):
+        ensemble_run("nag", problem, etas, strategies, 0.5)
+    with pytest.raises(ValueError, match="momentum weight"):
+        ensemble_run("sgdm", problem, etas, strategies, 1.0)
 
 
 # ---------------------------------------------------------------------------
