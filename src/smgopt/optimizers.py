@@ -255,10 +255,13 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
             chosen = selected == t - 1
             selected_w[chosen] = W[chosen]
             if t == 1 or reshuffle:
-                perms = [permutation_for_epoch(s, n, t) for s in strategies]
-                # the inner index runs over a list of row ids, or an (n, R)
-                # array whose row i holds every member's i-th row id
-                order = perms[0].tolist() if R == 1 else np.stack(perms, axis=1)
+                if R == 1:
+                    perm = permutation_for_epoch(strategies[0], n, t)
+                    order = perm.tolist()
+                else:   # row i holds every member's i-th row id
+                    order = np.empty((n, R), dtype=np.int64)
+                    for k, s in enumerate(strategies):
+                        order[:, k] = permutation_for_epoch(s, n, t)
             rate = etas[t - 1] / n
             if inner_trace:
                 grads = np.empty((n, d))
@@ -277,7 +280,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
             check(np.isfinite(W).all(axis=1), t, "non-finite iterate after inner loop")
             if inner_trace:
                 epochs.append(EpochTrace(
-                    permutation=perms[0], gradients=grads,
+                    permutation=perm, gradients=grads,
                     start_w=inner[0].copy(), end_w=x.copy(),
                     inner_iterates=inner, anchor=anchor, momenta=momenta,
                 ))

@@ -22,8 +22,10 @@ import numpy as np
 REG_GRAD_PEAK = 3.0 * math.sqrt(3.0) / 16.0
 
 # a batched full pass takes members in chunks whose (members x stored
-# entries) temporaries stay within this many elements
-BATCH_BUDGET = 4_000_000
+# entries) temporaries stay within this many elements: it bounds memory,
+# and on a 2-vCPU VM passes with temporaries of this size ran as fast as
+# the scalar passes, where temporaries of millions of elements ran 2x slower
+BATCH_BUDGET = 65_536
 
 
 class DimensionMismatch(ValueError):
@@ -285,26 +287,39 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
 
     def batch_component_grad(W, ids):
         W = np.ascontiguousarray(W)   # its flattening is a view
+        R = len(W)
         lo = starts[ids]
         lengths = starts[ids + 1] - lo
+        # gather the rows with the members ordered by row length, so the
+        # members of one length hold one contiguous block of entries
+        order = np.argsort(lengths, kind="stable")
+        counts = lengths[order]
+        member = np.repeat(order, counts)
+        ends = np.cumsum(counts)
+        pos = np.arange(member.size) + np.repeat(lo[order] - ends + counts, counts)
+        flat = member * d + indices[pos]   # entries of the flattened (R, d)
+        vals, ws = values[pos], W.ravel()[flat]
+        # a stacked matmul per block forms each x^T w with the dot product
+        # component_grad uses
+        dots = np.empty(R)
+        firsts = [0] + (np.flatnonzero(np.diff(counts)) + 1).tolist()
+        counts, ends = counts.tolist(), ends.tolist()
+        for a, b in zip(firsts, firsts[1:] + [R]):
+            length, stop = counts[a], ends[b - 1]
+            start = stop - (b - a) * length
+            dots[order[a:b]] = np.matmul(vals[start:stop].reshape(b - a, 1, length),
+                                         ws[start:stop].reshape(b - a, length, 1))[:, 0, 0]
         yi = y[ids]
         G = lam * regularizer_grad(W)
-        # members whose rows share a length take one stacked matmul, which
-        # forms each x^T w with the dot product component_grad uses
-        for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            m = np.flatnonzero(lengths == length)
-            pos = lo[m, None] + np.arange(length)
-            flat = m[:, None] * d + indices[pos]   # entries of the flattened (R, d)
-            vals = values[pos]
-            z = yi[m] * np.matmul(vals[:, None, :], W.ravel()[flat][:, :, None])[:, 0, 0]
-            G.ravel()[flat] -= (yi[m] * _logistic_weight(z))[:, None] * vals
+        G.ravel()[flat] -= (yi * _logistic_weight(yi * dots))[member] * vals
         return G
 
     def batch_margins(W):
         # bin r * n + i adds member r's entries of row i in storage order
         R = len(W)
         bins = (rows + n * np.arange(R)[:, None]).ravel()
-        sums = np.bincount(bins, weights=(values * W[:, indices]).ravel(), minlength=R * n)
+        sums = np.bincount(bins, weights=(values * np.take(W, indices, axis=1)).ravel(),
+                           minlength=R * n)
         return y * sums.reshape(R, n)
 
     def in_chunks(fn):
@@ -328,7 +343,8 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         R = len(W)
         coef = -y * np.exp(-np.logaddexp(0.0, batch_margins(W)))
         bins = (indices + d * np.arange(R)[:, None]).ravel()
-        G = np.bincount(bins, weights=(coef[:, rows] * values).ravel(), minlength=R * d)
+        G = np.bincount(bins, weights=(np.take(coef, rows, axis=1) * values).ravel(),
+                        minlength=R * d)
         G = G.reshape(R, d)
         G /= n
         G += lam * regularizer_grad(W)
