@@ -26,8 +26,10 @@ shuffling SGD.
 
 ensemble_run runs one method for several seeds at once: the seeds advance
 in lockstep as the rows of one (R, d) iterate matrix, each on its own
-permutation stream, and give the records of separate runs up to rounding.
-A single run keeps the scalar oracles on a (d,) iterate.
+permutation stream, through the problem's batched oracles.  Those repeat
+the scalar oracles' floating-point steps, so each seed gets the record its
+separate run gives.  A single run keeps the scalar oracles on a (d,)
+iterate.
 """
 from __future__ import annotations
 
@@ -310,9 +312,9 @@ def ensemble_run(algo: str, problem: Problem, etas: np.ndarray,
     etas holds the per-epoch rates (Adam takes etas[0] as its constant
     per-step rate), beta the momentum weight (Adam's beta1; sgd has none),
     and w0 the starting point shared by every run, each run's init_point
-    when None.  Several strategies advance in lockstep, and every record
-    matches the run's own *_run call up to rounding; a single strategy
-    takes the scalar path of the *_run calls.
+    when None.  Several strategies advance in lockstep, and each record
+    equals that of the run's own *_run call; a single strategy takes the
+    scalar path of the *_run calls.
     """
     if not strategies:
         raise ValueError("need at least one strategy")

@@ -413,8 +413,8 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         return np.matmul(A, (W - centers[ids])[:, :, None])[:, :, 0]
 
     def batch_full_value(W):
-        R = (W - cbar)[:, :, None]
-        return 0.5 * np.matmul(R.transpose(0, 2, 1), np.matmul(A, R))[:, 0, 0] + f_star
+        r = (W - cbar)[:, :, None]
+        return 0.5 * np.matmul(r.transpose(0, 2, 1), np.matmul(A, r))[:, 0, 0] + f_star
 
     def batch_full_grad(W):
         return np.matmul(A, (W - cbar)[:, :, None])[:, :, 0]
