@@ -170,6 +170,21 @@ CLI_CASES = {
                         "--paper-grids"],
     "grid_sgd_abort": ["grid", "--algo", "sgd", "--T", "4",
                        "--gamma-grid", "0.05,1e160"],
+    "grid_smg_diminishing_lambda": ["grid", "--algo", "smg", "--schedule",
+                                    "diminishing", "--T", "4", "--synth-n", "12",
+                                    "--synth-d", "3", "--gamma-grid", "0.1,0.01",
+                                    "--lambda-grid", "1,4"],
+    "grid_sgdm_exponential_rho": ["grid", "--algo", "sgdm", "--schedule",
+                                  "exponential", "--rho", "0.95", "--T", "4",
+                                  "--synth-n", "12", "--gamma-grid", "0.05,0.01",
+                                  "--rho-grid", "0.9,0.99", "--repeats", "2"],
+    "grid_ssmg_cosine_paper": ["grid", "--algo", "ssmg", "--schedule", "cosine",
+                               "--T", "3", "--synth-n", "8", "--paper-grids"],
+    # seeds 1 and 2 abort at epochs (5, -), (3, 4), (3, 2) and (2, 2) in
+    # turn: a row reports its first aborting seed, not its earliest abort
+    "grid_smg_abort_epochs": ["grid", "--algo", "smg", "--T", "5", "--seed", "1",
+                              "--repeats", "2", "--gamma-grid",
+                              "0.05,4e153,4.5e153,1e154,2e154"],
     "rate": ["rate", "--horizons", "4,8,16", "--gamma", "1.0", "--repeats", "2",
              "--synth-n", "16"],
     "compare_one_seed": ["compare", "--T", "5", "--gamma", "0.02",
