@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,8 @@ from .dataio import (
     synth_binary_dataset,
     write_trace,
 )
-from .optimizers import RunAborted, RunRecord, ensemble_run
-from .problems import Problem, SparseDataset, logistic_problem
+from .optimizers import RunAborted, RunRecord, ensemble_outcomes, ensemble_run
+from .problems import Problem, logistic_problem
 from .schedules import Schedule, cap_general, cap_rr, exceeds_cap, schedule_sums
 from .shuffling import RANDOM_RESHUFFLING, STRATEGY_KINDS, ShufflingStrategy, init_point
 
@@ -130,8 +130,9 @@ def resolve_dataset_path(name: str) -> Path:
         f"dataset {name!r} not found (checked the path and $SMG_DATA_DIR)")
 
 
-def load_dataset(cfg: ExperimentConfig) -> SparseDataset:
-    """The configured LIBSVM file or synthetic dataset, scaled if asked."""
+def build_problem(cfg: ExperimentConfig) -> Problem:
+    """The logistic problem on the configured LIBSVM file or synthetic
+    dataset, scaled if asked."""
     if cfg.dataset:
         dataset, _ = parse_libsvm(resolve_dataset_path(cfg.dataset))
         if len(dataset) == 0:
@@ -141,11 +142,7 @@ def load_dataset(cfg: ExperimentConfig) -> SparseDataset:
                                        cfg.synth_sep)
     if cfg.scale:
         dataset = scale_features(dataset)
-    return dataset
-
-
-def build_problem(cfg: ExperimentConfig) -> Problem:
-    return logistic_problem(load_dataset(cfg), lam=cfg.reg)
+    return logistic_problem(dataset, lam=cfg.reg)
 
 
 def build_schedule(cfg: ExperimentConfig, n: int,
@@ -177,16 +174,22 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
     raise UsageError(f"unknown schedule kind {kind!r}")
 
 
+def _strategies(cfg: ExperimentConfig) -> list[ShufflingStrategy]:
+    """One strategy per seed cfg.seed .. cfg.seed + repeats - 1."""
+    return [ShufflingStrategy(cfg.strategy, seed)
+            for seed in range(cfg.seed, cfg.seed + cfg.repeats)]
+
+
+def _etas(cfg: ExperimentConfig, schedule: Schedule) -> np.ndarray:
+    """Per-epoch rates of cfg's runs; Adam takes gamma as its per-step rate."""
+    return np.full(cfg.T, float(cfg.gamma)) if cfg.algo == "adam" else schedule.etas()
+
+
 def seeded_runs(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
                 w0=None) -> list[RunRecord]:
     """cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1, in lockstep."""
-    strategies = [ShufflingStrategy(cfg.strategy, seed)
-                  for seed in range(cfg.seed, cfg.seed + cfg.repeats)]
-    if cfg.algo == "adam":  # gamma is the per-step rate; beta1 stays Adam's own
-        etas, beta = np.full(cfg.T, float(cfg.gamma)), DEFAULT_BETA["adam"]
-    else:
-        etas, beta = schedule.etas(), cfg.resolved_beta
-    records = ensemble_run(cfg.algo, problem, etas, strategies, beta, w0)
+    records = ensemble_run(cfg.algo, problem, _etas(cfg, schedule), _strategies(cfg),
+                           cfg.resolved_beta, w0)
     for record in records:
         record.config_hash = cfg.hash()
     return records
@@ -285,63 +288,38 @@ def paper_grids(algo: str, schedule_kind: str) -> dict:
     return grids
 
 
-def _grid_worker(cfg_dict: dict) -> dict:
-    """Run one grid point; must stay module-level so workers can unpickle it."""
-    cfg_dict = dict(cfg_dict)
-    step = cfg_dict.pop("_step")
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    row = {
-        "step": step,
-        "gamma": cfg.gamma,
-        "lam": cfg.lam,
-        "rho": cfg.rho,
-        "beta": cfg.resolved_beta,
-        "hash": cfg.hash(),
-        "status": "ok",
-        "abort_epoch": "",
-        "final_loss": math.inf,
-        "weighted_grad_avg": math.inf,
-    }
-    try:
-        problem = build_problem(cfg)
-        schedule = build_schedule(cfg, problem.n)
-        losses, metrics = [], []
-        for record in seeded_runs(problem, cfg, schedule):
-            losses.append(float(record.losses[-1]))
-            metrics.append(record.weighted_grad_avg())
-        row["final_loss"] = float(np.mean(losses))
-        row["weighted_grad_avg"] = float(np.mean(metrics))
-    except RunAborted as exc:
-        row["status"] = "aborted"
-        row["abort_epoch"] = str(exc.epoch)
-    return row
-
-
-def _grid_point_configs(cfg: ExperimentConfig, steps, lams, rhos, betas, n: int):
+def _grid_points(cfg: ExperimentConfig, steps, lams, rhos, betas,
+                 n: int) -> list[tuple[float, ExperimentConfig, np.ndarray]]:
+    """(step, config, per-epoch rates) of each grid point; None keeps cfg's."""
     points = []
-    for step in steps:
-        for lam in lams:
-            for rho in rhos:
-                for beta in betas:
-                    d = cfg.to_dict()
-                    if lam is not None:
-                        d["lam"] = lam
-                    if rho is not None:
-                        d["rho"] = rho
-                    if beta is not None:
-                        d["beta"] = beta
-                    if cfg.algo == "adam":
-                        d["gamma"] = step
-                    else:
-                        gamma = gamma_for_initial_step(
-                            cfg.schedule, step, n, cfg.T,
-                            d["lam"], d.get("rho"))
-                        if cfg.rr_scaling:
-                            gamma /= n ** (1.0 / 3.0)
-                        d["gamma"] = gamma
-                    d["_step"] = step
-                    points.append(d)
+    for step, lam, rho, beta in itertools.product(steps, lams, rhos, betas):
+        point = replace(cfg, lam=cfg.lam if lam is None else lam,
+                        rho=cfg.rho if rho is None else rho,
+                        beta=cfg.beta if beta is None else beta)
+        if cfg.algo == "adam":
+            point.gamma = step
+        else:
+            point.gamma = gamma_for_initial_step(cfg.schedule, step, n, cfg.T,
+                                                 point.lam, point.rho)
+            if cfg.rr_scaling:
+                point.gamma /= n ** (1.0 / 3.0)
+        point.validate()
+        points.append((step, point, _etas(point, build_schedule(point, n))))
     return points
+
+
+def _grid_row(step: float, point: ExperimentConfig, outcomes: list) -> dict:
+    """A grid point's row from its seeds' records or aborts, in seed order."""
+    row = {"step": step, "point": point, "status": "ok", "abort_epoch": "",
+           "final_loss": math.inf, "weighted_grad_avg": math.inf}
+    aborts = [o for o in outcomes if isinstance(o, RunAborted)]
+    if aborts:
+        row.update(status="aborted", abort_epoch=str(aborts[0].epoch))
+    else:
+        row["final_loss"] = float(np.mean([float(r.losses[-1]) for r in outcomes]))
+        row["weighted_grad_avg"] = float(np.mean([r.weighted_grad_avg()
+                                                  for r in outcomes]))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +355,7 @@ def cmd_audit(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = config_from_args(args)
-    n = len(load_dataset(cfg))  # each grid point builds its own problem
+    problem = build_problem(cfg)
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
         steps = sorted(set(g["coarse"]) | set(g["fine"]), reverse=True)
@@ -387,28 +365,28 @@ def cmd_grid(args) -> int:
         lams = _parse_float_list(args.lambda_grid) or [None]
         rhos = _parse_float_list(args.rho_grid) or [None]
         betas = _parse_float_list(args.beta_grid) or [None]
-    points = _grid_point_configs(cfg, steps, lams, rhos, betas, n)
+    points = _grid_points(cfg, steps, lams, rhos, betas, problem.n)
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_grid_worker, points))
-    else:
-        rows = [_grid_worker(p) for p in points]
+    # every point runs every seed: one lockstep ensemble, members point-major
+    seeds = _strategies(cfg)
+    outcomes = ensemble_outcomes(
+        cfg.algo, problem, np.repeat([etas for *_, etas in points], len(seeds), axis=0),
+        seeds * len(points), [p.resolved_beta for _, p, _ in points for _ in seeds])
+    rows = [_grid_row(step, point, outcomes[k * len(seeds):(k + 1) * len(seeds)])
+            for k, (step, point, _) in enumerate(points)]
 
     rows.sort(key=lambda r: (r["status"] != "ok", r["final_loss"]))
     header = "rank,step,gamma,lam,rho,beta,final_loss,weighted_grad_avg,status,abort_epoch,hash"
-    cells = [[str(rank), repr(row["step"]), repr(row["gamma"]),
-              "" if row["lam"] is None else repr(row["lam"]),
-              "" if row["rho"] is None else repr(row["rho"]),
-              repr(row["beta"]),
+    cells = [[str(rank), repr(row["step"]), repr(p.gamma), repr(p.lam),
+              "" if p.rho is None else repr(p.rho), repr(p.resolved_beta),
               repr(row["final_loss"]), repr(row["weighted_grad_avg"]),
-              row["status"], row["abort_epoch"], row["hash"]]
-             for rank, row in enumerate(rows, start=1)]
+              row["status"], row["abort_epoch"], p.hash()]
+             for rank, row in enumerate(rows, start=1) for p in [row["point"]]]
     table = write_table(Path(args.out) / "grid_results.csv", cfg, header, cells)
-    best = rows[0]
+    best, p = rows[0], rows[0]["point"]
     print(f"{len(rows)} grid points -> {table}")
-    print(f"best: step={best['step']} (gamma={best['gamma']:.6g}, "
-          f"beta={best['beta']}) final loss {best['final_loss']:.6e} "
+    print(f"best: step={best['step']} (gamma={p.gamma:.6g}, "
+          f"beta={p.resolved_beta}) final loss {best['final_loss']:.6e} "
           f"[{best['status']}]")
     return EXIT_OK
 
@@ -602,7 +580,8 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--rho-grid", default=None)
     p_grid.add_argument("--beta-grid", default=None)
     p_grid.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes")
+                        help="accepted and ignored: the grid points and seeds "
+                             "run as one lockstep ensemble in this process")
     p_grid.set_defaults(func=cmd_grid)
 
     p_rate = sub.add_parser("rate", help="fit the empirical decay exponent")

@@ -24,12 +24,12 @@ Methods:
 With beta = 0, smg_run and ssmg_run reduce exactly (bitwise) to plain
 shuffling SGD.
 
-ensemble_run runs one method for several seeds at once: the seeds advance
+ensemble_run runs one method for several runs at once: the runs advance
 in lockstep as the rows of one (R, d) iterate matrix, each on its own
-permutation stream, through the problem's batched oracles.  Those repeat
-the scalar oracles' floating-point steps, so each seed gets the record its
-separate run gives.  A single run keeps the scalar oracles on a (d,)
-iterate.
+permutation stream, rates and momentum weight, through the problem's
+batched oracles.  Those repeat the scalar oracles' floating-point steps, so
+each run gets the record its separate run gives.  A single run keeps the
+scalar oracles on a (d,) iterate.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .shuffling import (
     selection_rng,
 )
 
-# keep a run's full epoch-start snapshots only while T*d stays within this budget
+# keep the runs' full epoch-start snapshots only while R*T*d stays within this budget
 SNAPSHOT_BUDGET = 1_000_000
 
 
@@ -108,7 +108,8 @@ class _Rule:
     step(w, g, rate) updates w in place from the component gradient g at the
     epoch's per-step rate eta_t / n; end_epoch() runs after the n steps.
     The operations are elementwise, so w, g and the rule's state may hold
-    one iterate, shape (d,), or one per row, shape (R, d).  A rule that sets
+    one iterate, shape (d,), with scalar rate and weights, or one per row,
+    shape (R, d), with rate and weights as (R, 1) columns.  A rule that sets
     anchor (read at each epoch start) or momentum (read after each step)
     has those arrays recorded in the inner trace.
     """
@@ -121,8 +122,6 @@ class _Rule:
 
 class _Plain(_Rule):
     """Shuffling SGD: a step along the component gradient, no momentum."""
-
-    beta = 0.0
 
     def step(self, w, g, rate):
         w -= rate * g
@@ -165,9 +164,9 @@ class _Recursive(_Rule):
 class _Adam(_Rule):
     """Bias-corrected Adam at its own constant per-step rate lr."""
 
-    def __init__(self, shape: tuple, lr: float, beta1: float, beta2: float,
-                 eps: float):
-        self.lr, self.beta, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, shape: tuple, lr, beta1: list, beta2: float, eps: float):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.beta = beta1[0] if len(shape) == 1 else np.array(beta1)[:, None]
         self.m, self.v, self.k = np.zeros(shape), np.zeros(shape), 0
 
     def step(self, w, g, rate):
@@ -176,31 +175,34 @@ class _Adam(_Rule):
         self.m += (1.0 - self.beta) * g
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta ** self.k)
+        power = [b ** self.k for b in self.beta1]   # float powers, as a single run's
+        power = power[0] if w.ndim == 1 else np.array(power)[:, None]
+        m_hat = self.m / (1.0 - power)
         v_hat = self.v / (1.0 - self.beta2 ** self.k)
         w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _drive(algo: str, problem: Problem, etas: np.ndarray,
-           strategies: Sequence[ShufflingStrategy], w0: Optional[np.ndarray],
-           rule, inner_trace: bool = False,
-           fixed_order: bool = False) -> list[RunRecord]:
-    """Run T = etas.size epochs of rule's update, one run per strategy.
+           strategies: Sequence[ShufflingStrategy], betas: list,
+           w0: Optional[np.ndarray], rule, inner_trace: bool = False,
+           fixed_order: bool = False) -> list:
+    """Run T epochs of rule's update, one run per strategy.
 
-    Each epoch evaluates F and grad F at its start point, then applies
-    rule.step to the n component gradients taken along the epoch's
-    permutation.  Reshuffling takes a fresh permutation every epoch; with
-    fixed_order, or under shuffle-once or incremental order, the epoch-1
-    permutation serves every epoch.
+    Run k takes its per-epoch rates from row k of the (R, T) array etas,
+    and records betas[k] as its momentum weight.  Each epoch evaluates F and
+    grad F at its start point, then applies rule.step to the n component
+    gradients taken along the epoch's permutation.  Reshuffling takes a
+    fresh permutation every epoch; with fixed_order, or under shuffle-once
+    or incremental order, the epoch-1 permutation serves every epoch.
 
     One strategy runs the scalar oracles on the (d,) row of the iterate
     matrix W.  R > 1 strategies run in lockstep: one batched oracle call
     and one rule step per inner index move every row of W.  A run that
-    produces a non-finite value aborts as it would alone; the error raised
-    is that of the first aborted run in strategy order, the one a loop over
-    the strategies would meet first.
+    produces a non-finite value aborts as it would alone, and the others go
+    on.  Returns each run's RunRecord, or the RunAborted of its first
+    failed check.
     """
-    n, d, T, R = problem.n, problem.d, etas.size, len(strategies)
+    n, d, (R, T) = problem.n, problem.d, etas.shape
     if w0 is None:
         W = np.array([init_point(d, s.seed) for s in strategies])
     else:
@@ -229,27 +231,29 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
 
     losses = np.empty((R, T))
     grad_sq = np.empty((R, T))
-    snapshots = np.empty((R, T, d)) if T * d <= SNAPSHOT_BUDGET else None
-    selected = np.array([select_output_index(etas, selection_rng(s.seed))
-                         for s in strategies])
+    snapshots = np.empty((R, T, d)) if R * T * d <= SNAPSHOT_BUDGET else None
+    selected = np.array([select_output_index(etas[k], selection_rng(s.seed))
+                         for k, s in enumerate(strategies)])
     selected_w = np.empty((R, d))
     epochs = [] if inner_trace else None
     aborted = {}   # run -> RunAborted of its first failed check
 
     def check(ok, t, detail):
+        """Record the runs failing ok; False once every run has failed."""
         for k in np.flatnonzero(~ok):
             aborted.setdefault(int(k), RunAborted(t, detail))
-        if 0 in aborted:   # no earlier run can take precedence
-            raise aborted[0]
+        return len(aborted) < R
 
     reshuffle = not fixed_order and any(s.kind == RANDOM_RESHUFFLING
                                         for s in strategies)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            check(np.isfinite(W).all(axis=1), t, "non-finite iterate")
+            if not check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
+                break
             loss, grad, sq = start_pass(x)
-            check(np.isfinite(loss) & np.isfinite(grad).all(axis=-1), t,
-                  "non-finite objective or gradient")
+            if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=-1), t,
+                         "non-finite objective or gradient"):
+                break
             losses[:, t - 1] = loss
             grad_sq[:, t - 1] = sq
             if snapshots is not None:
@@ -264,7 +268,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                     order = np.empty((n, R), dtype=np.int64)
                     for k, s in enumerate(strategies):
                         order[:, k] = permutation_for_epoch(s, n, t)
-            rate = etas[t - 1] / n
+            rate = etas[0, t - 1] / n if R == 1 else etas[:, t - 1:t] / n
             if inner_trace:
                 grads = np.empty((n, d))
                 inner = np.empty((n + 1, d))
@@ -279,7 +283,9 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                     inner[i + 1] = x
                     if momenta is not None:
                         momenta[i] = rule.momentum
-            check(np.isfinite(W).all(axis=1), t, "non-finite iterate after inner loop")
+            if not check(np.isfinite(W).all(axis=1), t,
+                         "non-finite iterate after inner loop"):
+                break
             if inner_trace:
                 epochs.append(EpochTrace(
                     permutation=perm, gradients=grads,
@@ -287,40 +293,40 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                     inner_iterates=inner, anchor=anchor, momenta=momenta,
                 ))
             rule.end_epoch()
-    if aborted:
-        raise aborted[min(aborted)]
-    return [RunRecord(
-        algo=algo, etas=etas, losses=losses[k], grad_norms_sq=grad_sq[k],
+    return [aborted[k] if k in aborted else RunRecord(
+        algo=algo, etas=etas[k], losses=losses[k], grad_norms_sq=grad_sq[k],
         selected_index=int(selected[k]), selected_w=selected_w[k],
-        final_w=W[k].copy(), seed=s.seed, beta=rule.beta,
+        final_w=W[k].copy(), seed=s.seed, beta=betas[k],
         strategy_kind=s.kind, epochs=epochs,
         snapshots=None if snapshots is None else list(snapshots[k]),
     ) for k, s in enumerate(strategies)]
 
 
-def _check_beta(beta: float):
-    if not 0 <= beta < 1:
-        raise ValueError(f"momentum weight must lie in [0, 1), got {beta}")
-
-
-def ensemble_run(algo: str, problem: Problem, etas: np.ndarray,
-                 strategies: Sequence[ShufflingStrategy], beta: float,
-                 w0: Optional[np.ndarray] = None, inner_trace: bool = False,
-                 beta2: float = 0.999, eps: float = 1e-8) -> list[RunRecord]:
+def ensemble_outcomes(algo: str, problem: Problem, etas,
+                      strategies: Sequence[ShufflingStrategy], beta,
+                      w0: Optional[np.ndarray] = None, inner_trace: bool = False,
+                      beta2: float = 0.999, eps: float = 1e-8) -> list:
     """Runs of algo ("smg", "ssmg", "sgd", "sgdm" or "adam"), one per strategy.
 
-    etas holds the per-epoch rates (Adam takes etas[0] as its constant
-    per-step rate), beta the momentum weight (Adam's beta1; sgd has none),
-    and w0 the starting point shared by every run, each run's init_point
-    when None.  Several strategies advance in lockstep, and each record
-    equals that of the run's own *_run call; a single strategy takes the
-    scalar path of the *_run calls.
+    etas holds the per-epoch rates, (T,) shared or (R, T) one row per run
+    (Adam takes a row's first entry as its constant per-step rate); beta the
+    momentum weight (Adam's beta1; sgd has none), shared or one per run; w0
+    the starting point shared by every run, each run's init_point when None.
+    Several strategies advance in lockstep, and each outcome equals that of
+    the run's own *_run call: its RunRecord, or the RunAborted it raises.  A
+    single strategy takes the scalar path of the *_run calls.
     """
-    if not strategies:
+    R = len(strategies)
+    if not R:
         raise ValueError("need at least one strategy")
-    shape = (problem.d,) if len(strategies) == 1 else (len(strategies), problem.d)
-    if algo in ("smg", "ssmg", "sgdm"):
-        _check_beta(beta)
+    # C order: np.dot over a record's row of etas sums as over a (T,) array
+    etas = np.array(np.broadcast_to(etas, (R, np.shape(etas)[-1])), float, order="C")
+    betas = [0.0] * R if algo == "sgd" else [float(b) for b in np.broadcast_to(beta, R)]
+    bad = [b for b in betas if not 0 <= b < 1]
+    if bad and algo in ("smg", "ssmg", "sgdm"):
+        raise ValueError(f"momentum weight must lie in [0, 1), got {bad[0]}")
+    shape = (problem.d,) if R == 1 else (R, problem.d)
+    beta = betas[0] if R == 1 else np.array(betas)[:, None]
     if algo == "smg":
         rule = _Anchored(problem.n, shape, beta)
     elif algo == "ssmg":
@@ -330,11 +336,26 @@ def ensemble_run(algo: str, problem: Problem, etas: np.ndarray,
     elif algo == "sgd":
         rule = _Plain()
     elif algo == "adam":
-        rule = _Adam(shape, float(etas[0]), beta, beta2, eps)
+        lr = float(etas[0, 0]) if R == 1 else etas[:, :1]
+        rule = _Adam(shape, lr, betas, beta2, eps)
     else:
         raise ValueError(f"unknown method {algo!r}")
-    return _drive(algo, problem, etas, strategies, w0, rule, inner_trace,
+    return _drive(algo, problem, etas, strategies, betas, w0, rule, inner_trace,
                   fixed_order=algo == "ssmg")
+
+
+def ensemble_run(algo: str, problem: Problem, etas,
+                 strategies: Sequence[ShufflingStrategy], beta,
+                 w0: Optional[np.ndarray] = None, inner_trace: bool = False,
+                 beta2: float = 0.999, eps: float = 1e-8) -> list[RunRecord]:
+    """The records of ensemble_outcomes; if a run aborts, the RunAborted of
+    the first aborted run in strategy order, the one a loop would meet first."""
+    outcomes = ensemble_outcomes(algo, problem, etas, strategies, beta, w0,
+                                 inner_trace, beta2, eps)
+    for outcome in outcomes:
+        if isinstance(outcome, RunAborted):
+            raise outcome
+    return outcomes
 
 
 def smg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,

@@ -12,11 +12,14 @@ from smgopt.cli import (
     EXIT_USAGE,
     ExperimentConfig,
     UsageError,
+    build_problem,
     gamma_for_initial_step,
     main,
     paper_grids,
 )
 from smgopt.dataio import read_trace
+from smgopt.optimizers import adam_run
+from smgopt.shuffling import ShufflingStrategy
 
 
 def run_cli(*args):
@@ -81,6 +84,17 @@ class TestRunCommand:
         rc = run_cli("run", "--algo", "adam", "--T", "4", "--gamma", "0.001",
                      "--audit", "--out", str(tmp_path))
         assert rc == EXIT_REFUSAL
+
+    def test_beta_reaches_adam(self, tmp_path):
+        rc = run_cli("run", "--algo", "adam", "--beta", "0.5", "--T", "4",
+                     "--gamma", "0.01", "--seed", "3", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        sidecar = json.loads(next(tmp_path.glob("*.json")).read_text())
+        assert sidecar["beta"] == sidecar["config"]["beta"] == 0.5
+        expected = adam_run(build_problem(ExperimentConfig()), 0.01, 4,
+                            ShufflingStrategy("rr", 3), beta1=0.5)
+        data = read_trace(next(tmp_path.glob("*.csv")))
+        np.testing.assert_array_equal(data["loss"], expected.losses)
 
     def test_repeats_write_one_trace_per_seed(self, tmp_path):
         rc = run_cli("run", "--T", "5", "--repeats", "3", "--seed", "10",

@@ -1,8 +1,9 @@
 """Lockstep ensembles against separate scalar runs, and aborts inside them.
 
-ensemble_run advances R seeds as the rows of one (R, d) iterate matrix
-through the problem's batched oracles; every member must give the record of
-its own *_run call.  Floats match within RTOL = 1e-12 relative, an array
+ensemble_run advances R runs as the rows of one (R, d) iterate matrix
+through the problem's batched oracles, each with its own seed and, as the
+points of a grid, its own rates and momentum weight; every member must give
+the record of its own *_run call.  Floats match within RTOL = 1e-12 relative, an array
 against its largest magnitude, as in test_golden.py; algo, seed, beta,
 strategy_kind, selected_index and the snapshot count match exactly.  (The
 batched oracles repeat the scalar floating-point steps, so on the platform
@@ -55,22 +56,27 @@ def make_problem(name):
     return logistic_problem(dataset, lam=0.05)
 
 
-def schedule():
-    return Schedule("diminishing", gamma=0.3, horizon=T, lam=1.0)
+def schedule(k=0):
+    """Member k's schedule when members take their own rates."""
+    return Schedule("diminishing", gamma=0.3 * (1 + k / 2), horizon=T, lam=1.0 + k)
 
 
-def scalar_run(algo, problem, strategy, w0):
+def etas(algo, k=0):
+    return np.full(T, ADAM_LR * (1 + k / 2)) if algo == "adam" else schedule(k).etas()
+
+
+def scalar_run(algo, problem, strategy, w0, k=0, beta=None):
+    beta = BETA[algo] if beta is None else beta
     if algo == "adam":
-        return adam_run(problem, ADAM_LR, T, strategy, w0)
+        return adam_run(problem, ADAM_LR * (1 + k / 2), T, strategy, w0, beta1=beta)
     if algo == "sgd":
-        return shuffling_sgd_run(problem, schedule(), strategy, w0)
+        return shuffling_sgd_run(problem, schedule(k), strategy, w0)
     run = {"smg": smg_run, "ssmg": ssmg_run, "sgdm": sgdm_run}[algo]
-    return run(problem, schedule(), strategy, BETA[algo], w0)
+    return run(problem, schedule(k), strategy, beta, w0)
 
 
 def ensemble(algo, problem, strategies, w0=None):
-    etas = np.full(T, ADAM_LR) if algo == "adam" else schedule().etas()
-    return ensemble_run(algo, problem, etas, strategies, BETA[algo], w0)
+    return ensemble_run(algo, problem, etas(algo), strategies, BETA[algo], w0)
 
 
 def assert_close(actual, expected):
@@ -102,7 +108,7 @@ def assert_same_record(actual: RunRecord, expected: RunRecord):
 # Members against scalar runs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("start", ["shared-w0", "per-seed-w0"])
+@pytest.mark.parametrize("start", ["shared-w0", "per-seed-w0", "per-member-rates"])
 @pytest.mark.parametrize("R", [2, 5])
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 @pytest.mark.parametrize("algo", ALGOS)
@@ -111,10 +117,19 @@ def test_members_match_scalar_runs(fixture, algo, kind, R, start):
     problem = make_problem(fixture)
     w0 = np.linspace(-0.5, 0.5, problem.d) if start == "shared-w0" else None
     strategies = [ShufflingStrategy(kind, seed) for seed in range(5, 5 + R)]
-    records = ensemble(algo, problem, strategies, w0)
+    if start == "per-member-rates":
+        # member k runs with its own rates and momentum weight, as a grid point
+        betas = [0.1 + 0.2 * k for k in range(R)]
+        records = ensemble_run(algo, problem, [etas(algo, k) for k in range(R)],
+                               strategies, betas)
+        expected = [scalar_run(algo, problem, s, None, k, betas[k])
+                    for k, s in enumerate(strategies)]
+    else:
+        records = ensemble(algo, problem, strategies, w0)
+        expected = [scalar_run(algo, problem, s, w0) for s in strategies]
     assert len(records) == R
-    for record, strategy in zip(records, strategies):
-        assert_same_record(record, scalar_run(algo, problem, strategy, w0))
+    for record, scalar in zip(records, expected):
+        assert_same_record(record, scalar)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -149,16 +164,16 @@ def test_permutations_once_per_run_unless_reshuffled(kind, monkeypatch):
 
 
 def test_refused_ensembles():
-    problem, etas = make_problem("quadratic"), schedule().etas()
+    problem, rates = make_problem("quadratic"), etas("smg")
     strategies = [ShufflingStrategy("rr", seed) for seed in (1, 2)]
     with pytest.raises(ValueError, match="single runs"):
-        ensemble_run("smg", problem, etas, strategies, 0.5, inner_trace=True)
+        ensemble_run("smg", problem, rates, strategies, 0.5, inner_trace=True)
     with pytest.raises(ValueError, match="at least one strategy"):
-        ensemble_run("smg", problem, etas, [], 0.5)
+        ensemble_run("smg", problem, rates, [], 0.5)
     with pytest.raises(ValueError, match="unknown method"):
-        ensemble_run("nag", problem, etas, strategies, 0.5)
+        ensemble_run("nag", problem, rates, strategies, 0.5)
     with pytest.raises(ValueError, match="momentum weight"):
-        ensemble_run("sgdm", problem, etas, strategies, 1.0)
+        ensemble_run("sgdm", problem, rates, strategies, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import smgopt.optimizers as optimizers
 from smgopt.optimizers import (
     RunAborted,
     adam_run,
+    ensemble_run,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,
@@ -216,6 +217,14 @@ class TestRunRecord:
         assert lean.snapshots is None
         assert lean.selected_index == full.selected_index
         np.testing.assert_array_equal(lean.selected_w, full.selected_w)
+        # the budget covers an ensemble's R * T * d, not each member's T * d
+        monkeypatch.setattr(optimizers, "SNAPSHOT_BUDGET", 5 * 2)
+        assert smg_run(prob, sch, strat, beta=0.4).snapshots is not None
+        members = ensemble_run("smg", prob, sch.etas(),
+                               [strat, ShufflingStrategy("rr", 8)], 0.4)
+        assert [m.snapshots for m in members] == [None, None]
+        assert members[0].selected_index == full.selected_index
+        np.testing.assert_array_equal(members[0].selected_w, full.selected_w)
 
     def test_invalid_inputs(self):
         prob = quad_problem()
