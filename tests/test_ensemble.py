@@ -3,12 +3,13 @@
 ensemble_run advances R runs as the rows of one (R, d) iterate matrix
 through the problem's batched oracles, each with its own seed and, as the
 points of a grid, its own rates and momentum weight; every member must give
-the record of its own *_run call.  Floats match within RTOL = 1e-12 relative, an array
-against its largest magnitude, as in test_golden.py; algo, seed, beta,
-strategy_kind, selected_index and the snapshot count match exactly.  (The
-batched oracles repeat the scalar floating-point steps, so on the platform
-the golden manifest was stored on the members match bit for bit; the
-tolerance leaves room for a BLAS whose stacked products round otherwise.)
+the record of its own *_run call.  Floats match within RTOL = 1e-12
+relative, an array against its largest magnitude, as in test_golden.py;
+algo, seed, beta, strategy_kind, selected_index and the snapshot count
+match exactly.  (The batched oracles repeat the scalar floating-point
+steps, so on the platform the golden manifest was stored on the members
+match bit for bit; the tolerance leaves room for a BLAS whose stacked
+products round otherwise.)
 """
 import dataclasses
 import io
@@ -24,6 +25,7 @@ from smgopt.optimizers import (
     RunAborted,
     RunRecord,
     adam_run,
+    ensemble_outcomes,
     ensemble_run,
     sgdm_run,
     shuffling_sgd_run,
@@ -213,10 +215,10 @@ def outcomes(default_problem):
     return dict(zip([1, 2, 3, 4], outcomes))
 
 
-def run_sgd_ensemble(problem, seeds):
-    etas = Schedule("constant", gamma=ABORT_GAMMA, horizon=T).etas()
-    return ensemble_run("sgd", problem, etas,
-                        [ShufflingStrategy("rr", seed) for seed in seeds], 0.0)
+def run_sgd_ensemble(problem, seeds, run=ensemble_run):
+    rates = Schedule("constant", gamma=ABORT_GAMMA, horizon=T).etas()
+    return run("sgd", problem, rates,
+               [ShufflingStrategy("rr", seed) for seed in seeds], 0.0)
 
 
 @pytest.mark.parametrize("seeds", [[1, 2, 3, 4], [1, 3], [2, 3], [3, 2, 1]])
@@ -226,6 +228,14 @@ def test_ensemble_raises_the_first_abort_in_seed_order(seeds, default_problem, o
         run_sgd_ensemble(default_problem, seeds)
     assert info.value.epoch == expected.epoch
     assert str(info.value) == str(expected)
+    # ensemble_outcomes gives every member's own outcome instead
+    members = run_sgd_ensemble(default_problem, seeds, ensemble_outcomes)
+    for seed, member in zip(seeds, members):
+        assert type(member) is type(outcomes[seed])
+        if isinstance(member, RunAborted):
+            assert str(member) == str(outcomes[seed])
+        else:
+            assert_same_record(member, outcomes[seed])
 
 
 def test_a_diverging_member_leaves_the_others_alone(default_problem, outcomes):
