@@ -25,7 +25,7 @@ problem's certified lower bound, which can only enlarge the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,16 +63,9 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constants_used": self.constants_used,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
-        if self.extras:
-            out["extras"] = self.extras
+        out = asdict(self)
+        if not self.extras:
+            del out["extras"]
         return out
 
     def summary(self) -> str:
@@ -151,27 +144,23 @@ def theorem3_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
 
 def _constants_dict(constants: ProblemConstants, beta: float, record: RunRecord,
                     sums: ScheduleSums) -> dict:
-    return {
-        "L": constants.L,
-        "theta": constants.theta,
-        "sigma_sq": constants.sigma_sq,
-        "G": constants.G if constants.has_finite_G else "inf",
-        "beta": beta,
-        "F_w0": float(record.losses[0]),
-        "f_lower": constants.f_lower,
-        "sum_eta": sums.sum_eta,
-        "sum_eta_prev_cubed": sums.sum_eta_prev_cubed,
-        "sum_xi_cubed": sums.sum_xi_cubed,
-    }
+    return {**asdict(constants), "G": constants.G if constants.has_finite_G else "inf",
+            "beta": beta, "F_w0": float(record.losses[0]), **sums._asdict()}
+
+
+def _pathwise_report(theorem: str, rhs: float, record: RunRecord,
+                     constants: ProblemConstants, beta: float,
+                     sums: ScheduleSums) -> BoundReport:
+    lhs = record.weighted_grad_avg()
+    satisfied = bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL))
+    return BoundReport(theorem, lhs, rhs, _constants_dict(constants, beta, record, sums),
+                       satisfied, rhs - lhs)
 
 
 def audit_theorem1(record: RunRecord, constants: ProblemConstants, beta: float,
                    sums: ScheduleSums) -> BoundReport:
     rhs = float(theorem1_rhs(record, constants, beta, sums))
-    lhs = record.weighted_grad_avg()
-    satisfied = bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL))
-    return BoundReport("T1", lhs, rhs, _constants_dict(constants, beta, record, sums),
-                       satisfied, rhs - lhs)
+    return _pathwise_report("T1", rhs, record, constants, beta, sums)
 
 
 def audit_theorem2(records: Sequence[RunRecord], constants: ProblemConstants,
@@ -204,10 +193,7 @@ def audit_theorem2(records: Sequence[RunRecord], constants: ProblemConstants,
 def audit_theorem3(record: RunRecord, constants: ProblemConstants, beta: float,
                    n: int, sums: ScheduleSums) -> BoundReport:
     rhs = float(theorem3_rhs(record, constants, beta, n, sums))
-    lhs = record.weighted_grad_avg()
-    satisfied = bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL))
-    return BoundReport("T3", lhs, rhs, _constants_dict(constants, beta, record, sums),
-                       satisfied, rhs - lhs)
+    return _pathwise_report("T3", rhs, record, constants, beta, sums)
 
 
 # ---------------------------------------------------------------------------

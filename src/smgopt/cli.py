@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise UsageError(f"repeats must be >= 1, got {self.repeats}")
         if not self.gamma > 0:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise UsageError(f"gamma must be finite, got {self.gamma}")
 
     @property
     def resolved_beta(self) -> float:
@@ -163,6 +165,8 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
     if kind == "constant":
         return step * n * T ** (1.0 / 3.0)
     if kind == "diminishing":
+        if lam < 0:   # a negative base has a complex cube root
+            raise UsageError(f"lam must be nonnegative, got {lam}")
         return step * n * (1.0 + lam) ** (1.0 / 3.0)
     if kind == "exponential":
         return step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
@@ -190,8 +194,9 @@ def seeded_runs(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
     """cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1, in lockstep."""
     records = ensemble_run(cfg.algo, problem, _etas(cfg, schedule), _strategies(cfg),
                            cfg.resolved_beta, w0)
+    config_hash = cfg.hash()
     for record in records:
-        record.config_hash = cfg.hash()
+        record.config_hash = config_hash
     return records
 
 
@@ -252,15 +257,14 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
 
 def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
                   reports: list[BoundReport], out: Path) -> list[Path]:
+    """Each record's trace and sidecar, named by the config hash it carries."""
     out.mkdir(parents=True, exist_ok=True)
+    config = cfg.to_dict()
     paths = []
     for i, record in enumerate(records):
-        report = None
-        if reports:
-            report = reports[0] if len(reports) == 1 else reports[i]
-        name = f"trace_{cfg.algo}_{cfg.hash()}_s{record.seed}.csv"
-        path = out / name
-        write_trace(record, path, config=cfg.to_dict(),
+        report = (reports[0] if len(reports) == 1 else reports[i]) if reports else None
+        path = out / f"trace_{cfg.algo}_{record.config_hash}_s{record.seed}.csv"
+        write_trace(record, path, config=config,
                     bound_report=report.to_dict() if report else None)
         paths.append(path)
     return paths
@@ -344,7 +348,7 @@ def cmd_audit(args) -> int:
     out = Path(args.out)
     write_outputs(cfg, records, reports, out)
     payload = [r.to_dict() for r in reports]
-    report_path = out / f"bound_report_{cfg.hash()}.json"
+    report_path = out / f"bound_report_{records[0].config_hash}.json"
     report_path.write_text(json.dumps(payload if len(payload) > 1 else payload[0],
                                       indent=2, sort_keys=True) + "\n")
     for report in reports:
@@ -438,12 +442,10 @@ def cmd_compare(args) -> int:
     problem = build_problem(cfg)
     curves: dict[str, np.ndarray] = {}
     for method in methods:
-        d = cfg.to_dict()
-        d["algo"] = method
-        d["beta"] = None  # per-method default momentum
-        if method == "smg" or method == "ssmg":
-            d["beta"] = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
-        mcfg = ExperimentConfig.from_dict(d)
+        beta = None   # per-method default momentum, but smg and ssmg share one
+        if method in ("smg", "ssmg"):
+            beta = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
+        mcfg = replace(cfg, algo=method, beta=beta)
         if method != "adam":
             mcfg.gamma = gamma_for_initial_step(cfg.schedule, cfg.gamma,
                                                 problem.n, cfg.T, cfg.lam, cfg.rho)
@@ -538,14 +540,8 @@ def _add_experiment_args(p: argparse.ArgumentParser):
 
 
 def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        algo=args.algo, beta=args.beta, schedule=args.schedule, gamma=args.gamma,
-        lam=args.lam, rho=args.rho, T=args.T, strategy=args.strategy,
-        seed=args.seed, repeats=args.repeats, enforce_cap=args.enforce_cap,
-        rr_scaling=args.rr_scaling, dataset=args.dataset, synth_n=args.synth_n,
-        synth_d=args.synth_d, synth_seed=args.synth_seed, synth_sep=args.synth_sep,
-        reg=args.reg, scale=args.scale,
-    )
+    # every config field has a flag whose dest is the field's name
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     cfg.validate()
     # construct once so malformed schedule parameters fail as usage errors
     try:

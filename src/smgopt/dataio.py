@@ -7,9 +7,8 @@ floats are rendered with repr(), which round-trips float64 exactly.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
@@ -19,8 +18,11 @@ from .optimizers import RunRecord
 from .problems import SparseDataset, SparseSample
 
 TRACE_HEADER = "epoch,eta,loss,grad_norm_sq"
-# lines parsed per block: the token strings of one block are alive at a time
+# lines parsed per block: the arrays of one block are alive at a time
 BLOCK_LINES = 4096
+# the longest digit strings whose digit arithmetic is exact: an int64 holds
+# 18 digits, and a float64 every integer of 15
+EXACT_DIGITS = {int: 18, float: 15}
 
 
 class ParseError(ValueError):
@@ -61,52 +63,63 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
 def _parse_block(lines: list[str], first_line: int):
     """Features per row, labels, 1-based indices and values of some lines.
 
-    The checks run on whole token arrays, but an error is raised for the
-    first malformed token in line order, so the message is the one a
-    token-by-token reading would give.
+    The lines are joined and read as bytes: token edges, rows, labels and
+    colons come from array comparisons, with str.split's whitespace.  A
+    block holding non-ASCII text first normalises its lines with str.split,
+    which knows the non-ASCII whitespace.  The checks run on whole arrays,
+    but an error is raised for the first malformed token in line order, so
+    the message is the one a token-by-token reading would give.
     """
-    split = list(map(str.split, lines))
-    counts = np.fromiter(map(len, split), np.int64, len(split))
-    rows = np.flatnonzero(counts)
-    width = counts[rows]                          # tokens per row, label included
-    tokens = np.array(list(chain.from_iterable(split)), dtype=object)
-    label_at = np.cumsum(width) - width           # token position of each label
-    is_label = np.zeros(tokens.size, dtype=bool)
+    text = "\n".join(lines)
+    if text.isascii():
+        data = text.encode()
+    else:   # UTF-8 holds no multibyte character with a space or colon byte
+        lines = [" ".join(line.split()).encode() for line in lines]
+        data = b"\n".join(lines)
+    # raw pads the text with a space at each end; line j starts at begin[j]
+    raw = np.frombuffer(b" " + data + b" ", np.uint8)
+    begin = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+    begin = np.concatenate(([1], begin[:-1] + 1))
+    # str.split's ASCII whitespace: 9 to 13 and 28 to 32 (uint8 wraps below)
+    space = (raw - 9 <= 4) | (raw - 28 <= 4)
+    edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+    starts, stops = edges[0::2], edges[1::2]      # token j is raw[starts[j]:stops[j]]
+    first = np.searchsorted(starts, begin)        # each line's first token, if any
+    after = np.append(first[1:], starts.size)
+    rows = np.flatnonzero(first < after)          # the nonempty lines
+    label_at, width = first[rows], (after - first)[rows]   # tokens per row, label included
+    is_label = np.zeros(starts.size, dtype=bool)
     is_label[label_at] = True
     feature_at = np.flatnonzero(~is_label)
     errors = []                                   # (token position, detail)
 
-    label_text = tokens[label_at].tolist()
-    labels, k = _convert(label_text, float, np.float64)
-    if k < len(label_text):
-        errors.append((label_at[k], f"unparsable label {label_text[k]!r}"))
+    def token(j):
+        return raw[starts[j]:stops[j]].tobytes().decode()
+
+    labels, k = _numbers(raw, starts[label_at], stops[label_at], float)
+    if k < label_at.size:
+        errors.append((label_at[k], f"unparsable label {token(label_at[k])!r}"))
     outside = np.flatnonzero((labels != 1) & (labels != -1) & (labels != 0))
     if outside.size:
-        j = outside[0]
-        errors.append((label_at[j], f"label {label_text[j]!r} outside the binary set"))
+        j = label_at[outside[0]]
+        errors.append((j, f"label {token(j)!r} outside the binary set"))
 
-    # a well-formed feature is one colon between a nonempty index and value,
-    # read off the UTF-8 bytes (no multibyte character holds a space or a
-    # colon byte); the well-formed features before the first that is not
-    # split into index and value strings all at once
-    features = tokens[feature_at].tolist()
-    m = len(features)
-    raw = np.frombuffer(" ".join(features).encode(), np.uint8)
-    space, colon = raw == ord(" "), raw == ord(":")
-    gaps = np.flatnonzero(space)
-    first = np.concatenate(([0], gaps + 1))[:m]
-    last = np.concatenate((gaps, [raw.size]))[:m] - 1
-    colons = np.bincount(np.cumsum(space)[colon], minlength=m)
-    well_formed = (colons == 1) & ~colon[first] & ~colon[last]
+    # a well-formed feature is one colon between a nonempty index and value;
+    # the well-formed features before the first that is not convert at once
+    at = np.append(np.flatnonzero(raw == ord(":")), [raw.size, raw.size])
+    lo, hi = starts[feature_at], stops[feature_at]
+    c = np.searchsorted(at, lo)
+    colon = at[c]                                 # a feature's first colon
+    well_formed = (colon > lo) & (colon < hi - 1) & (at[c + 1] >= hi)
+    m = feature_at.size
     m_ok = m if well_formed.all() else int(np.argmin(well_formed))
-    pieces = " ".join(features[:m_ok]).replace(":", " ").split()
-    idx, k_idx = _convert(pieces[0::2], int, np.int64)
-    values, k_val = _convert(pieces[1::2], float, np.float64)
+    idx, k_idx = _numbers(raw, lo[:m_ok], colon[:m_ok], int)
+    values, k_val = _numbers(raw, colon[:m_ok] + 1, hi[:m_ok], float)
     k = min(k_idx, k_val, m_ok)
     if k < m:
-        has_value = features[k].partition(":")[2]
-        detail = "unparsable token" if has_value else "expected index:value, got"
-        errors.append((feature_at[k], f"{detail} {features[k]!r}"))
+        feature = token(feature_at[k])
+        detail = "unparsable token" if feature.partition(":")[2] else "expected index:value, got"
+        errors.append((feature_at[k], f"{detail} {feature!r}"))
     idx, values = idx[:k], values[:k]
     prev = np.concatenate(([0], idx))[:-1]
     prev[is_label[feature_at[:k] - 1]] = 0        # a row's first index follows 0
@@ -118,32 +131,44 @@ def _parse_block(lines: list[str], first_line: int):
 
     if errors:
         at, detail = min(errors, key=lambda error: error[0])
-        line_of_token = first_line + np.repeat(rows, width)
-        raise ParseError(int(line_of_token[at]), detail)
+        row = np.searchsorted(label_at, at, side="right") - 1
+        raise ParseError(first_line + int(rows[row]), detail)
     return width - 1, np.where(labels == 1, 1, -1), idx, values
 
 
-def _convert(strings: list[str], kind, dtype):
-    """Convert strings with kind (int or float) into an array of dtype.
+def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
+    """kind (int or float) of each byte span raw[lo:hi], as int64 or float64.
 
-    Returns the converted values and the position of the first string kind
-    rejects (len(strings) when it accepts all); on a rejection the values
-    are those of the strings before it.
+    A span of at most EXACT_DIGITS[kind] ASCII digits converts by digit
+    arithmetic, which is exact there; kind converts every other span from
+    its text.  Returns the values of the spans before the first one kind
+    rejects, and its position (lo.size when it accepts all).
     """
+    out = np.empty(lo.size, np.int64 if kind is int else np.float64)
+    fast = hi - lo <= EXACT_DIGITS[kind]          # until a byte is no digit
+    lo_fast, hi_fast = lo[fast], hi[fast]
+    value = np.zeros(lo_fast.size, dtype=np.int64)
+    digits = np.ones(lo_fast.size, dtype=bool)
+    for back in range(int((hi_fast - lo_fast).max(initial=0)), 0, -1):
+        at = hi_fast - back                       # a span's byte where at >= lo
+        inside = at >= lo_fast
+        digit = raw[np.maximum(at, lo_fast)] - ord("0")
+        digits &= (digit <= 9) | ~inside
+        value = np.where(inside, value * 10 + digit, value)
+    fast[fast] = digits
+    out[fast] = value[digits]
+    slow = np.flatnonzero(~fast)
+    text = raw.tobytes()
+    strings = [text[a:b].decode() for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
     try:
-        return np.fromiter(map(kind, strings), dtype, len(strings)), len(strings)
-    except (ValueError, OverflowError):
-        pass
-    # bisect: strings[:lo] convert and strings[lo:hi] hold a rejected one
-    lo, hi = 0, len(strings)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            np.fromiter(map(kind, strings[lo:mid]), dtype, mid - lo)
-            lo = mid
-        except (ValueError, OverflowError):
-            hi = mid
-    return np.fromiter(map(kind, strings[:lo]), dtype, lo), lo
+        out[slow] = np.fromiter(map(kind, strings), out.dtype, slow.size)
+    except (ValueError, OverflowError):   # find the first span kind rejects
+        for j, string in zip(slow.tolist(), strings):
+            try:
+                out[j] = kind(string)
+            except (ValueError, OverflowError):
+                return out[:j], j
+    return out, lo.size
 
 
 def scale_features(dataset: SparseDataset) -> SparseDataset:
@@ -189,15 +214,9 @@ def write_trace(record: RunRecord, path: str | Path,
                 bound_report: Optional[dict] = None) -> Path:
     """Write the per-epoch CSV and its JSON sidecar; returns the sidecar path."""
     path = Path(path)
-    lines = [f"# config_hash={record.config_hash or ''} seed={record.seed}"]
-    lines.append(TRACE_HEADER)
-    for t in range(1, record.T + 1):
-        lines.append(",".join([
-            str(t),
-            repr(float(record.etas[t - 1])),
-            repr(float(record.losses[t - 1])),
-            repr(float(record.grad_norms_sq[t - 1])),
-        ]))
+    lines = [f"# config_hash={record.config_hash or ''} seed={record.seed}", TRACE_HEADER]
+    columns = zip(record.etas.tolist(), record.losses.tolist(), record.grad_norms_sq.tolist())
+    lines += [f"{t},{eta!r},{loss!r},{g!r}" for t, (eta, loss, g) in enumerate(columns, 1)]
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -248,8 +267,5 @@ def read_trace(path: str | Path) -> dict:
 
 def render_libsvm(samples: Iterable[SparseSample]) -> str:
     """Inverse of parse_libsvm, mainly for tests and synthetic exports."""
-    out = io.StringIO()
-    for s in samples:
-        parts = [f"{s.label:+d}"] + [f"{idx}:{repr(val)}" for idx, val in s.features]
-        out.write(" ".join(parts) + "\n")
-    return out.getvalue()
+    return "".join(" ".join([f"{s.label:+d}"] + [f"{idx}:{val!r}" for idx, val in s.features])
+                   + "\n" for s in samples)

@@ -106,15 +106,20 @@ class _Rule:
     """Per-step update of one method, applied by the shared epoch driver.
 
     step(w, g, rate) updates w in place from the component gradient g at the
-    epoch's per-step rate eta_t / n; end_epoch() runs after the n steps.
-    The operations are elementwise, so w, g and the rule's state may hold
-    one iterate, shape (d,), with scalar rate and weights, or one per row,
-    shape (R, d), with rate and weights as (R, 1) columns.  A rule that sets
-    anchor (read at each epoch start) or momentum (read after each step)
-    has those arrays recorded in the inner trace.
+    epoch's per-step rate eta_t / n, and never writes into g; start_epoch(w,
+    order) and end_epoch() run before and after an epoch's steps along
+    order.  The operations are elementwise, on scratch arrays allocated
+    once: w, g and the rule's state may hold one iterate, shape (d,), with
+    scalar rate and weights, or one per row, shape (R, d), with rate and
+    weights as (R, 1) columns.  A rule that sets anchor (read at each epoch
+    start) or momentum (read after each step) has those arrays recorded in
+    the inner trace.
     """
 
     anchor = momentum = None
+
+    def start_epoch(self, w, order):
+        pass
 
     def end_epoch(self):
         pass
@@ -123,42 +128,47 @@ class _Rule:
 class _Plain(_Rule):
     """Shuffling SGD: a step along the component gradient, no momentum."""
 
+    def __init__(self, shape: tuple):
+        self.u = np.empty(shape)
+
     def step(self, w, g, rate):
-        w -= rate * g
+        np.subtract(w, np.multiply(g, rate, self.u), w)
 
 
 class _Anchored(_Rule):
     """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
     refreshed at each epoch end with the epoch's average gradient v."""
 
-    def __init__(self, n: int, shape: tuple, beta: float):
+    def __init__(self, n: int, shape: tuple, beta):
         self.n, self.beta, self.c = n, beta, 1.0 - beta
-        self.m0, self.v, self.m = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        self.m0, self.v = np.zeros(shape), np.zeros(shape)
+        self.beta_m0 = self.m0 * beta           # fixed through an epoch
+        self.m, self.u = np.empty(shape), np.empty(shape)
         self.anchor = self.m0
 
     def step(self, w, g, rate):
-        np.multiply(self.m0, self.beta, out=self.m)
-        self.m += self.c * g
-        self.v += g / self.n
-        w -= rate * self.m
+        m, u = self.m, self.u
+        np.add(self.beta_m0, np.multiply(g, self.c, m), m)
+        np.add(self.v, np.divide(g, self.n, u), self.v)
+        np.subtract(w, np.multiply(m, rate, u), w)
 
     def end_epoch(self):
         self.m0[:] = self.v
+        np.multiply(self.m0, self.beta, self.beta_m0)
         self.v[:] = 0.0
 
 
 class _Recursive(_Rule):
     """Momentum m <- beta m + c g carried across epoch boundaries."""
 
-    def __init__(self, shape: tuple, beta: float, c: float):
+    def __init__(self, shape: tuple, beta, c):
         self.beta, self.c = beta, c
-        self.momentum = np.zeros(shape)
+        self.momentum, self.u = np.zeros(shape), np.empty(shape)
 
     def step(self, w, g, rate):
-        m = self.momentum
-        m *= self.beta
-        m += self.c * g
-        w -= rate * m
+        m, u = self.momentum, self.u
+        np.add(np.multiply(m, self.beta, m), np.multiply(g, self.c, u), m)
+        np.subtract(w, np.multiply(m, rate, u), w)
 
 
 class _Adam(_Rule):
@@ -167,25 +177,56 @@ class _Adam(_Rule):
     def __init__(self, shape: tuple, lr, beta1: list, beta2: float, eps: float):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.beta = beta1[0] if len(shape) == 1 else np.array(beta1)[:, None]
+        self.c, self.c2 = 1.0 - self.beta, 1.0 - beta2
         self.m, self.v, self.k = np.zeros(shape), np.zeros(shape), 0
+        self.u, self.s = np.empty(shape), np.empty(shape)
 
     def step(self, w, g, rate):
         self.k += 1
-        self.m *= self.beta
-        self.m += (1.0 - self.beta) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        m, v, u, s = self.m, self.v, self.u, self.s
+        np.add(np.multiply(m, self.beta, m), np.multiply(g, self.c, u), m)
+        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(g, self.c2, u), g, u), v)
         power = [b ** self.k for b in self.beta1]   # float powers, as a single run's
         power = power[0] if w.ndim == 1 else np.array(power)[:, None]
-        m_hat = self.m / (1.0 - power)
-        v_hat = self.v / (1.0 - self.beta2 ** self.k)
-        w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.divide(m, 1.0 - power, u)                                  # m_hat
+        np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
+        np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
+        np.subtract(w, u, w)
+
+
+class _Traced(_Rule):
+    """Another rule's steps on a single run, recording an EpochTrace of each
+    completed epoch in epochs."""
+
+    def __init__(self, rule: _Rule):
+        self.rule, self.epochs = rule, []
+
+    def start_epoch(self, w, order):
+        self.order, self.anchor_at_start = np.array(order), _copy(self.rule.anchor)
+        self.steps = [(w.copy(), None, None)]   # (iterate, gradient, momentum)
+        self.rule.start_epoch(w, order)
+
+    def step(self, w, g, rate):
+        self.rule.step(w, g, rate)
+        self.steps.append((w.copy(), g.copy(), _copy(self.rule.momentum)))
+
+    def end_epoch(self):
+        inner, gradients, momenta = zip(*self.steps)
+        self.epochs.append(EpochTrace(
+            permutation=self.order, gradients=np.array(gradients[1:]),
+            start_w=inner[0], end_w=inner[-1].copy(), inner_iterates=np.array(inner),
+            anchor=self.anchor_at_start,
+            momenta=None if momenta[-1] is None else np.array(momenta[1:])))
+        self.rule.end_epoch()
+
+
+def _copy(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if a is None else a.copy()
 
 
 def _drive(algo: str, problem: Problem, etas: np.ndarray,
            strategies: Sequence[ShufflingStrategy], betas: list,
-           w0: Optional[np.ndarray], rule, inner_trace: bool = False,
-           fixed_order: bool = False) -> list:
+           w0: Optional[np.ndarray], rule: _Rule, fixed_order: bool = False) -> list:
     """Run T epochs of rule's update, one run per strategy.
 
     Run k takes its per-epoch rates from row k of the (R, T) array etas,
@@ -193,14 +234,15 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     grad F at its start point, then applies rule.step to the n component
     gradients taken along the epoch's permutation.  Reshuffling takes a
     fresh permutation every epoch; with fixed_order, or under shuffle-once
-    or incremental order, the epoch-1 permutation serves every epoch.
+    or incremental order, the epoch-1 permutation serves every epoch.  Runs
+    with equal strategies share one permutation per epoch.
 
     One strategy runs the scalar oracles on the (d,) row of the iterate
-    matrix W.  R > 1 strategies run in lockstep: one batched oracle call
-    and one rule step per inner index move every row of W.  A run that
-    produces a non-finite value aborts as it would alone, and the others go
-    on.  Returns each run's RunRecord, or the RunAborted of its first
-    failed check.
+    matrix W, into one gradient buffer.  R > 1 strategies run in lockstep:
+    one batched oracle call and one rule step per inner index move every
+    row of W.  A run that produces a non-finite value aborts as it would
+    alone, and the others go on.  Returns each run's RunRecord, or the
+    RunAborted of its first failed check.
     """
     n, d, (R, T) = problem.n, problem.d, etas.shape
     if w0 is None:
@@ -208,20 +250,21 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     else:
         w0 = np.asarray(w0, dtype=float)
         if w0.shape != (d,):
-            raise ValueError(
-                f"initial point has shape {w0.shape}, problem dimension is {d}"
-            )
+            raise ValueError(f"initial point has shape {w0.shape}, problem dimension is {d}")
         W = np.tile(w0, (R, 1))
+    # column j of an epoch's (n, S) permutations serves every run of shared[j]
+    shared = {s: j for j, s in enumerate(dict.fromkeys(strategies))}
     if R == 1:
-        x, component_grad = W[0], problem.component_grad
+        x, component_grad, extra = W[0], problem.component_grad, np.empty(d)
 
         def start_pass(w):
             grad = problem.full_grad(w)
             return problem.full_value(w), grad, grad @ grad
     else:
-        if inner_trace:
-            raise ValueError("inner traces are recorded for single runs only")
-        x, component_grad = W, problem.batch_component_grad
+        x, extra = W, np.array([shared[s] for s in strategies])
+
+        def component_grad(W, perm_row, member):
+            return problem.batch_component_grad(W, perm_row[member])
 
         def start_pass(W):
             grad = problem.batch_full_grad(W)
@@ -235,7 +278,6 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     selected = np.array([select_output_index(etas[k], selection_rng(s.seed))
                          for k, s in enumerate(strategies)])
     selected_w = np.empty((R, d))
-    epochs = [] if inner_trace else None
     aborted = {}   # run -> RunAborted of its first failed check
 
     def check(ok, t, detail):
@@ -261,44 +303,24 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
             chosen = selected == t - 1
             selected_w[chosen] = W[chosen]
             if t == 1 or reshuffle:
-                if R == 1:
-                    perm = permutation_for_epoch(strategies[0], n, t)
-                    order = perm.tolist()
-                else:   # row i holds every member's i-th row id
-                    order = np.empty((n, R), dtype=np.int64)
-                    for k, s in enumerate(strategies):
-                        order[:, k] = permutation_for_epoch(s, n, t)
+                perms = np.stack([permutation_for_epoch(s, n, t) for s in shared],
+                                 axis=-1)
+                # a single run indexes its rows by Python ints
+                order = perms[:, 0].tolist() if R == 1 else perms
             rate = etas[0, t - 1] / n if R == 1 else etas[:, t - 1:t] / n
-            if inner_trace:
-                grads = np.empty((n, d))
-                inner = np.empty((n + 1, d))
-                inner[0] = x
-                anchor = None if rule.anchor is None else rule.anchor.copy()
-                momenta = None if rule.momentum is None else np.empty((n, d))
-            for i, ids in enumerate(order):
-                g = component_grad(x, ids)
-                rule.step(x, g, rate)
-                if inner_trace:
-                    grads[i] = g
-                    inner[i + 1] = x
-                    if momenta is not None:
-                        momenta[i] = rule.momentum
+            rule.start_epoch(x, order)
+            for ids in order:
+                rule.step(x, component_grad(x, ids, extra), rate)
             if not check(np.isfinite(W).all(axis=1), t,
                          "non-finite iterate after inner loop"):
                 break
-            if inner_trace:
-                epochs.append(EpochTrace(
-                    permutation=perm, gradients=grads,
-                    start_w=inner[0].copy(), end_w=x.copy(),
-                    inner_iterates=inner, anchor=anchor, momenta=momenta,
-                ))
             rule.end_epoch()
     return [aborted[k] if k in aborted else RunRecord(
         algo=algo, etas=etas[k], losses=losses[k], grad_norms_sq=grad_sq[k],
         selected_index=int(selected[k]), selected_w=selected_w[k],
-        final_w=W[k].copy(), seed=s.seed, beta=betas[k],
-        strategy_kind=s.kind, epochs=epochs,
+        final_w=W[k].copy(), seed=s.seed, beta=betas[k], strategy_kind=s.kind,
         snapshots=None if snapshots is None else list(snapshots[k]),
+        epochs=getattr(rule, "epochs", None),
     ) for k, s in enumerate(strategies)]
 
 
@@ -334,13 +356,17 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
     elif algo == "sgdm":
         rule = _Recursive(shape, beta, 1.0)
     elif algo == "sgd":
-        rule = _Plain()
+        rule = _Plain(shape)
     elif algo == "adam":
         lr = float(etas[0, 0]) if R == 1 else etas[:, :1]
         rule = _Adam(shape, lr, betas, beta2, eps)
     else:
         raise ValueError(f"unknown method {algo!r}")
-    return _drive(algo, problem, etas, strategies, betas, w0, rule, inner_trace,
+    if inner_trace:
+        if R > 1:
+            raise ValueError("inner traces are recorded for single runs only")
+        rule = _Traced(rule)
+    return _drive(algo, problem, etas, strategies, betas, w0, rule,
                   fixed_order=algo == "ssmg")
 
 

@@ -158,17 +158,18 @@ class SparseDataset:
 class Problem:
     """Finite-sum objective with component oracles and certified constants.
 
-    The batch_ oracles serve R runs at once: they take an (R, d) matrix W
-    holding one iterate per row and return one result per row,
-    batch_component_grad(W, ids) the gradient of component ids[r] at W[r].
-    Immutable after construction; the callables are pure and safe to invoke
-    concurrently.
+    component_grad(w, i, out=None) returns the gradient of component i,
+    written into out when one is given.  The batch_ oracles serve R runs at
+    once: they take an (R, d) matrix W holding one iterate per row and
+    return one result per row, batch_component_grad(W, ids) the gradient of
+    component ids[r] at W[r].  Immutable after construction; the callables
+    are pure and safe to invoke concurrently, each with its own out.
     """
 
     n: int
     d: int
     component_value: Callable[[np.ndarray, int], float]
-    component_grad: Callable[[np.ndarray, int], np.ndarray]
+    component_grad: Callable[..., np.ndarray]
     full_value: Callable[[np.ndarray], float]
     full_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
@@ -193,8 +194,10 @@ def regularizer_value(w: np.ndarray) -> float:
     return 0.5 * float(np.sum(wsq / (1.0 + wsq)))
 
 
-def regularizer_grad(w: np.ndarray) -> np.ndarray:
-    return w / (1.0 + w * w) ** 2
+def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """r'(w) = w / (1 + w^2)^2, written into out when given."""
+    out = np.multiply(w, w, out)
+    return np.divide(w, np.square(np.add(out, 1.0, out), out), out)
 
 
 def _logistic_weight(z: np.ndarray) -> np.ndarray:
@@ -259,18 +262,19 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         z = ys[i] * (values[lo:hi] @ w[indices[lo:hi]])
         return float(np.logaddexp(0.0, -z)) + lam * regularizer_value(w)
 
-    def component_grad(w, i):
+    def component_grad(w, i, out=None):
         # -y s x + lam r'(w) with s = 1 / (1 + exp(z)), z = y x^T w
         lo, hi = indptr[i], indptr[i + 1]
         cols, vals = indices[lo:hi], values[lo:hi]
-        z = ys[i] * (vals @ w[cols])
+        z = ys[i] * vals.dot(w.take(cols))
         # scalar math is cheaper than a numpy call here; exponents stay <= 0
         if z >= 0:
             e = math.exp(-z)
             s = e / (1.0 + e)
         else:
             s = 1.0 / (1.0 + math.exp(z))
-        g = lam * regularizer_grad(w)
+        g = regularizer_grad(w, out)
+        np.multiply(g, lam, g)
         g[cols] -= (ys[i] * s) * vals
         return g
 
@@ -397,8 +401,8 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         r = w - centers[i]
         return 0.5 * float(r @ (A @ r))
 
-    def component_grad(w, i):
-        return A @ (w - centers[i])
+    def component_grad(w, i, out=None):
+        return np.matmul(A, w - centers[i], out=out)
 
     def full_value(w):
         r = w - cbar

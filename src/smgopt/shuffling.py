@@ -69,8 +69,8 @@ def select_output_index(etas: np.ndarray, rng: np.random.Generator) -> int:
     """Sample an epoch index with probability proportional to its step size.
 
     Individual weights may be zero (a zero-step final epoch gets zero
-    selection probability); negative weights or an all-zero vector are
-    rejected.
+    selection probability); negative weights, an all-zero vector and a
+    non-finite sum are rejected.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.size == 0:
@@ -78,9 +78,10 @@ def select_output_index(etas: np.ndarray, rng: np.random.Generator) -> int:
     if np.any(etas < 0):
         raise ValueError("step-size weights must be nonnegative")
     total = float(etas.sum())
-    if total <= 0:
-        raise ValueError("step-size weights must not all be zero")
+    if not 0 < total < np.inf:
+        raise ValueError(f"step-size weights must have a finite positive sum, got {total}")
     p = etas / total
     # guard against rounding drift before handing to the sampler
-    assert abs(float(p.sum()) - 1.0) <= 1e-15
+    if not abs(float(p.sum()) - 1.0) <= 1e-15:
+        raise ValueError(f"step-size weights do not normalise to one: {p.sum()}")
     return int(rng.choice(etas.size, p=p))

@@ -271,6 +271,18 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # infinite rates would give NaN output-selection weights
+    ["run", "--gamma", "inf", "--T", "2"],
+    # a negative base has a complex cube root in the initial-step gamma
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "-5", "--T", "2"],
+])
+def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 class TestParseCommand:
     def test_parse_reports_counts(self, tmp_path, capsys):
         path = tmp_path / "tiny.libsvm"

@@ -68,6 +68,13 @@ class TestParser:
         assert exc.value.line_number == 2
         assert "unparsable token" in str(exc.value)
 
+    def test_int64_bounds_of_a_19_digit_index(self):
+        rows, d = parse_libsvm(io.StringIO("+1 9223372036854775807:1\n"))
+        assert d == 9223372036854775807 and rows.indices.tolist() == [d - 1]
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(io.StringIO("+1 9223372036854775808:1\n"))
+        assert "unparsable token" in str(exc.value)
+
     def test_concatenation_of_files(self):
         a = "+1 1:0.25 4:1.5\n-1 2:0.125\n"
         b = "-1 3:9.0\n"

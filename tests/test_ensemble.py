@@ -165,6 +165,36 @@ def test_permutations_once_per_run_unless_reshuffled(kind, monkeypatch):
     assert calls == [(seed, t) for t in epochs for seed in (1, 2, 3)]
 
 
+def count_permutations(monkeypatch) -> list:
+    """The (strategy, epoch) of every permutation the driver takes from now on."""
+    calls = []
+    real = optimizers.permutation_for_epoch
+
+    def counted(strategy, n, t):
+        calls.append((strategy, t))
+        return real(strategy, n, t)
+
+    monkeypatch.setattr(optimizers, "permutation_for_epoch", counted)
+    return calls
+
+
+def test_grid_points_share_a_seeds_permutation(tmp_path, monkeypatch):
+    calls = count_permutations(monkeypatch)
+    assert cli.main(["grid", "--algo", "ssmg", "--paper-grids", "--synth-n", "40",
+                     "--T", "2", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len((tmp_path / "grid_results.csv").read_text().splitlines()) == 2 + 27
+    assert calls == [(ShufflingStrategy("rr", 0), 1)]
+
+
+def test_reshuffled_grid_takes_one_permutation_per_seed_and_epoch(tmp_path, monkeypatch):
+    calls = count_permutations(monkeypatch)
+    assert cli.main(["grid", "--algo", "smg", "--gamma-grid", "0.1,0.05,0.01",
+                     "--repeats", "2", "--seed", "4", "--T", "3",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert calls == [(ShufflingStrategy("rr", seed), t) for t in (1, 2, 3)
+                     for seed in (4, 5)]
+
+
 def test_refused_ensembles():
     problem, rates = make_problem("quadratic"), etas("smg")
     strategies = [ShufflingStrategy("rr", seed) for seed in (1, 2)]

@@ -234,6 +234,19 @@ class TestProblemInvariants:
             err = np.linalg.norm(full - mean) / max(np.linalg.norm(full), 1e-12)
             assert err <= 1e-12
 
+    def test_component_grad_into_a_buffer(self, problem):
+        rng = np.random.default_rng(34)
+        buf = np.full(problem.d, np.nan)
+        for _ in range(20):
+            w = rng.standard_normal(problem.d)
+            for i in rng.integers(0, problem.n, size=3).tolist():
+                expected = problem.component_grad(w, i)
+                assert problem.component_grad(w, i, out=buf) is buf
+                np.testing.assert_array_equal(buf, expected)
+                fresh = problem.component_grad(w, i)
+                assert fresh is not buf
+                np.testing.assert_array_equal(fresh, expected)
+
     def test_full_value_is_component_mean(self, problem):
         rng = np.random.default_rng(32)
         for _ in range(20):

@@ -263,9 +263,11 @@ FEATURES = st.builds(lambda idx, values: [f"{i}:{v}" for i, v in zip(idx, values
                      INCREASING, st.lists(VALUE, min_size=6, max_size=6))
 TOKENS = FEATURES | st.lists(st.builds("{}:{}".format, st.integers(-1, 40), VALUE)
                              | JUNK, max_size=5)
+# str.split's whitespace, ASCII and not, with a carriage return inside a line
+SEPARATOR = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\u00a0",
+                             "\u3000", "\r", " \r "])
 LINE = st.builds(lambda label, tokens, sep, tail: sep.join([label] + tokens) + tail,
-                 LABEL, TOKENS, st.sampled_from([" ", "  ", "\t"]),
-                 st.sampled_from(["", " ", "\r"]))
+                 LABEL, TOKENS, SEPARATOR, st.sampled_from(["", " ", "\r"]))
 TEXT = st.builds("\n".join, st.lists(LINE | st.sampled_from(["", "  "]), max_size=8))
 
 
@@ -282,6 +284,12 @@ TEXT = st.builds("\n".join, st.lists(LINE | st.sampled_from(["", "  "]), max_siz
 @example("+1 1_0:2_5 11:1\n-1 2:1\n")
 @example("+1 \u0663:1.5 5:\u0661\n-1 2:\u00e9\n")
 @example("+1 1:1\u00a02:2\n")
+@example("+1 1:1\u00a02:2\n-1 3:1 2:1\n")
+@example("+1 1234567890123456789:1\n-1 123456789012345678:2\n")
+@example("+1 1:999999999999999 2:9999999999999999 3:12345678901234567\n")
+@example("-1 1:0.12345678901234567 2:1e5 3:2E-3 4:15e0 5:-0\n")
+@example("+1 1:1\x002\n")
+@example("+1 1:1\n-1 2:5")
 def test_parser_matches_the_line_parser(text):
     assert outcome(parse_libsvm, text) == outcome(ref_parse_libsvm, text)
 

@@ -84,6 +84,12 @@ class TestOutputSelection:
         np.testing.assert_allclose(p, [1 / 6, 1 / 3, 1 / 2], rtol=1e-15)
         assert abs(p.sum() - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("etas", [[np.inf, 1.0], [np.inf, np.inf], [np.nan, 1.0]])
+    def test_non_finite_weights_rejected(self, etas):
+        # a ValueError, not an assert, so it holds under python -O too
+        with pytest.raises(ValueError, match="finite positive sum"):
+            select_output_index(np.array(etas), selection_rng(0))
+
     def test_uniform_under_constant_weights(self):
         rng = selection_rng(5)
         counts = np.zeros(4, dtype=int)
