@@ -254,13 +254,13 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         W = np.tile(w0, (R, 1))
     # column j of an epoch's (n, S) permutations serves every run of shared[j]
     shared = {s: j for j, s in enumerate(dict.fromkeys(strategies))}
-    if R == 1:
+    if R == 1:   # component_grad's third argument: the one gradient buffer
         x, component_grad, extra = W[0], problem.component_grad, np.empty(d)
 
         def start_pass(w):
             grad = problem.full_grad(w)
             return problem.full_value(w), grad, grad @ grad
-    else:
+    else:        # the third argument: each member's permutation column
         x, extra = W, np.array([shared[s] for s in strategies])
 
         def component_grad(W, perm_row, member):
