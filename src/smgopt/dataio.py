@@ -78,8 +78,8 @@ def _parse_block(lines: list[str], first_line: int):
         data = b"\n".join(lines)
     # raw pads the text with a space at each end; line j starts at begin[j]
     raw = np.frombuffer(b" " + data + b" ", np.uint8)
-    begin = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
-    begin = np.concatenate(([1], begin[:-1] + 1))
+    length = np.fromiter(map(len, lines), np.int64, len(lines)) + 1   # with its "\n"
+    begin = np.cumsum(length) - length + 1
     # str.split's ASCII whitespace: 9 to 13 and 28 to 32 (uint8 wraps below)
     space = (raw - 9 <= 4) | (raw - 28 <= 4)
     edges = np.flatnonzero(space[1:] != space[:-1]) + 1
@@ -145,7 +145,7 @@ def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
     rejects, and its position (lo.size when it accepts all).
     """
     out = np.empty(lo.size, np.int64 if kind is int else np.float64)
-    fast = hi - lo <= EXACT_DIGITS[kind]          # until a byte is no digit
+    fast = hi - lo <= EXACT_DIGITS[kind]          # and, below, made of digits
     lo_fast, hi_fast = lo[fast], hi[fast]
     value = np.zeros(lo_fast.size, dtype=np.int64)
     digits = np.ones(lo_fast.size, dtype=bool)
