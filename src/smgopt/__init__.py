@@ -56,7 +56,6 @@ from .dataio import (
     ParseError,
     parse_libsvm,
     read_trace,
-    render_libsvm,
     scale_features,
     synth_binary_dataset,
     write_trace,

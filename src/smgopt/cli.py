@@ -98,16 +98,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
@@ -169,6 +159,8 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
             raise UsageError(f"lam must be nonnegative, got {lam}")
         return step * n * (1.0 + lam) ** (1.0 / 3.0)
     if kind == "exponential":
+        if rho is None or not 0 < rho < 1:   # 0 divides by zero, rho < 0 is complex
+            raise UsageError(f"exponential schedule needs rho in (0, 1), got {rho}")
         return step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
     if kind == "cosine":
         if T == 1:

@@ -10,12 +10,12 @@ import dataclasses
 import json
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
 from .optimizers import RunRecord
-from .problems import SparseDataset, SparseSample
+from .problems import SparseDataset
 
 TRACE_HEADER = "epoch,eta,loss,grad_norm_sq"
 # lines parsed per block: the arrays of one block are alive at a time
@@ -263,9 +263,3 @@ def read_trace(path: str | Path) -> dict:
         "loss": np.array(losses),
         "grad_norm_sq": np.array(grads),
     }
-
-
-def render_libsvm(samples: Iterable[SparseSample]) -> str:
-    """Inverse of parse_libsvm, mainly for tests and synthetic exports."""
-    return "".join(" ".join([f"{s.label:+d}"] + [f"{idx}:{val!r}" for idx, val in s.features])
-                   + "\n" for s in samples)

@@ -24,12 +24,12 @@ Methods:
 With beta = 0, smg_run and ssmg_run reduce exactly (bitwise) to plain
 shuffling SGD.
 
-ensemble_run runs one method for several runs at once: the runs advance
-in lockstep as the rows of one (R, d) iterate matrix, each on its own
-permutation stream, rates and momentum weight, through the problem's
-batched oracles.  Those repeat the scalar oracles' floating-point steps, so
-each run gets the record its separate run gives.  A single run keeps the
-scalar oracles on a (d,) iterate.
+ensemble_run advances several runs in lockstep.  Every run is a row of one
+(R, d) iterate matrix, with its own permutation stream, and its rates and
+momentum weight along its row of (R, d) coefficient arrays.  Epoch starts
+take the batched full passes; inner steps take the batched component
+gradient, or the scalar one for a single run.  The batched oracles repeat
+the scalar steps, so each run gets the record its separate run gives.
 """
 from __future__ import annotations
 
@@ -105,20 +105,21 @@ class RunRecord:
 class _Rule:
     """Per-step update of one method, applied by the shared epoch driver.
 
-    step(w, g, rate) updates w in place from the component gradient g at the
-    epoch's per-step rate eta_t / n, and never writes into g; start_epoch(w,
-    order) and end_epoch() run before and after an epoch's steps along
-    order.  The operations are elementwise, on scratch arrays allocated
-    once: w, g and the rule's state may hold one iterate, shape (d,), with
-    scalar rate and weights, or one per row, shape (R, d), with rate and
-    weights as (R, 1) columns.  A rule that sets anchor (read at each epoch
-    start) or momentum (read after each step) has those arrays recorded in
+    step(W, G, rate) updates the (R, d) iterate matrix W in place from the
+    component gradients G, one run per row, at the per-step rates eta_t / n,
+    and never writes into G; start_epoch(W, order) and end_epoch() run
+    before and after an epoch's steps along order.  Every coefficient a rule
+    applies to a run (rate, momentum weight, Adam's lr and bias correction)
+    comes as an (R, d) array holding the run's value along its row, so each
+    operation is elementwise on operands of one shape, into scratch arrays
+    allocated once.  A rule that sets anchor (read at each epoch start) or
+    momentum (read after each step) has row 0 of those arrays recorded in
     the inner trace.
     """
 
     anchor = momentum = None
 
-    def start_epoch(self, w, order):
+    def start_epoch(self, W, order):
         pass
 
     def end_epoch(self):
@@ -128,29 +129,29 @@ class _Rule:
 class _Plain(_Rule):
     """Shuffling SGD: a step along the component gradient, no momentum."""
 
-    def __init__(self, shape: tuple):
-        self.u = np.empty(shape)
+    def __init__(self, like: np.ndarray):
+        self.u = np.empty_like(like)
 
-    def step(self, w, g, rate):
-        np.subtract(w, np.multiply(g, rate, self.u), w)
+    def step(self, W, G, rate):
+        np.subtract(W, np.multiply(G, rate, self.u), W)
 
 
 class _Anchored(_Rule):
     """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
     refreshed at each epoch end with the epoch's average gradient v."""
 
-    def __init__(self, n: int, shape: tuple, beta):
+    def __init__(self, n: int, beta: np.ndarray):
         self.n, self.beta, self.c = n, beta, 1.0 - beta
-        self.m0, self.v = np.zeros(shape), np.zeros(shape)
+        self.m0, self.v = np.zeros_like(beta), np.zeros_like(beta)
         self.beta_m0 = self.m0 * beta           # fixed through an epoch
-        self.m, self.u = np.empty(shape), np.empty(shape)
+        self.m, self.u = np.empty_like(beta), np.empty_like(beta)
         self.anchor = self.m0
 
-    def step(self, w, g, rate):
+    def step(self, W, G, rate):
         m, u = self.m, self.u
-        np.add(self.beta_m0, np.multiply(g, self.c, m), m)
-        np.add(self.v, np.divide(g, self.n, u), self.v)
-        np.subtract(w, np.multiply(m, rate, u), w)
+        np.add(self.beta_m0, np.multiply(G, self.c, m), m)
+        np.add(self.v, np.divide(G, self.n, u), self.v)
+        np.subtract(W, np.multiply(m, rate, u), W)
 
     def end_epoch(self):
         self.m0[:] = self.v
@@ -161,37 +162,36 @@ class _Anchored(_Rule):
 class _Recursive(_Rule):
     """Momentum m <- beta m + c g carried across epoch boundaries."""
 
-    def __init__(self, shape: tuple, beta, c):
+    def __init__(self, beta: np.ndarray, c: np.ndarray):
         self.beta, self.c = beta, c
-        self.momentum, self.u = np.zeros(shape), np.empty(shape)
+        self.momentum, self.u = np.zeros_like(beta), np.empty_like(beta)
 
-    def step(self, w, g, rate):
+    def step(self, W, G, rate):
         m, u = self.momentum, self.u
-        np.add(np.multiply(m, self.beta, m), np.multiply(g, self.c, u), m)
-        np.subtract(w, np.multiply(m, rate, u), w)
+        np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
+        np.subtract(W, np.multiply(m, rate, u), W)
 
 
 class _Adam(_Rule):
-    """Bias-corrected Adam at its own constant per-step rate lr."""
+    """Bias-corrected Adam at each run's constant per-step rate lr."""
 
-    def __init__(self, shape: tuple, lr, beta1: list, beta2: float, eps: float):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.beta = beta1[0] if len(shape) == 1 else np.array(beta1)[:, None]
-        self.c, self.c2 = 1.0 - self.beta, 1.0 - beta2
-        self.m, self.v, self.k = np.zeros(shape), np.zeros(shape), 0
-        self.u, self.s = np.empty(shape), np.empty(shape)
+    def __init__(self, lr: np.ndarray, beta: np.ndarray, beta2: float, eps: float):
+        self.lr, self.beta, self.c = lr, beta, 1.0 - beta
+        self.beta1 = beta[:, 0].tolist()   # for float powers, as Python takes them
+        self.beta2, self.c2, self.eps = beta2, 1.0 - beta2, eps
+        self.m, self.v, self.k = np.zeros_like(beta), np.zeros_like(beta), 0
+        self.u, self.s, self.bias = np.empty_like(beta), np.empty_like(beta), np.empty_like(beta)
 
-    def step(self, w, g, rate):
+    def step(self, W, G, rate):
         self.k += 1
         m, v, u, s = self.m, self.v, self.u, self.s
-        np.add(np.multiply(m, self.beta, m), np.multiply(g, self.c, u), m)
-        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(g, self.c2, u), g, u), v)
-        power = [b ** self.k for b in self.beta1]   # float powers, as a single run's
-        power = power[0] if w.ndim == 1 else np.array(power)[:, None]
-        np.divide(m, 1.0 - power, u)                                  # m_hat
+        np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
+        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
+        self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]
+        np.divide(m, self.bias, u)                                    # m_hat
         np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
         np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
-        np.subtract(w, u, w)
+        np.subtract(W, u, W)
 
 
 class _Traced(_Rule):
@@ -201,14 +201,14 @@ class _Traced(_Rule):
     def __init__(self, rule: _Rule):
         self.rule, self.epochs = rule, []
 
-    def start_epoch(self, w, order):
-        self.order, self.anchor_at_start = np.array(order), _copy(self.rule.anchor)
-        self.steps = [(w.copy(), None, None)]   # (iterate, gradient, momentum)
-        self.rule.start_epoch(w, order)
+    def start_epoch(self, W, order):
+        self.order, self.anchor_at_start = np.array(order), _row(self.rule.anchor)
+        self.steps = [(W[0].copy(), None, None)]   # (iterate, gradient, momentum)
+        self.rule.start_epoch(W, order)
 
-    def step(self, w, g, rate):
-        self.rule.step(w, g, rate)
-        self.steps.append((w.copy(), g.copy(), _copy(self.rule.momentum)))
+    def step(self, W, G, rate):
+        self.rule.step(W, G, rate)
+        self.steps.append((W[0].copy(), G[0].copy(), _row(self.rule.momentum)))
 
     def end_epoch(self):
         inner, gradients, momenta = zip(*self.steps)
@@ -220,8 +220,13 @@ class _Traced(_Rule):
         self.rule.end_epoch()
 
 
-def _copy(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    return None if a is None else a.copy()
+def _row(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if a is None else a[0].copy()
+
+
+def _rows(values, d: int) -> np.ndarray:
+    """An (R, d) array holding values[k] along row k."""
+    return np.repeat(np.asarray(values, dtype=float)[:, None], d, axis=1)
 
 
 def _drive(algo: str, problem: Problem, etas: np.ndarray,
@@ -237,10 +242,12 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     or incremental order, the epoch-1 permutation serves every epoch.  Runs
     with equal strategies share one permutation per epoch.
 
-    One strategy runs the scalar oracles on the (d,) row of the iterate
-    matrix W, into one gradient buffer.  R > 1 strategies run in lockstep:
-    one batched oracle call and one rule step per inner index move every
-    row of W.  A run that produces a non-finite value aborts as it would
+    The rule moves the (R, d) iterate matrix W, and every epoch start
+    evaluates the batched full passes on W.  R decides only the step
+    oracle: one strategy takes the scalar component gradient of the view
+    W[0], into one buffer, at indices given as Python ints; R > 1
+    strategies run in lockstep, one batched oracle call on W per inner
+    index.  A run that produces a non-finite value aborts as it would
     alone, and the others go on.  Returns each run's RunRecord, or the
     RunAborted of its first failed check.
     """
@@ -254,23 +261,17 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         W = np.tile(w0, (R, 1))
     # column j of an epoch's (n, S) permutations serves every run of shared[j]
     shared = {s: j for j, s in enumerate(dict.fromkeys(strategies))}
-    if R == 1:   # component_grad's third argument: the one gradient buffer
-        x, component_grad, extra = W[0], problem.component_grad, np.empty(d)
+    if R == 1:   # the scalar oracle on the view W[0], into row 0 of one buffer
+        w, G = W[0], np.empty((1, d))
 
-        def start_pass(w):
-            grad = problem.full_grad(w)
-            return problem.full_value(w), grad, grad @ grad
-    else:        # the third argument: each member's permutation column
-        x, extra = W, np.array([shared[s] for s in strategies])
+        def component_grads(i, g=G[0]):
+            problem.component_grad(w, i, g)
+            return G
+    else:        # the batched oracle on W, at each run's permutation column
+        columns = np.array([shared[s] for s in strategies])
 
-        def component_grad(W, perm_row, member):
-            return problem.batch_component_grad(W, perm_row[member])
-
-        def start_pass(W):
-            grad = problem.batch_full_grad(W)
-            # a stacked matmul takes each member's grad @ grad as above
-            sq = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
-            return problem.batch_full_value(W), grad, sq
+        def component_grads(perm_row):
+            return problem.batch_component_grad(W, perm_row[columns])
 
     losses = np.empty((R, T))
     grad_sq = np.empty((R, T))
@@ -292,12 +293,13 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         for t in range(1, T + 1):
             if not check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
                 break
-            loss, grad, sq = start_pass(x)
-            if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=-1), t,
+            loss, grad = problem.batch_full_value(W), problem.batch_full_grad(W)
+            if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=1), t,
                          "non-finite objective or gradient"):
                 break
             losses[:, t - 1] = loss
-            grad_sq[:, t - 1] = sq
+            # a stacked matmul takes each run's grad @ grad
+            grad_sq[:, t - 1] = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
             if snapshots is not None:
                 snapshots[:, t - 1] = W
             chosen = selected == t - 1
@@ -307,10 +309,10 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                                  axis=-1)
                 # a single run indexes its rows by Python ints
                 order = perms[:, 0].tolist() if R == 1 else perms
-            rate = etas[0, t - 1] / n if R == 1 else etas[:, t - 1:t] / n
-            rule.start_epoch(x, order)
+            rate = _rows(etas[:, t - 1] / n, d)
+            rule.start_epoch(W, order)
             for ids in order:
-                rule.step(x, component_grad(x, ids, extra), rate)
+                rule.step(W, component_grads(ids), rate)
             if not check(np.isfinite(W).all(axis=1), t,
                          "non-finite iterate after inner loop"):
                 break
@@ -335,8 +337,7 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
     momentum weight (Adam's beta1; sgd has none), shared or one per run; w0
     the starting point shared by every run, each run's init_point when None.
     Several strategies advance in lockstep, and each outcome equals that of
-    the run's own *_run call: its RunRecord, or the RunAborted it raises.  A
-    single strategy takes the scalar path of the *_run calls.
+    the run's own *_run call: its RunRecord, or the RunAborted it raises.
     """
     R = len(strategies)
     if not R:
@@ -347,19 +348,17 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
     bad = [b for b in betas if not 0 <= b < 1]
     if bad and algo in ("smg", "ssmg", "sgdm"):
         raise ValueError(f"momentum weight must lie in [0, 1), got {bad[0]}")
-    shape = (problem.d,) if R == 1 else (R, problem.d)
-    beta = betas[0] if R == 1 else np.array(betas)[:, None]
+    beta = _rows(betas, problem.d)
     if algo == "smg":
-        rule = _Anchored(problem.n, shape, beta)
+        rule = _Anchored(problem.n, beta)
     elif algo == "ssmg":
-        rule = _Recursive(shape, beta, 1.0 - beta)
+        rule = _Recursive(beta, 1.0 - beta)
     elif algo == "sgdm":
-        rule = _Recursive(shape, beta, 1.0)
+        rule = _Recursive(beta, np.ones_like(beta))
     elif algo == "sgd":
-        rule = _Plain(shape)
+        rule = _Plain(beta)
     elif algo == "adam":
-        lr = float(etas[0, 0]) if R == 1 else etas[:, :1]
-        rule = _Adam(shape, lr, betas, beta2, eps)
+        rule = _Adam(_rows(etas[:, 0], problem.d), beta, beta2, eps)
     else:
         raise ValueError(f"unknown method {algo!r}")
     if inner_trace:

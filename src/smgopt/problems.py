@@ -162,8 +162,10 @@ class Problem:
     written into out when one is given.  The batch_ oracles serve R runs at
     once: they take an (R, d) matrix W holding one iterate per row and
     return one result per row, batch_component_grad(W, ids) the gradient of
-    component ids[r] at W[r].  Immutable after construction; the callables
-    are pure and safe to invoke concurrently, each with its own out.
+    component ids[r] at W[r]; full_value(w) and full_grad(w) are the one
+    row of the batched full passes over w.  Immutable after construction;
+    the callables are pure and safe to invoke concurrently, each with its
+    own out.
     """
 
     n: int
@@ -200,6 +202,13 @@ def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.divide(w, np.square(np.add(out, 1.0, out), out), out)
 
 
+def _one_iterate(batch_full_value: Callable, batch_full_grad: Callable) -> tuple:
+    """full_value and full_grad of one (d,) iterate w: the one row of the
+    batched passes over w[None], the value as a Python float."""
+    return (lambda w: float(batch_full_value(w[None])[0]),
+            lambda w: batch_full_grad(w[None])[0])
+
+
 def _logistic_weight(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(z)) elementwise, by the scalar steps of a component
     gradient: math.exp of -|z| <= 0, so nothing overflows."""
@@ -230,15 +239,15 @@ def logistic_constants(dataset: SparseDataset, lam: float) -> ProblemConstants:
 def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     """Build the regularized logistic-regression problem over a dataset.
 
-    A component oracle gathers its one row of the CSR arrays; the full
-    value and gradient compute all margins y_i x_i^T w, and X^T s, with
+    A component oracle gathers its one row of the CSR arrays.  The full
+    passes take the members of an (R, d) iterate matrix in chunks within
+    BATCH_BUDGET and compute their margins y_i x_i^T w, and X^T s, with
     np.bincount, which adds the entries of each row (and of each column) in
-    storage order.  The batched full passes give each member its own bins,
-    so every member's sums are those of the scalar passes; they take the
-    members in chunks within BATCH_BUDGET.  The batched component gradient
-    gathers each member's row, whatever its length, without padding.  Each
-    batched oracle repeats its scalar oracle's floating-point steps, so a
-    member's result equals the scalar result bit for bit.
+    storage order; each member has bins of its own, so its sums do not
+    depend on R, and full_value and full_grad are the passes at R = 1.  The
+    batched component gradient gathers each member's row, whatever its
+    length, without padding, and repeats component_grad's floating-point
+    steps, so a member's gradient equals component_grad's bit for bit.
     """
     n, d = len(dataset), dataset.d
     if n == 0:
@@ -253,9 +262,6 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     y = dataset.labels.astype(float)
     ys = y.tolist()
     rows = dataset.row_ids()
-
-    def margins(w):
-        return y * np.bincount(rows, weights=values * w[indices], minlength=n)
 
     def component_value(w, i):
         lo, hi = indptr[i], indptr[i + 1]
@@ -276,17 +282,6 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         g = regularizer_grad(w, out)
         np.multiply(g, lam, g)
         g[cols] -= (ys[i] * s) * vals
-        return g
-
-    def full_value(w):
-        return float(np.mean(np.logaddexp(0.0, -margins(w)))) + lam * regularizer_value(w)
-
-    def full_grad(w):
-        # exp(-logaddexp(0, z)) is 1 / (1 + exp(z)) without overflow
-        coef = -y * np.exp(-np.logaddexp(0.0, margins(w)))
-        g = np.bincount(indices, weights=coef[rows] * values, minlength=d)
-        g /= n
-        g += lam * regularizer_grad(w)
         return g
 
     def batch_component_grad(W, ids):
@@ -345,6 +340,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     @in_chunks
     def batch_full_grad(W):
         R = len(W)
+        # exp(-logaddexp(0, z)) is 1 / (1 + exp(z)) without overflow
         coef = -y * np.exp(-np.logaddexp(0.0, batch_margins(W)))
         bins = (indices + d * np.arange(R)[:, None]).ravel()
         G = np.bincount(bins, weights=(np.take(coef, rows, axis=1) * values).ravel(),
@@ -354,6 +350,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         G += lam * regularizer_grad(W)
         return G
 
+    full_value, full_grad = _one_iterate(batch_full_value, batch_full_grad)
     return Problem(
         n=n, d=d,
         component_value=component_value,
@@ -404,15 +401,8 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
     def component_grad(w, i, out=None):
         return np.matmul(A, w - centers[i], out=out)
 
-    def full_value(w):
-        r = w - cbar
-        return 0.5 * float(r @ (A @ r)) + f_star
-
-    def full_grad(w):
-        return A @ (w - cbar)
-
     # a stacked matmul takes one matrix-vector product per member, the
-    # product the scalar oracles take
+    # product component_grad takes
     def batch_component_grad(W, ids):
         return np.matmul(A, (W - centers[ids])[:, :, None])[:, :, 0]
 
@@ -423,6 +413,7 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
     def batch_full_grad(W):
         return np.matmul(A, (W - cbar)[:, :, None])[:, :, 0]
 
+    full_value, full_grad = _one_iterate(batch_full_value, batch_full_grad)
     constants = ProblemConstants(
         L=float(eigs[-1]), G=math.inf, theta=0.0,
         sigma_sq=sigma_sq, f_lower=f_star,

@@ -1,5 +1,6 @@
 """CLI harness: exit codes, trace emission, audits, grids, rate fits,
 comparisons, config hashing, and byte-level determinism."""
+import dataclasses
 import json
 
 import numpy as np
@@ -26,12 +27,21 @@ def run_cli(*args):
     return main(list(args))
 
 
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """A validated config from a dict of its fields, refusing unknown keys."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    cfg = ExperimentConfig(**data)
+    cfg.validate()
+    return cfg
+
+
 class TestConfig:
     def test_hash_stable_under_key_reorder(self):
         d = ExperimentConfig(algo="smg", gamma=0.25, T=10).to_dict()
         shuffled = dict(reversed(list(d.items())))
-        assert ExperimentConfig.from_dict(d).hash() == \
-            ExperimentConfig.from_dict(shuffled).hash()
+        assert config_from_dict(d).hash() == config_from_dict(shuffled).hash()
 
     def test_distinct_configs_distinct_hashes(self):
         a = ExperimentConfig(gamma=0.25)
@@ -40,7 +50,7 @@ class TestConfig:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(UsageError):
-            ExperimentConfig.from_dict({"algo": "smg", "warp_factor": 9})
+            config_from_dict({"algo": "smg", "warp_factor": 9})
 
     def test_per_algo_momentum_defaults(self):
         assert ExperimentConfig(algo="smg").resolved_beta == 0.5
@@ -276,6 +286,9 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     ["run", "--gamma", "inf", "--T", "2"],
     # a negative base has a complex cube root in the initial-step gamma
     ["grid", "--schedule", "diminishing", "--lambda-grid", "-5", "--T", "2"],
+    # rho = 0 divides by zero and rho < 0 has a complex root in the initial-step gamma
+    ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "0", "--T", "2"],
+    ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "-1", "--T", "2"],
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE

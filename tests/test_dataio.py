@@ -10,7 +10,6 @@ from smgopt.dataio import (
     ParseError,
     parse_libsvm,
     read_trace,
-    render_libsvm,
     scale_features,
     synth_binary_dataset,
     write_trace,
@@ -19,6 +18,12 @@ from smgopt.optimizers import smg_run
 from smgopt.problems import SparseSample, logistic_constants, logistic_problem
 from smgopt.schedules import Schedule
 from smgopt.shuffling import ShufflingStrategy
+
+
+def render_libsvm(samples) -> str:
+    """Inverse of parse_libsvm: one LIBSVM line per SparseSample."""
+    return "".join(" ".join([f"{s.label:+d}"] + [f"{idx}:{val!r}" for idx, val in s.features])
+                   + "\n" for s in samples)
 
 
 class TestParser:

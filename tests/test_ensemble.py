@@ -3,13 +3,11 @@
 ensemble_run advances R runs as the rows of one (R, d) iterate matrix
 through the problem's batched oracles, each with its own seed and, as the
 points of a grid, its own rates and momentum weight; every member must give
-the record of its own *_run call.  Floats match within RTOL = 1e-12
-relative, an array against its largest magnitude, as in test_golden.py;
-algo, seed, beta, strategy_kind, selected_index and the snapshot count
-match exactly.  (The batched oracles repeat the scalar floating-point
-steps, so on the platform the golden manifest was stored on the members
-match bit for bit; the tolerance leaves room for a BLAS whose stacked
-products round otherwise.)
+the record of its own *_run call, bit for bit: the batched oracles repeat
+the scalar floating-point steps, so every array of a member's record equals
+its run's under np.array_equal, and algo, seed, beta, strategy_kind and
+selected_index match.  Other comparisons of floats allow RTOL = 1e-12
+relative, an array against its largest magnitude, as in test_golden.py.
 """
 import dataclasses
 import io
@@ -97,13 +95,8 @@ def assert_same_record(actual: RunRecord, expected: RunRecord):
         a, e = getattr(actual, field.name), getattr(expected, field.name)
         if field.name in EXACT:
             assert a == e, field.name
-        elif field.name == "snapshots":
-            assert (a is None) == (e is None)
-            if e is not None:
-                assert len(a) == len(e)
-                assert_close(a, e)
-        else:
-            assert_close(a, e)
+        else:   # arrays, and snapshots as a list of arrays or None
+            assert (a is None) == (e is None) and np.array_equal(a, e), field.name
 
 
 # ---------------------------------------------------------------------------
