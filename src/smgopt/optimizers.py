@@ -187,7 +187,7 @@ class _Adam(_Rule):
         m, v, u, s = self.m, self.v, self.u, self.s
         np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
         np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
-        self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]
+        self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]   # run r's along row r
         np.divide(m, self.bias, u)                                    # m_hat
         np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
         np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
