@@ -202,13 +202,13 @@ class _Traced(_Rule):
         self.rule, self.epochs = rule, []
 
     def start_epoch(self, W, order):
-        self.order, self.anchor_at_start = np.array(order), _row(self.rule.anchor)
+        self.order, self.anchor_at_start = np.array(order), _row0(self.rule.anchor)
         self.steps = [(W[0].copy(), None, None)]   # (iterate, gradient, momentum)
         self.rule.start_epoch(W, order)
 
     def step(self, W, G, rate):
         self.rule.step(W, G, rate)
-        self.steps.append((W[0].copy(), G[0].copy(), _row(self.rule.momentum)))
+        self.steps.append((W[0].copy(), G[0].copy(), _row0(self.rule.momentum)))
 
     def end_epoch(self):
         inner, gradients, momenta = zip(*self.steps)
@@ -220,7 +220,7 @@ class _Traced(_Rule):
         self.rule.end_epoch()
 
 
-def _row(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _row0(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return None if a is None else a[0].copy()
 
 
