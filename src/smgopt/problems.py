@@ -316,9 +316,9 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     def batch_margins(W):
         # bin r * n + i adds member r's entries of row i in storage order
         R = len(W)
-        bins = (rows + n * np.arange(R)[:, None]).ravel()
-        sums = np.bincount(bins, weights=(values * np.take(W, indices, axis=1)).ravel(),
-                           minlength=R * n)
+        # the weights come first, so their gather is freed before the bins exist
+        weights = (values * np.take(W, indices, axis=1)).ravel()
+        sums = np.bincount((rows + n * np.arange(R)[:, None]).ravel(), weights, R * n)
         return y * sums.reshape(R, n)
 
     def in_chunks(fn):
@@ -342,9 +342,8 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         R = len(W)
         # exp(-logaddexp(0, z)) is 1 / (1 + exp(z)) without overflow
         coef = -y * np.exp(-np.logaddexp(0.0, batch_margins(W)))
-        bins = (indices + d * np.arange(R)[:, None]).ravel()
-        G = np.bincount(bins, weights=(np.take(coef, rows, axis=1) * values).ravel(),
-                        minlength=R * d)
+        weights = (np.take(coef, rows, axis=1) * values).ravel()   # first, as above
+        G = np.bincount((indices + d * np.arange(R)[:, None]).ravel(), weights, R * d)
         G = G.reshape(R, d)
         G /= n
         G += lam * regularizer_grad(W)
