@@ -17,6 +17,7 @@ from .shuffling import (
     ShufflingStrategy,
     init_point,
     permutation_for_epoch,
+    permutations,
 )
 from .schedules import (
     Schedule,

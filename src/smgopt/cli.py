@@ -33,6 +33,7 @@ from .dataio import (
     ParseError,
     parse_libsvm,
     scale_features,
+    sidecar_block,
     synth_binary_dataset,
     write_trace,
 )
@@ -90,6 +91,8 @@ class ExperimentConfig:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
         if not math.isfinite(self.gamma):
             raise UsageError(f"gamma must be finite, got {self.gamma}")
+        if not 0 <= self.reg < math.inf:
+            raise UsageError(f"reg must be finite and nonnegative, got {self.reg}")
 
     @property
     def resolved_beta(self) -> float:
@@ -249,15 +252,16 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
 
 def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
                   reports: list[BoundReport], out: Path) -> list[Path]:
-    """Each record's trace and sidecar, named by the config hash it carries."""
+    """Each record's trace and sidecar, named by the config hash it carries.
+    The config and bound-report blocks the sidecars share are encoded once."""
     out.mkdir(parents=True, exist_ok=True)
-    config = cfg.to_dict()
+    config = sidecar_block(cfg.to_dict())
+    blocks = [sidecar_block(report.to_dict()) for report in reports]
     paths = []
     for i, record in enumerate(records):
-        report = (reports[0] if len(reports) == 1 else reports[i]) if reports else None
+        block = (blocks[0] if len(blocks) == 1 else blocks[i]) if blocks else None
         path = out / f"trace_{cfg.algo}_{record.config_hash}_s{record.seed}.csv"
-        write_trace(record, path, config=config,
-                    bound_report=report.to_dict() if report else None)
+        write_trace(record, path, config=config, bound_report=block)
         paths.append(path)
     return paths
 

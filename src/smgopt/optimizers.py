@@ -27,7 +27,7 @@ shuffling SGD.
 ensemble_run advances several runs in lockstep.  Every run is a row of one
 (R, d) iterate matrix, with its own permutation stream, and its rates and
 momentum weight along its row of (R, d) coefficient arrays.  Epoch starts
-take the batched full passes; inner steps take the batched component
+take the batched full pass; inner steps take the batched component
 gradient, or the scalar one for a single run.  The batched oracles repeat
 the scalar steps, so each run gets the record its separate run gives.
 """
@@ -44,7 +44,7 @@ from .shuffling import (
     RANDOM_RESHUFFLING,
     ShufflingStrategy,
     init_point,
-    permutation_for_epoch,
+    permutations,
     select_output_index,
     selection_rng,
 )
@@ -110,11 +110,12 @@ class _Rule:
     and never writes into G; start_epoch(W, order) and end_epoch() run
     before and after an epoch's steps along order.  Every coefficient a rule
     applies to a run (rate, momentum weight, Adam's lr and bias correction)
-    comes as an (R, d) array holding the run's value along its row, so each
-    operation is elementwise on operands of one shape, into scratch arrays
-    allocated once.  A rule that sets anchor (read at each epoch start) or
-    momentum (read after each step) has row 0 of those arrays recorded in
-    the inner trace.
+    comes as an (R, d) array holding the run's value along its row, and so
+    does every constant (smg's n, Adam's beta2 and eps), so each operation
+    is elementwise on operands of one shape, into scratch arrays allocated
+    once: a ufunc takes a Python-scalar operand slower than an array.  A
+    rule that sets anchor (read at each epoch start) or momentum (read after
+    each step) has row 0 of those arrays recorded in the inner trace.
     """
 
     anchor = momentum = None
@@ -141,7 +142,7 @@ class _Anchored(_Rule):
     refreshed at each epoch end with the epoch's average gradient v."""
 
     def __init__(self, n: int, beta: np.ndarray):
-        self.n, self.beta, self.c = n, beta, 1.0 - beta
+        self.n, self.beta, self.c = np.full_like(beta, n), beta, 1.0 - beta
         self.m0, self.v = np.zeros_like(beta), np.zeros_like(beta)
         self.beta_m0 = self.m0 * beta           # fixed through an epoch
         self.m, self.u = np.empty_like(beta), np.empty_like(beta)
@@ -178,18 +179,21 @@ class _Adam(_Rule):
     def __init__(self, lr: np.ndarray, beta: np.ndarray, beta2: float, eps: float):
         self.lr, self.beta, self.c = lr, beta, 1.0 - beta
         self.beta1 = beta[:, 0].tolist()   # for float powers, as Python takes them
-        self.beta2, self.c2, self.eps = beta2, 1.0 - beta2, eps
+        self.beta2 = beta2
+        self.b2, self.c2, self.eps = (np.full_like(beta, x) for x in (beta2, 1.0 - beta2, eps))
         self.m, self.v, self.k = np.zeros_like(beta), np.zeros_like(beta), 0
-        self.u, self.s, self.bias = np.empty_like(beta), np.empty_like(beta), np.empty_like(beta)
+        self.u, self.s = np.empty_like(beta), np.empty_like(beta)
+        self.bias, self.bias2 = np.empty_like(beta), np.empty_like(beta)
 
     def step(self, W, G, rate):
         self.k += 1
         m, v, u, s = self.m, self.v, self.u, self.s
         np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
-        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
+        np.add(np.multiply(v, self.b2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
         self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]   # run r's along row r
+        self.bias2.fill(1.0 - self.beta2 ** self.k)
         np.divide(m, self.bias, u)                                    # m_hat
-        np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
+        np.sqrt(np.divide(v, self.bias2, s), s)                       # sqrt(v_hat)
         np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
         np.subtract(W, u, W)
 
@@ -243,13 +247,14 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     with equal strategies share one permutation per epoch.
 
     The rule moves the (R, d) iterate matrix W, and every epoch start
-    evaluates the batched full passes on W.  R decides only the step
-    oracle: one strategy takes the scalar component gradient of the view
-    W[0], into one buffer, at indices given as Python ints; R > 1
-    strategies run in lockstep, one batched oracle call on W per inner
-    index.  A run that produces a non-finite value aborts as it would
-    alone, and the others go on.  Returns each run's RunRecord, or the
-    RunAborted of its first failed check.
+    evaluates the batched full pass on W, value and gradient at once.  R
+    decides only the step oracle: one strategy takes the scalar component
+    gradient of the view W[0], into one buffer, at indices given as Python
+    ints; R > 1 strategies run in lockstep, one batched oracle call on W per
+    inner index.  Each epoch's permutations come from one call of
+    shuffling.permutations.  A run that produces a non-finite value aborts
+    as it would alone, and the others go on.  Returns each run's RunRecord,
+    or the RunAborted of its first failed check.
     """
     n, d, (R, T) = problem.n, problem.d, etas.shape
     if w0 is None:
@@ -261,17 +266,8 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         W = np.tile(w0, (R, 1))
     # column j of an epoch's (n, S) permutations serves every run of shared[j]
     shared = {s: j for j, s in enumerate(dict.fromkeys(strategies))}
-    if R == 1:   # the scalar oracle on the view W[0], into row 0 of one buffer
-        w, G = W[0], np.empty((1, d))
-
-        def component_grads(i, g=G[0]):
-            problem.component_grad(w, i, g)
-            return G
-    else:        # the batched oracle on W, at each run's permutation column
-        columns = np.array([shared[s] for s in strategies])
-
-        def component_grads(perm_row):
-            return problem.batch_component_grad(W, perm_row[columns])
+    columns = np.array([shared[s] for s in strategies])
+    G = np.empty((1, d))   # a single run's component gradient, written in place
 
     losses = np.empty((R, T))
     grad_sq = np.empty((R, T))
@@ -293,7 +289,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         for t in range(1, T + 1):
             if not check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
                 break
-            loss, grad = problem.batch_full_value(W), problem.batch_full_grad(W)
+            loss, grad = problem.batch_full_pass(W)
             if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=1), t,
                          "non-finite objective or gradient"):
                 break
@@ -305,14 +301,21 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
             chosen = selected == t - 1
             selected_w[chosen] = W[chosen]
             if t == 1 or reshuffle:
-                perms = np.stack([permutation_for_epoch(s, n, t) for s in shared],
-                                 axis=-1)
+                perms = permutations(list(shared), n, t)
                 # a single run indexes its rows by Python ints
                 order = perms[:, 0].tolist() if R == 1 else perms
             rate = _rows(etas[:, t - 1] / n, d)
             rule.start_epoch(W, order)
-            for ids in order:
-                rule.step(W, component_grads(ids), rate)
+            step = rule.step
+            if R == 1:   # the scalar oracle on the view W[0], into row 0 of G
+                grad, w, g = problem.component_grad, W[0], G[0]
+                for i in order:
+                    grad(w, i, g)
+                    step(W, G, rate)
+            else:        # the batched oracle on W, at each run's permutation column
+                grads = problem.batch_component_grad
+                for perm_row in order:
+                    step(W, grads(W, perm_row[columns]), rate)
             if not check(np.isfinite(W).all(axis=1), t,
                          "non-finite iterate after inner loop"):
                 break

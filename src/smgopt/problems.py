@@ -162,8 +162,10 @@ class Problem:
     written into out when one is given.  The batch_ oracles serve R runs at
     once: they take an (R, d) matrix W holding one iterate per row and
     return one result per row, batch_component_grad(W, ids) the gradient of
-    component ids[r] at W[r]; full_value(w) and full_grad(w) are the one
-    row of the batched full passes over w.  Immutable after construction;
+    component ids[r] at W[r], and batch_full_pass(W) the pair (F(W[r]) for
+    every r, grad F(W[r]) as row r), one pass that shares its work between
+    the two; full_value(w) and full_grad(w) are the one row of that pass
+    over w.  Immutable after construction;
     the callables are pure and safe to invoke concurrently, each with its
     own out.
     """
@@ -176,8 +178,7 @@ class Problem:
     full_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
     batch_component_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    batch_full_value: Callable[[np.ndarray], np.ndarray]
-    batch_full_grad: Callable[[np.ndarray], np.ndarray]
+    batch_full_pass: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -196,17 +197,19 @@ def regularizer_value(w: np.ndarray) -> float:
     return 0.5 * float(np.sum(wsq / (1.0 + wsq)))
 
 
-def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """r'(w) = w / (1 + w^2)^2, written into out when given."""
+def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None,
+                     one=1.0) -> np.ndarray:
+    """r'(w) = w / (1 + w^2)^2, written into out when given.  one is 1.0, or
+    ones shaped like w, which a ufunc takes faster than a Python float."""
     out = np.multiply(w, w, out)
-    return np.divide(w, np.square(np.add(out, 1.0, out), out), out)
+    return np.divide(w, np.square(np.add(out, one, out), out), out)
 
 
-def _one_iterate(batch_full_value: Callable, batch_full_grad: Callable) -> tuple:
+def _one_iterate(batch_full_pass: Callable) -> tuple:
     """full_value and full_grad of one (d,) iterate w: the one row of the
-    batched passes over w[None], the value as a Python float."""
-    return (lambda w: float(batch_full_value(w[None])[0]),
-            lambda w: batch_full_grad(w[None])[0])
+    batched pass over w[None], the value as a Python float."""
+    return (lambda w: float(batch_full_pass(w[None])[0][0]),
+            lambda w: batch_full_pass(w[None])[1][0])
 
 
 def _logistic_weight(z: np.ndarray) -> np.ndarray:
@@ -240,14 +243,16 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     """Build the regularized logistic-regression problem over a dataset.
 
     A component oracle gathers its one row of the CSR arrays.  The full
-    passes take the members of an (R, d) iterate matrix in chunks within
-    BATCH_BUDGET and compute their margins y_i x_i^T w, and X^T s, with
-    np.bincount, which adds the entries of each row (and of each column) in
-    storage order; each member has bins of its own, so its sums do not
-    depend on R, and full_value and full_grad are the passes at R = 1.  The
-    batched component gradient gathers each member's row, whatever its
-    length, without padding, and repeats component_grad's floating-point
-    steps, so a member's gradient equals component_grad's bit for bit.
+    pass takes the members of an (R, d) iterate matrix in chunks within
+    BATCH_BUDGET and computes their margins y_i x_i^T w once, then the
+    values and X^T s, with np.bincount, which adds the entries of each row
+    (and of each column) in storage order; each member has bins of its own,
+    so its sums do not depend on R, and full_value and full_grad are the
+    pass at R = 1.  The batched component gradient repeats component_grad's
+    floating-point steps, so a member's gradient equals component_grad's bit
+    for bit.  When every row stores the same number of entries it gathers
+    the members' rows as one block; otherwise it gathers each member's row,
+    whatever its length, without padding.
     """
     n, d = len(dataset), dataset.d
     if n == 0:
@@ -262,6 +267,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     y = dataset.labels.astype(float)
     ys = y.tolist()
     rows = dataset.row_ids()
+    ones, lams = np.ones(d), np.full(d, lam)   # constants of component_grad
 
     def component_value(w, i):
         lo, hi = indptr[i], indptr[i + 1]
@@ -279,12 +285,24 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
             s = e / (1.0 + e)
         else:
             s = 1.0 / (1.0 + math.exp(z))
-        g = regularizer_grad(w, out)
-        np.multiply(g, lam, g)
+        g = regularizer_grad(w, out, ones)
+        np.multiply(g, lams, g)
         g[cols] -= (ys[i] * s) * vals
         return g
 
-    def batch_component_grad(W, ids):
+    def equal_rows_grad(W, ids):
+        # every row stores L entries: the members' rows form one (R, L) block
+        W = np.ascontiguousarray(W)   # its flattening is a view
+        flat = row_cols[ids] + d * np.arange(len(W))[:, None]   # entries of W.ravel()
+        vals = row_vals[ids]
+        # a stacked matmul forms each x^T w with the dot product component_grad uses
+        dots = np.matmul(vals[:, None, :], W.ravel()[flat][:, :, None])[:, 0, 0]
+        yi = y[ids]
+        G = lam * regularizer_grad(W)
+        G.ravel()[flat] -= (yi * _logistic_weight(yi * dots))[:, None] * vals
+        return G
+
+    def ragged_rows_grad(W, ids):
         W = np.ascontiguousarray(W)   # its flattening is a view
         R = len(W)
         lo = starts[ids]
@@ -313,43 +331,50 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         G.ravel()[flat] -= (yi * _logistic_weight(yi * dots))[member] * vals
         return G
 
+    row_lengths = np.diff(starts)
+    if np.all(row_lengths == row_lengths[0]):
+        shape = (n, int(row_lengths[0]))
+        row_cols, row_vals = indices.reshape(shape), values.reshape(shape)
+        batch_component_grad = equal_rows_grad
+    else:
+        batch_component_grad = ragged_rows_grad
+
+    # members per chunk of a full pass, whose temporaries stay within the budget
+    size = max(1, BATCH_BUDGET // max(1, values.size))
+
+    def member_bins(ids, width, R):
+        # bin r * width + ids[k] takes member r's entry k; one member's bins
+        # are ids themselves, and R members' stay within the budget
+        return ids if R == 1 else (ids + width * np.arange(R)[:, None]).ravel()
+
     def batch_margins(W):
         # bin r * n + i adds member r's entries of row i in storage order
         R = len(W)
         # the weights come first, so their gather is freed before the bins exist
         weights = (values * np.take(W, indices, axis=1)).ravel()
-        sums = np.bincount((rows + n * np.arange(R)[:, None]).ravel(), weights, R * n)
-        return y * sums.reshape(R, n)
+        return y * np.bincount(member_bins(rows, n, R), weights, R * n).reshape(R, n)
 
-    def in_chunks(fn):
-        # fn over slices of members whose temporaries stay within the budget
-        size = max(1, BATCH_BUDGET // max(1, values.size))
-
-        def batched(W):
-            if len(W) <= size:
-                return fn(W)
-            return np.concatenate([fn(W[k:k + size]) for k in range(0, len(W), size)])
-        return batched
-
-    @in_chunks
-    def batch_full_value(W):
-        wsq = W * W
-        losses = np.mean(np.logaddexp(0.0, -batch_margins(W)), axis=1)
-        return losses + lam * (0.5 * np.sum(wsq / (1.0 + wsq), axis=1))
-
-    @in_chunks
-    def batch_full_grad(W):
+    def full_pass(W):
         R = len(W)
+        wsq = W * W
+        margins = batch_margins(W)
+        losses = np.mean(np.logaddexp(0.0, -margins), axis=1)
+        losses += lam * (0.5 * np.sum(wsq / (1.0 + wsq), axis=1))
         # exp(-logaddexp(0, z)) is 1 / (1 + exp(z)) without overflow
-        coef = -y * np.exp(-np.logaddexp(0.0, batch_margins(W)))
+        coef = -y * np.exp(-np.logaddexp(0.0, margins))
         weights = (np.take(coef, rows, axis=1) * values).ravel()   # first, as above
-        G = np.bincount((indices + d * np.arange(R)[:, None]).ravel(), weights, R * d)
-        G = G.reshape(R, d)
+        G = np.bincount(member_bins(indices, d, R), weights, R * d).reshape(R, d)
         G /= n
         G += lam * regularizer_grad(W)
-        return G
+        return losses, G
 
-    full_value, full_grad = _one_iterate(batch_full_value, batch_full_grad)
+    def batch_full_pass(W):
+        if len(W) <= size:
+            return full_pass(W)
+        parts = [full_pass(W[k:k + size]) for k in range(0, len(W), size)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    full_value, full_grad = _one_iterate(batch_full_pass)
     return Problem(
         n=n, d=d,
         component_value=component_value,
@@ -358,8 +383,7 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         full_grad=full_grad,
         constants=logistic_constants(dataset, lam),
         batch_component_grad=batch_component_grad,
-        batch_full_value=batch_full_value,
-        batch_full_grad=batch_full_grad,
+        batch_full_pass=batch_full_pass,
     )
 
 
@@ -405,14 +429,12 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
     def batch_component_grad(W, ids):
         return np.matmul(A, (W - centers[ids])[:, :, None])[:, :, 0]
 
-    def batch_full_value(W):
+    def batch_full_pass(W):
         r = (W - cbar)[:, :, None]
-        return 0.5 * np.matmul(r.transpose(0, 2, 1), np.matmul(A, r))[:, 0, 0] + f_star
+        Ar = np.matmul(A, r)
+        return 0.5 * np.matmul(r.transpose(0, 2, 1), Ar)[:, 0, 0] + f_star, Ar[:, :, 0]
 
-    def batch_full_grad(W):
-        return np.matmul(A, (W - cbar)[:, :, None])[:, :, 0]
-
-    full_value, full_grad = _one_iterate(batch_full_value, batch_full_grad)
+    full_value, full_grad = _one_iterate(batch_full_pass)
     constants = ProblemConstants(
         L=float(eigs[-1]), G=math.inf, theta=0.0,
         sigma_sq=sigma_sq, f_lower=f_star,
@@ -425,6 +447,5 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         full_grad=full_grad,
         constants=constants,
         batch_component_grad=batch_component_grad,
-        batch_full_value=batch_full_value,
-        batch_full_grad=batch_full_grad,
+        batch_full_pass=batch_full_pass,
     )

@@ -112,6 +112,23 @@ class TestRunCommand:
         assert rc == EXIT_OK
         assert len(list(tmp_path.glob("trace_*.csv"))) == 3
 
+    def test_repeats_of_wide_seeds_equal_single_runs(self, tmp_path):
+        # seeds of two 32-bit words take the per-seed permutation path
+        seed = 5_000_000_000
+        assert run_cli("run", "--T", "3", "--seed", str(seed), "--repeats", "2",
+                       "--out", str(tmp_path / "both")) == EXIT_OK
+        for s in (seed, seed + 1):
+            assert run_cli("run", "--T", "3", "--seed", str(s),
+                           "--out", str(tmp_path / str(s))) == EXIT_OK
+            single = json.loads(next((tmp_path / str(s)).glob("*.json")).read_text())
+            member = json.loads(next((tmp_path / "both").glob(f"*_s{s}.json")).read_text())
+            for key in ("config", "config_hash"):
+                del single[key], member[key]
+            assert member == single
+            rows = [next(tmp_path.glob(f"{d}/*_s{s}.csv")).read_text().splitlines()[1:]
+                    for d in ("both", str(s))]
+            assert rows[0] == rows[1]
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ("run", "--algo", "smg", "--T", "20", "--seed", "4",
@@ -289,6 +306,9 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     # rho = 0 divides by zero and rho < 0 has a complex root in the initial-step gamma
     ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "0", "--T", "2"],
     ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "-1", "--T", "2"],
+    # a non-finite regularizer weight gives non-finite certified constants
+    ["run", "--T", "2", "--reg", "nan"],
+    ["run", "--T", "2", "--reg", "inf"],
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE

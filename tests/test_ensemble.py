@@ -42,7 +42,10 @@ T = 4
 # rows of 1, 0, 2, 0, 1, 4 and 1 entries; the dimension 9 lies beyond index 4
 RAGGED = ("+1 2:0.5\n-1\n+1 1:1.5 3:-2.0\n0\n-1 3:0.25\n"
           "+1 1:0.5 2:1.0 3:-1.0 4:2.0\n-1 4:-0.75\n")
-FIXTURES = ("quadratic", "dense-logistic", "ragged-logistic")
+# every row stores 3 of 7 columns, so the batched step gathers one block
+EQUAL = ("+1 1:0.5 4:-1.0 7:2.0\n-1 2:1.5 3:-0.25 6:0.75\n+1 1:-2.0 5:0.5 6:1.0\n"
+         "-1 3:1.0 4:0.25 7:-0.5\n+1 2:-0.75 5:1.25 7:0.5\n-1 1:0.25 2:2.0 3:-1.5\n")
+FIXTURES = ("quadratic", "dense-logistic", "ragged-logistic", "sparse-logistic")
 
 
 def make_problem(name):
@@ -52,6 +55,8 @@ def make_problem(name):
     if name == "dense-logistic":
         return logistic_problem(synth_binary_dataset(24, 4, seed=3, separability=0.8),
                                 lam=0.01)
+    if name == "sparse-logistic":
+        return logistic_problem(parse_libsvm(io.StringIO(EQUAL))[0], lam=0.05)
     dataset = dataclasses.replace(parse_libsvm(io.StringIO(RAGGED))[0], d=9)
     return logistic_problem(dataset, lam=0.05)
 
@@ -138,37 +143,32 @@ def test_batched_oracles_match_scalar_oracles(fixture, monkeypatch):
     ids = rng.integers(0, problem.n, size=6)
     assert_close(problem.batch_component_grad(W, ids),
                  [problem.component_grad(w, int(i)) for w, i in zip(W, ids)])
-    assert_close(problem.batch_full_value(W), [problem.full_value(w) for w in W])
-    assert_close(problem.batch_full_grad(W), [problem.full_grad(w) for w in W])
-
-
-@pytest.mark.parametrize("kind", STRATEGY_KINDS)
-def test_permutations_once_per_run_unless_reshuffled(kind, monkeypatch):
-    calls = []
-    real = optimizers.permutation_for_epoch
-
-    def counted(strategy, n, t):
-        calls.append((strategy.seed, t))
-        return real(strategy, n, t)
-
-    monkeypatch.setattr(optimizers, "permutation_for_epoch", counted)
-    problem = make_problem("quadratic")
-    ensemble("smg", problem, [ShufflingStrategy(kind, seed) for seed in (1, 2, 3)])
-    epochs = range(1, T + 1) if kind == "rr" else [1]
-    assert calls == [(seed, t) for t in epochs for seed in (1, 2, 3)]
+    values, grads = problem.batch_full_pass(W)
+    assert_close(values, [problem.full_value(w) for w in W])
+    assert_close(grads, [problem.full_grad(w) for w in W])
 
 
 def count_permutations(monkeypatch) -> list:
     """The (strategy, epoch) of every permutation the driver takes from now on."""
     calls = []
-    real = optimizers.permutation_for_epoch
+    real = optimizers.permutations
 
-    def counted(strategy, n, t):
-        calls.append((strategy, t))
-        return real(strategy, n, t)
+    def counted(strategies, n, t):
+        calls.extend((strategy, t) for strategy in strategies)
+        return real(strategies, n, t)
 
-    monkeypatch.setattr(optimizers, "permutation_for_epoch", counted)
+    monkeypatch.setattr(optimizers, "permutations", counted)
     return calls
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_permutations_once_per_run_unless_reshuffled(kind, monkeypatch):
+    calls = count_permutations(monkeypatch)
+    problem = make_problem("quadratic")
+    ensemble("smg", problem, [ShufflingStrategy(kind, seed) for seed in (1, 2, 3)])
+    epochs = range(1, T + 1) if kind == "rr" else [1]
+    assert [(s.seed, t) for s, t in calls] == [(seed, t) for t in epochs
+                                               for seed in (1, 2, 3)]
 
 
 def test_grid_points_share_a_seeds_permutation(tmp_path, monkeypatch):
@@ -266,10 +266,11 @@ def test_a_diverging_member_leaves_the_others_alone(default_problem, outcomes):
 
     def spy(W):
         starts.append(W.copy())
-        losses.append(default_problem.batch_full_value(W))
-        return losses[-1]
+        value, grad = default_problem.batch_full_pass(W)
+        losses.append(value)
+        return value, grad
 
-    spied = dataclasses.replace(default_problem, batch_full_value=spy)
+    spied = dataclasses.replace(default_problem, batch_full_pass=spy)
     with pytest.raises(RunAborted):
         run_sgd_ensemble(spied, [1, 2, 3, 4])
     assert len(starts) == T   # the finishing members ran every epoch
@@ -294,12 +295,12 @@ def test_a_poisoned_member_leaves_the_others_alone():
 
     def spy(W):
         starts.append(W.copy())
-        return problem.batch_full_value(W)
+        return problem.batch_full_pass(W)
 
     strategies = [ShufflingStrategy("rr", seed) for seed in (5, 6, 7)]
     with pytest.raises(RunAborted) as info:
         ensemble("smg", dataclasses.replace(problem, batch_component_grad=poisoned,
-                                            batch_full_value=spy), strategies)
+                                            batch_full_pass=spy), strategies)
     assert str(info.value) == "run aborted at epoch 2: non-finite iterate after inner loop"
     assert len(starts) == T
     for member in (0, 2):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smgopt.shuffling import (
     ShufflingStrategy,
     permutation_for_epoch,
+    permutations,
     select_output_index,
     selection_rng,
 )
@@ -43,6 +44,23 @@ class TestPermutations:
             permutation_for_epoch(ShufflingStrategy("rr", 0), 0, 1)
         with pytest.raises(ValueError):
             permutation_for_epoch(ShufflingStrategy("rr", 0), 5, 0)
+
+    @pytest.mark.parametrize("kind", ["rr", "once", "inc"])
+    def test_batched_columns_equal_single_permutations(self, kind):
+        # seeds of two 32-bit words take permutation_for_epoch itself
+        strategies = [ShufflingStrategy(kind, seed) for seed in (0, 1, 2**32 - 1, 2**32, 2**40)]
+        strategies.append(ShufflingStrategy("rr", 1))
+        for n in (1, 2, 37):
+            for t in (1, 2, 7):
+                expected = np.stack([permutation_for_epoch(s, n, t) for s in strategies],
+                                    axis=-1)
+                actual = permutations(strategies, n, t)
+                assert actual.dtype == expected.dtype
+                np.testing.assert_array_equal(actual, expected)
+        with pytest.raises(ValueError):
+            permutations(strategies, 0, 1)
+        with pytest.raises(ValueError):
+            permutations(strategies, 5, 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
