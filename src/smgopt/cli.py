@@ -33,7 +33,6 @@ from .dataio import (
     ParseError,
     parse_libsvm,
     scale_features,
-    sidecar_block,
     synth_binary_dataset,
     write_trace,
 )
@@ -252,11 +251,10 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
 
 def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
                   reports: list[BoundReport], out: Path) -> list[Path]:
-    """Each record's trace and sidecar, named by the config hash it carries.
-    The config and bound-report blocks the sidecars share are encoded once."""
+    """Each record's trace and sidecar, named by the config hash it carries."""
     out.mkdir(parents=True, exist_ok=True)
-    config = sidecar_block(cfg.to_dict())
-    blocks = [sidecar_block(report.to_dict()) for report in reports]
+    config = cfg.to_dict()
+    blocks = [report.to_dict() for report in reports]   # one shared, or one per record
     paths = []
     for i, record in enumerate(records):
         block = (blocks[0] if len(blocks) == 1 else blocks[i]) if blocks else None

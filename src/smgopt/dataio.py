@@ -209,20 +209,10 @@ def synth_binary_dataset(n: int, d: int, seed: int,
 # Trace persistence
 # ---------------------------------------------------------------------------
 
-def sidecar_block(block: Optional[dict]) -> str:
-    """The JSON text of block as a sidecar nests it: its top-level text
-    indented by one more level, since JSON strings hold no raw newline."""
-    return json.dumps(block, indent=2, sort_keys=True).replace("\n", "\n  ")
-
-
 def write_trace(record: RunRecord, path: str | Path,
-                config: Optional[dict | str] = None,
-                bound_report: Optional[dict | str] = None) -> Path:
-    """Write the per-epoch CSV and its JSON sidecar; returns the sidecar path.
-
-    config and bound_report are dicts, or their sidecar_block text, which
-    lets the sidecars of many records encode a block they share once.
-    """
+                config: Optional[dict] = None,
+                bound_report: Optional[dict] = None) -> Path:
+    """Write the per-epoch CSV and its JSON sidecar; returns the sidecar path."""
     path = Path(path)
     lines = [f"# config_hash={record.config_hash or ''} seed={record.seed}", TRACE_HEADER]
     columns = zip(record.etas.tolist(), record.losses.tolist(), record.grad_norms_sq.tolist())
@@ -238,22 +228,16 @@ def write_trace(record: RunRecord, path: str | Path,
         "beta": record.beta,
         "strategy": record.strategy_kind,
         "config_hash": record.config_hash,
-        "config": None,
+        "config": config,
         "selected_index": record.selected_index,
         "selected_w": [float(x) for x in record.selected_w],
         "weighted_grad_avg": record.weighted_grad_avg(),
         "final_loss": float(record.losses[-1]),
-        "bound_report": None,
+        "bound_report": bound_report,
     }
-    text = json.dumps(sidecar, indent=2, sort_keys=True)
-    # a top-level key is the only text after a newline and two spaces
-    for key, block in (("bound_report", bound_report), ("config", config)):
-        if block is not None:
-            block = block if isinstance(block, str) else sidecar_block(block)
-            text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {block}', 1)
     sidecar_path = path.with_suffix(".json")
     try:
-        sidecar_path.write_text(text + "\n")
+        sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing sidecar to {sidecar_path}: {exc}") from exc
     return sidecar_path

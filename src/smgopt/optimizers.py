@@ -110,12 +110,11 @@ class _Rule:
     and never writes into G; start_epoch(W, order) and end_epoch() run
     before and after an epoch's steps along order.  Every coefficient a rule
     applies to a run (rate, momentum weight, Adam's lr and bias correction)
-    comes as an (R, d) array holding the run's value along its row, and so
-    does every constant (smg's n, Adam's beta2 and eps), so each operation
-    is elementwise on operands of one shape, into scratch arrays allocated
-    once: a ufunc takes a Python-scalar operand slower than an array.  A
-    rule that sets anchor (read at each epoch start) or momentum (read after
-    each step) has row 0 of those arrays recorded in the inner trace.
+    comes as an (R, d) array holding the run's value along its row, so each
+    operation is elementwise on operands of one shape, into scratch arrays
+    allocated once.  A rule that sets anchor (read at each epoch start) or
+    momentum (read after each step) has row 0 of those arrays recorded in
+    the inner trace.
     """
 
     anchor = momentum = None
@@ -142,7 +141,7 @@ class _Anchored(_Rule):
     refreshed at each epoch end with the epoch's average gradient v."""
 
     def __init__(self, n: int, beta: np.ndarray):
-        self.n, self.beta, self.c = np.full_like(beta, n), beta, 1.0 - beta
+        self.n, self.beta, self.c = n, beta, 1.0 - beta
         self.m0, self.v = np.zeros_like(beta), np.zeros_like(beta)
         self.beta_m0 = self.m0 * beta           # fixed through an epoch
         self.m, self.u = np.empty_like(beta), np.empty_like(beta)
@@ -179,21 +178,18 @@ class _Adam(_Rule):
     def __init__(self, lr: np.ndarray, beta: np.ndarray, beta2: float, eps: float):
         self.lr, self.beta, self.c = lr, beta, 1.0 - beta
         self.beta1 = beta[:, 0].tolist()   # for float powers, as Python takes them
-        self.beta2 = beta2
-        self.b2, self.c2, self.eps = (np.full_like(beta, x) for x in (beta2, 1.0 - beta2, eps))
+        self.beta2, self.c2, self.eps = beta2, 1.0 - beta2, eps
         self.m, self.v, self.k = np.zeros_like(beta), np.zeros_like(beta), 0
-        self.u, self.s = np.empty_like(beta), np.empty_like(beta)
-        self.bias, self.bias2 = np.empty_like(beta), np.empty_like(beta)
+        self.u, self.s, self.bias = np.empty_like(beta), np.empty_like(beta), np.empty_like(beta)
 
     def step(self, W, G, rate):
         self.k += 1
         m, v, u, s = self.m, self.v, self.u, self.s
         np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
-        np.add(np.multiply(v, self.b2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
+        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
         self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]   # run r's along row r
-        self.bias2.fill(1.0 - self.beta2 ** self.k)
         np.divide(m, self.bias, u)                                    # m_hat
-        np.sqrt(np.divide(v, self.bias2, s), s)                       # sqrt(v_hat)
+        np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
         np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
         np.subtract(W, u, W)
 

@@ -197,12 +197,10 @@ def regularizer_value(w: np.ndarray) -> float:
     return 0.5 * float(np.sum(wsq / (1.0 + wsq)))
 
 
-def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None,
-                     one=1.0) -> np.ndarray:
-    """r'(w) = w / (1 + w^2)^2, written into out when given.  one is 1.0, or
-    ones shaped like w, which a ufunc takes faster than a Python float."""
+def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """r'(w) = w / (1 + w^2)^2, written into out when given."""
     out = np.multiply(w, w, out)
-    return np.divide(w, np.square(np.add(out, one, out), out), out)
+    return np.divide(w, np.square(np.add(out, 1.0, out), out), out)
 
 
 def _one_iterate(batch_full_pass: Callable) -> tuple:
@@ -267,7 +265,6 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     y = dataset.labels.astype(float)
     ys = y.tolist()
     rows = dataset.row_ids()
-    ones, lams = np.ones(d), np.full(d, lam)   # constants of component_grad
 
     def component_value(w, i):
         lo, hi = indptr[i], indptr[i + 1]
@@ -285,8 +282,8 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
             s = e / (1.0 + e)
         else:
             s = 1.0 / (1.0 + math.exp(z))
-        g = regularizer_grad(w, out, ones)
-        np.multiply(g, lams, g)
+        g = regularizer_grad(w, out)
+        np.multiply(g, lam, g)
         g[cols] -= (ys[i] * s) * vals
         return g
 

@@ -61,9 +61,10 @@ def _epoch_key(strategy: ShufflingStrategy, t: int) -> int:
 def permutations(strategies, n: int, t: int) -> np.ndarray:
     """(n, S) array whose column j is permutation_for_epoch(strategies[j], n, t).
 
-    Seeding a generator costs more than drawing a short permutation, so the
-    seeded columns hash their SeedSequence keys at once (_pcg64_states) and
-    draw from one generator whose state is set to each key's in turn.
+    Seeding a generator costs more than drawing a short permutation, and
+    building one SeedSequence per key costs about as much, so the seeded
+    columns hash their SeedSequence keys at once (_pcg64_states) and draw
+    from one generator whose state is set to each key's in turn.
     Incremental order is the identity, and a seed of more than one 32-bit
     word takes permutation_for_epoch itself.
     """
@@ -126,10 +127,11 @@ def _pcg64_states(keys) -> list:
         h = h * MULT_B & MASK
         v *= np.uint32(h)
         state[:, i] = v ^ (v >> 16)
-    # generate_state views the words as uint64: seed high, low, then inc high, low
+    # generate_state pairs the words little-endian on every host: seed high,
+    # low, then inc high, low
     mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
     out = []
-    for u0, u1, u2, u3 in state.view(np.uint64).tolist():
+    for u0, u1, u2, u3 in state.astype("<u4").view("<u8").tolist():
         inc = ((u2 << 64 | u3) << 1 | 1) & mask
         out.append((((inc + (u0 << 64 | u1)) * mult + inc) & mask, inc))
     return out

@@ -1,6 +1,5 @@
 """Parser conformance, trace round-trips, and synthetic-dataset properties."""
 import io
-import json
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from smgopt.dataio import (
     parse_libsvm,
     read_trace,
     scale_features,
-    sidecar_block,
     synth_binary_dataset,
     write_trace,
 )
@@ -148,18 +146,6 @@ class TestTracePersistence:
         write_trace(self._record(), p1)
         write_trace(self._record(), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    @pytest.mark.parametrize("encode", [False, True])
-    def test_sidecar_blocks_nest_as_json_dumps_nests_them(self, encode, tmp_path):
-        rec = self._record()
-        config = {"algo": "smg", "grid": [0.5, [1, 2], {}], "note": "a\nb", "rho": None}
-        report = {"theorem": "T2", "extras": {"seeds": [1, 2]}, "lhs": 0.1 + 0.2}
-        blocks = [sidecar_block(b) for b in (config, report)] if encode else [config, report]
-        sidecar = write_trace(rec, tmp_path / "t.csv", config=blocks[0],
-                              bound_report=blocks[1])
-        expected = json.loads(sidecar.read_text())
-        assert expected["config"] == config and expected["bound_report"] == report
-        assert sidecar.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_awkward_floats_survive(self, tmp_path):
         rec = self._record(T=3)
