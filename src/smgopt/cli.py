@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise UsageError(f"T must be >= 1, got {self.T}")
         if self.repeats < 1:
             raise UsageError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if not self.gamma > 0:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
         if not math.isfinite(self.gamma):

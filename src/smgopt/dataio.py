@@ -1,13 +1,21 @@
 """LIBSVM parsing, synthetic datasets, and run-trace persistence.
 
-Traces are written as a CSV of per-epoch rows plus a JSON sidecar carrying
-the config hash, seed, selected output iterate, and any bound report.  All
-floats are rendered with repr(), which round-trips float64 exactly.
+A LIBSVM file is parsed once: its CSR arrays are kept in a cache entry
+beside it, `<file>.smgopt.npz`, and reloaded while the file's bytes are
+unchanged.  Traces are written as a CSV of per-epoch rows plus a JSON
+sidecar carrying the config hash, seed, selected output iterate, and any
+bound report.  All floats are rendered with repr(), which round-trips
+float64 exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import os
+import stat
 from itertools import islice
 from pathlib import Path
 from typing import Optional, TextIO
@@ -18,11 +26,19 @@ from .optimizers import RunRecord
 from .problems import SparseDataset
 
 TRACE_HEADER = "epoch,eta,loss,grad_norm_sq"
-# lines parsed per block: the arrays of one block are alive at a time
-BLOCK_LINES = 4096
+# lines parsed per block: the arrays of one block are alive at a time; 1,024
+# lines made the first parse of a new process (a command's only one) about 6%
+# faster than 4,096 on w8a-shaped data, though a repeat parse was slower
+BLOCK_LINES = 1024
 # the longest digit strings whose digit arithmetic is exact: an int64 holds
 # 18 digits, and a float64 every integer of 15
 EXACT_DIGITS = {int: 18, float: 15}
+# a cache entry is named after its file plus CACHE_SUFFIX; its key covers
+# CACHE_VERSION, the text encoding of the parse and the sha256 of the bytes
+CACHE_SUFFIX = ".smgopt.npz"
+CACHE_VERSION = 1
+HASH_BLOCK = 1 << 20
+CSR_ARRAYS = ("indptr", "indices", "values", "labels")
 
 
 class ParseError(ValueError):
@@ -42,11 +58,87 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
     index seen (0 for an empty input).  Blocks of lines are converted with
     array operations; the first malformed token in file order raises a
     ParseError with its line number.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r") as handle:
-            return parse_libsvm(handle)
 
+    A path to a regular file is read in the locale's text encoding, as
+    open() reads it.  Its arrays are loaded from the cache entry
+    `<file>.smgopt.npz` when the entry's key matches CACHE_VERSION, that
+    encoding and the sha256 of the file's bytes; otherwise the file is
+    parsed and the entry (re)written under the hash of the bytes parsed,
+    unless the directory cannot be written.
+    """
+    if not isinstance(source, (str, Path)):
+        return _parse_text(source)
+    with open(source, "rb", buffering=0) as file:
+        hashing = _Hashing(file)
+        text = io.TextIOWrapper(io.BufferedReader(hashing))
+        entry = (Path(source).with_name(Path(source).name + CACHE_SUFFIX)
+                 if stat.S_ISREG(os.fstat(file.fileno()).st_mode) else None)
+        if entry and entry.is_file():
+            digest = hashlib.sha256()
+            while block := file.read(HASH_BLOCK):
+                digest.update(block)
+            loaded = _load_entry(entry, _entry_key(text.encoding, digest))
+            if loaded is not None:
+                return loaded
+            file.seek(0)
+        parsed = _parse_text(text)
+    if entry:
+        _store_entry(entry, _entry_key(text.encoding, hashing.digest), *parsed)
+    return parsed
+
+
+class _Hashing(io.RawIOBase):
+    """A binary file that feeds every byte read through it to a sha256."""
+
+    def __init__(self, file):
+        self.file, self.digest = file, hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        size = self.file.readinto(buffer)
+        self.digest.update(buffer[:size])
+        return size
+
+
+def _entry_key(encoding: str, digest) -> str:
+    return f"{CACHE_VERSION} {encoding} {digest.hexdigest()}"
+
+
+def _load_entry(entry: Path, key: str):
+    """The dataset and dimension a cache entry holds under key, or None when
+    it holds another key or fails to load or validate."""
+    try:
+        with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as saved:
+            if saved["key"].item() != key:
+                return None
+            d = int(saved["d"])
+            return SparseDataset(*(saved[name] for name in CSR_ARRAYS), d), d
+    except Exception:   # a damaged zip raises BadZipFile, KeyError, EOFError,
+        return None     # NotImplementedError, ...; each is a miss
+
+
+def _store_entry(entry: Path, key: str, dataset: SparseDataset, d: int):
+    """Write a cache entry through a temporary file and os.replace, so a
+    reader sees a whole entry or none; skip it when that fails."""
+    partial = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        # each integer array in the narrowest type that holds it, which
+        # SparseDataset widens back to int64 on load
+        with open(partial, "wb") as handle:
+            np.savez(handle, key=key, d=d, values=dataset.values,
+                     indptr=dataset.indptr.astype(np.min_scalar_type(dataset.indptr[-1])),
+                     indices=dataset.indices.astype(np.min_scalar_type(d)),
+                     labels=dataset.labels.astype(np.int8))
+        os.replace(partial, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            partial.unlink()
+
+
+def _parse_text(source: TextIO) -> tuple[SparseDataset, int]:
+    """parse_libsvm of an open text stream."""
     blocks = []
     first_line = 1
     while lines := list(islice(source, BLOCK_LINES)):
@@ -139,27 +231,37 @@ def _parse_block(lines: list[str], first_line: int):
 def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
     """kind (int or float) of each byte span raw[lo:hi], as int64 or float64.
 
-    A span of at most EXACT_DIGITS[kind] ASCII digits converts by digit
-    arithmetic, which is exact there; kind converts every other span from
-    its text.  Returns the values of the spans before the first one kind
+    A span of one to EXACT_DIGITS[kind] ASCII digits, after at most one
+    '+' or '-', converts by digit arithmetic, which is exact there ("-0"
+    gives -0.0 as float does); kind converts every other span from its
+    text.  Returns the values of the spans before the first one kind
     rejects, and its position (lo.size when it accepts all).
     """
     out = np.empty(lo.size, np.int64 if kind is int else np.float64)
-    fast = hi - lo <= EXACT_DIGITS[kind]          # and, below, made of digits
-    lo_fast, hi_fast = lo[fast], hi[fast]
+    lead = raw[lo]
+    negative = lead == ord("-")
+    first = lo + (negative | (lead == ord("+")))  # the first digit, after a sign
+    fast = (first < hi) & (hi - first <= EXACT_DIGITS[kind])   # and, below, all digits
+    lo_fast, hi_fast = first[fast], hi[fast]
     value = np.zeros(lo_fast.size, dtype=np.int64)
     digits = np.ones(lo_fast.size, dtype=bool)
+    # Horner's rule from the first digit of the longest span: a shorter span
+    # reads zeros until its own first digit
     for back in range(int((hi_fast - lo_fast).max(initial=0)), 0, -1):
         at = hi_fast - back                       # a span's byte where at >= lo
-        inside = at >= lo_fast
         digit = raw[np.maximum(at, lo_fast)] - ord("0")
-        digits &= (digit <= 9) | ~inside
-        value = np.where(inside, value * 10 + digit, value)
+        digit *= at >= lo_fast
+        digits &= digit <= 9
+        value *= 10
+        value += digit
     fast[fast] = digits
-    out[fast] = value[digits]
+    value = value[digits].astype(out.dtype)
+    out[fast] = np.negative(value, out=value, where=negative[fast])
     slow = np.flatnonzero(~fast)
     text = raw.tobytes()
-    strings = [text[a:b].decode() for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
+    strings = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
+    if not text.isascii():   # kind reads ASCII bytes as it reads their text
+        strings = [string.decode() for string in strings]
     try:
         out[slow] = np.fromiter(map(kind, strings), out.dtype, slow.size)
     except (ValueError, OverflowError):   # find the first span kind rejects

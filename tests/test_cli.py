@@ -1,7 +1,9 @@
 """CLI harness: exit codes, trace emission, audits, grids, rate fits,
 comparisons, config hashing, and byte-level determinism."""
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,11 +311,22 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     # a non-finite regularizer weight gives non-finite certified constants
     ["run", "--T", "2", "--reg", "nan"],
     ["run", "--T", "2", "--reg", "inf"],
+    # a negative seed is refused before any command seeds numpy with it
+    ["run", "--T", "2", "--seed", "-1"],
+    ["audit", "--T", "2", "--seed", "-5", "--repeats", "3"],
+    ["grid", "--T", "2", "--seed", "-1"],
+    ["compare", "--T", "2", "--seed", "-1"],
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["run"], ["audit", "--repeats", "3"], ["grid"], ["compare"]])
+def test_negative_seed_has_one_message(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--T", "2", "--seed", "-5", "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: seed must be nonnegative, got -5\n"
 
 
 class TestParseCommand:
@@ -346,3 +359,43 @@ class TestParseCommand:
         rc = run_cli("run", "--dataset", "toy.libsvm", "--T", "3",
                      "--out", str(tmp_path / "out"))
         assert rc == EXIT_OK
+
+
+def _dataset_text() -> str:
+    rows = []
+    for i in range(24):
+        cols = [j for j in range(1, 7) if (i + j) % 3]
+        rows.append(" ".join([("+1", "-1", "0")[i % 3]]
+                             + [f"{j}:{(i - 2 * j) / 7!r}" for j in cols]))
+    return "\n".join(rows) + "\n"
+
+
+def _tree(out: Path) -> tuple:
+    """The names of the files under out, and the sha256 of names and bytes."""
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.relative_to(out).as_posix().encode() + b"\0" + p.read_bytes() + b"\0")
+    return [p.relative_to(out).as_posix() for p in files], digest.hexdigest()
+
+
+# the output tree of `run --dataset data.libsvm --T 2 --repeats 2` as the code
+# before the parse cache wrote it
+DATASET_RUN_TREE = (
+    ["trace_smg_21d4a2c8f8ce0c48_s0.csv", "trace_smg_21d4a2c8f8ce0c48_s0.json",
+     "trace_smg_21d4a2c8f8ce0c48_s1.csv", "trace_smg_21d4a2c8f8ce0c48_s1.json"],
+    "6c4d74832ca8e55f6bc06f9225a1ee2db7320ecd2e6b8edf779203ddd4b7310d")
+
+
+def test_dataset_run_is_byte_identical_cold_and_warm(tmp_path, monkeypatch):
+    """A run on a LIBSVM file writes the same tree whether it parses the file
+    (cold) or loads the parse cache entry (warm), and the entry sits beside
+    the file, not under --out."""
+    monkeypatch.chdir(tmp_path)
+    Path("data.libsvm").write_text(_dataset_text())
+    for out in ("cold", "warm"):
+        assert run_cli("run", "--dataset", "data.libsvm", "--T", "2", "--repeats", "2",
+                       "--out", out) == EXIT_OK
+        assert _tree(Path(out)) == DATASET_RUN_TREE
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cold", "data.libsvm", "data.libsvm.smgopt.npz", "warm"]

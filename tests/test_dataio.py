@@ -1,12 +1,20 @@
-"""Parser conformance, trace round-trips, and synthetic-dataset properties."""
+"""Parser conformance, the parse cache, trace round-trips, and
+synthetic-dataset properties."""
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smgopt import dataio
+from smgopt.cli import main as cli_main
 from smgopt.dataio import (
+    CACHE_SUFFIX,
+    CACHE_VERSION,
+    CSR_ARRAYS,
     ParseError,
     parse_libsvm,
     read_trace,
@@ -94,6 +102,186 @@ class TestParser:
         path.write_text("+1 1:1.0 2:-2.0\n")
         samples, d = parse_libsvm(path)
         assert d == 2 and samples[0].features[1] == (2, -2.0)
+
+
+# around the digit path's limits: EXACT_DIGITS is 15 digits for float and
+# 18 for int, after at most one sign
+SIGNED_SPANS = ["+", "-", "+-1", "-+1", "--1", "-0", "+0", "+007", "-007", "-1", "+1",
+                "-1.5", "+1e3", "-" + "9" * 15, "+" + "9" * 16, "-" + "9" * 18,
+                "+" + "9" * 18, "-" + "9" * 19, "-9223372036854775808"]
+
+
+@pytest.mark.parametrize("kind", [int, float])
+@pytest.mark.parametrize("span", SIGNED_SPANS)
+def test_signed_spans_convert_as_kind_does(span, kind):
+    """A span with a sign converts to kind(span) as an int64 or float64, sign
+    of zero included, or is rejected where kind or that type rejects it."""
+    raw = np.frombuffer(f" {span} ".encode(), np.uint8)
+    out, k = dataio._numbers(raw, np.array([1]), np.array([1 + len(span)]), kind)
+    try:
+        expected = np.array([kind(span)], out.dtype)
+    except (ValueError, OverflowError):
+        assert k == 0
+        return
+    assert k == 1 and out.tobytes() == expected.tobytes()
+
+
+def _entry(path):
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+def _files(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The text streams parsed from here on; a cache hit parses none."""
+    calls = []
+    parse_text = dataio._parse_text
+
+    def counted(source):
+        calls.append(source)
+        return parse_text(source)
+
+    monkeypatch.setattr(dataio, "_parse_text", counted)
+    return calls
+
+
+class TestParseCache:
+    # -0, a subnormal 1e-320 and 17-significant-digit values
+    TEXT = ("+1 1:-0 2:1e-320 3:0.12345678901234567\n"
+            "-1 2:-1.2345678901234567e-05 4:12345678901234567\n"
+            "0 1:-0.0 5:+007\n")
+
+    def _write(self, tmp_path, text=TEXT):
+        path = tmp_path / "data.libsvm"
+        path.write_text(text)
+        return path
+
+    def _assert_same(self, got, expected):
+        (a, d_a), (b, d_b) = got, expected
+        assert d_a == d_b == a.d == b.d
+        for name in CSR_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_hit_is_bit_identical_to_a_cold_parse(self, tmp_path, parses):
+        path = self._write(tmp_path)
+        cold = parse_libsvm(path)
+        assert _entry(path).is_file() and len(parses) == 1
+        warm = parse_libsvm(path)
+        assert len(parses) == 1
+        self._assert_same(warm, cold)
+        self._assert_same(warm, parse_libsvm(io.StringIO(self.TEXT)))
+
+    def test_same_size_rewrite_is_a_miss(self, tmp_path, parses):
+        path = self._write(tmp_path)
+        parse_libsvm(path)
+        before = _entry(path).read_bytes()
+        stamp = path.stat()
+        edited = self.TEXT.replace("5:+007", "5:+008")
+        self._write(tmp_path, edited)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        self._assert_same(parse_libsvm(path), parse_libsvm(io.StringIO(edited)))
+        assert len(parses) == 3 and _entry(path).read_bytes() != before
+        parse_libsvm(path)
+        assert len(parses) == 3
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "invalid arrays"])
+    def test_damaged_entry_is_parsed_again_and_replaced(self, tmp_path, parses, damage):
+        path = self._write(tmp_path)
+        parse_libsvm(path)
+        entry = _entry(path)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"not a cache entry")
+        else:   # the right key over arrays that SparseDataset rejects
+            with np.load(entry) as saved:
+                arrays = dict(saved)
+            arrays["labels"] = arrays["labels"] * 2
+            with open(entry, "wb") as handle:
+                np.savez(handle, **arrays)
+        self._assert_same(parse_libsvm(path), parse_libsvm(io.StringIO(self.TEXT)))
+        assert len(parses) == 3
+        parse_libsvm(path)
+        assert len(parses) == 3 and _files(tmp_path) == [path.name, entry.name]
+
+    @pytest.mark.parametrize("field", ["version", "encoding"])
+    def test_entry_of_another_version_or_encoding_is_ignored(self, tmp_path, parses,
+                                                             field):
+        path = self._write(tmp_path)
+        parse_libsvm(path)
+        entry = _entry(path)
+        with np.load(entry) as saved:
+            arrays = dict(saved)
+        version, encoding, digest = arrays["key"].item().split(" ")
+        assert version == str(CACHE_VERSION)
+        if field == "version":
+            version = str(CACHE_VERSION + 1)
+        else:
+            encoding = "utf-16" if encoding.lower() != "utf-16" else "latin-1"
+        arrays["key"] = np.array(" ".join((version, encoding, digest)))
+        with open(entry, "wb") as handle:
+            np.savez(handle, **arrays)
+        parse_libsvm(path)
+        assert len(parses) == 2
+
+    def test_read_only_directory_still_parses(self, tmp_path, monkeypatch, capsys):
+        path = self._write(tmp_path)
+        if os.geteuid() == 0:   # root writes through mode bits: fail as EACCES would
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+            monkeypatch.setattr(dataio.np, "savez", refuse)
+        tmp_path.chmod(0o555)
+        try:
+            assert cli_main(["parse", str(path)]) == 0
+        finally:
+            tmp_path.chmod(0o755)
+        assert "3 samples, dimension 5" in capsys.readouterr().out
+        assert _files(tmp_path) == [path.name]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_parsed_and_not_cached(self, tmp_path):
+        pipe = tmp_path / "data.libsvm"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(self.TEXT,))
+        writer.start()
+        try:
+            parsed = parse_libsvm(pipe)
+        finally:
+            writer.join()
+        self._assert_same(parsed, parse_libsvm(io.StringIO(self.TEXT)))
+        assert _files(tmp_path) == [pipe.name]
+
+    def test_malformed_file_raises_and_writes_nothing(self, tmp_path):
+        text = self.TEXT + "+1 3:1.0 2:0.5\n"
+        path = self._write(tmp_path, text)
+        with pytest.raises(ParseError) as from_path:
+            parse_libsvm(path)
+        with pytest.raises(ParseError) as from_text:
+            parse_libsvm(io.StringIO(text))
+        assert str(from_path.value) == str(from_text.value)
+        assert from_path.value.line_number == 4
+        assert _files(tmp_path) == [path.name]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse", "missing.libsvm"],
+         "runtime error: [Errno 2] No such file or directory: 'missing.libsvm'\n"),
+        (["parse", "folder"], "runtime error: [Errno 21] Is a directory: 'folder'\n"),
+        (["parse", "."], "runtime error: [Errno 21] Is a directory: '.'\n"),
+        (["run", "--dataset", "folder", "--T", "2", "--out", "out"],
+         "runtime error: [Errno 21] Is a directory: 'folder'\n"),
+    ])
+    def test_missing_file_and_directory_are_runtime_errors(self, argv, message, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert _files(tmp_path) == ["folder"]
 
 
 @settings(max_examples=50, deadline=None)
