@@ -6,7 +6,7 @@ weighted average of squared full-gradient norms,
     lhs = sum_t eta_t ||grad F(w_tilde_{t-1})||^2 / sum_t eta_t,
 
 refusing (rather than emitting a vacuous bound) whenever a premise is
-violated.  Three bounds are covered:
+violated or the right-hand side is not finite.  Three bounds are covered:
 
   T1 (anchored momentum, any permutation, pathwise):
       4 [F(w0) - F*] / ((1-b) S1) + 9 s^2 L^2 (5-3b) / (1-b) * S3p / S1
@@ -35,6 +35,7 @@ from .problems import Problem, ProblemConstants
 from .schedules import (
     Schedule,
     ScheduleSums,
+    StepCap,
     cap_general,
     cap_rr,
     is_non_increasing,
@@ -86,38 +87,53 @@ def _common_premises(record: RunRecord, beta: float):
     _require(bool(np.all(record.etas >= 0)), "negative learning rate in record")
 
 
+def step_cap(beta: float, constants: ProblemConstants,
+             n: int | None = None) -> tuple[StepCap, str]:
+    """The anchored-momentum step cap and its name: 1/(L sqrt(D)) under
+    randomized reshuffling over n samples, 1/(L sqrt(K)) for any permutation
+    when n is None."""
+    if n is None:
+        return cap_general(beta, constants.theta, constants.L), "1/(L sqrt(K))"
+    return cap_rr(beta, constants.theta, n, constants.L), "1/(L sqrt(D))"
+
+
+def _finite(rhs: float) -> float:
+    _require(math.isfinite(rhs),
+             f"the bound is vacuous: its right-hand side is {float(rhs)}")
+    return rhs
+
+
 def theorem1_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
                  sums: ScheduleSums) -> float:
     """Anchored-momentum bound for arbitrary permutations."""
-    _common_premises(record, beta)
-    cap = cap_general(beta, constants.theta, constants.L)
-    eta1 = float(record.etas[0])
-    _require(eta1 <= cap.max_eta * (1 + 1e-9),
-             f"eta_1 = {eta1:.3e} exceeds cap 1/(L sqrt(K)) = {cap.max_eta:.3e}")
-    delta_f = record.losses[0] - constants.f_lower
-    L = constants.L
-    first = 4.0 * delta_f / ((1.0 - beta) * sums.sum_eta)
-    second = (9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta)
-              / (1.0 - beta)) * (sums.sum_eta_prev_cubed / sums.sum_eta)
-    return first + second
+    return _anchored_rhs(record, constants, beta, sums)
 
 
 def theorem2_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
                  n: int, sums: ScheduleSums) -> float:
     """Anchored-momentum bound under randomized reshuffling (in expectation)."""
+    return _anchored_rhs(record, constants, beta, sums, n)
+
+
+def _anchored_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
+                  sums: ScheduleSums, n: int | None = None) -> float:
+    """T1's right-hand side, or T2's under randomized reshuffling over n samples."""
     _common_premises(record, beta)
-    _require(record.strategy_kind == RANDOM_RESHUFFLING,
-             f"randomized reshuffling required, run used {record.strategy_kind!r}")
-    cap = cap_rr(beta, constants.theta, n, constants.L)
+    if n is not None:
+        _require(record.strategy_kind == RANDOM_RESHUFFLING,
+                 f"randomized reshuffling required, run used {record.strategy_kind!r}")
+    cap, label = step_cap(beta, constants, n)
     eta1 = float(record.etas[0])
     _require(eta1 <= cap.max_eta * (1 + 1e-9),
-             f"eta_1 = {eta1:.3e} exceeds cap 1/(L sqrt(D)) = {cap.max_eta:.3e}")
-    delta_f = record.losses[0] - constants.f_lower
+             f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap.max_eta:.3e}")
     L = constants.L
+    if n is None:
+        variance = 9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta) / (1.0 - beta)
+    else:
+        variance = 6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L / (n * (1.0 - beta))
+    delta_f = float(record.losses[0]) - constants.f_lower
     first = 4.0 * delta_f / ((1.0 - beta) * sums.sum_eta)
-    second = (6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L
-              / (n * (1.0 - beta))) * (sums.sum_eta_prev_cubed / sums.sum_eta)
-    return first + second
+    return _finite(first + variance * (sums.sum_eta_prev_cubed / sums.sum_eta))
 
 
 def theorem3_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
@@ -132,14 +148,14 @@ def theorem3_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
              f"eta_1 = {eta1:.3e} exceeds cap 1/L = {1.0 / L:.3e}")
     G = constants.G
     beta_n = beta ** n
-    delta_f = record.losses[0] - constants.f_lower
+    delta_f = float(record.losses[0]) - constants.f_lower
     grad0_sq = float(record.grad_norms_sq[0])
     delta1 = (2.0 * delta_f + (1.0 / L + eta1) * grad0_sq
               + 2.0 * L * eta1 * eta1 * G * G)
     first = delta1 / (sums.sum_eta * (1.0 - beta_n))
     second = L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
     residual = 4.0 * beta_n * G * G / (1.0 - beta_n)
-    return first + second + residual
+    return _finite(first + second + residual)
 
 
 def _constants_dict(constants: ProblemConstants, beta: float, record: RunRecord,
@@ -194,6 +210,27 @@ def audit_theorem3(record: RunRecord, constants: ProblemConstants, beta: float,
                    n: int, sums: ScheduleSums) -> BoundReport:
     rhs = float(theorem3_rhs(record, constants, beta, n, sums))
     return _pathwise_report("T3", rhs, record, constants, beta, sums)
+
+
+def theorem_for(algo: str, strategy_kind: str) -> str:
+    """The bound audited for algo's runs: T2 for smg under randomized
+    reshuffling, T1 for smg under any other strategy, T3 for ssmg."""
+    if algo == "smg":
+        return "T2" if strategy_kind == RANDOM_RESHUFFLING else "T1"
+    if algo == "ssmg":
+        return "T3"
+    raise AuditRefusal(f"no convergence bound is audited for {algo!r}")
+
+
+def audit_runs(theorem: str, records: Sequence[RunRecord], constants: ProblemConstants,
+               beta: float, n: int, sums: ScheduleSums) -> list[BoundReport]:
+    """theorem's reports on records: one over all of them for the expectation
+    bound T2, one per record for the pathwise T1 and T3."""
+    if theorem == "T2":
+        return [audit_theorem2(records, constants, beta, n, sums)]
+    if theorem == "T1":
+        return [audit_theorem1(r, constants, beta, sums) for r in records]
+    return [audit_theorem3(r, constants, beta, n, sums) for r in records]
 
 
 # ---------------------------------------------------------------------------

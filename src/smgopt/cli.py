@@ -38,7 +38,7 @@ from .dataio import (
 )
 from .optimizers import RunAborted, RunRecord, ensemble_outcomes, ensemble_run
 from .problems import Problem, logistic_problem
-from .schedules import Schedule, cap_general, cap_rr, exceeds_cap, schedule_sums
+from .schedules import SCHEDULE_KINDS, Schedule, exceeds_cap, schedule_sums
 from .shuffling import RANDOM_RESHUFFLING, STRATEGY_KINDS, ShufflingStrategy, init_point
 
 ALGOS = ("smg", "ssmg", "sgd", "sgdm", "adam")
@@ -141,18 +141,6 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return logistic_problem(dataset, lam=cfg.reg)
 
 
-def build_schedule(cfg: ExperimentConfig, n: int,
-                   gamma: float | None = None) -> Schedule:
-    return Schedule(
-        kind=cfg.schedule,
-        gamma=cfg.gamma if gamma is None else gamma,
-        horizon=cfg.T,
-        lam=cfg.lam,
-        rho=cfg.rho,
-        rr_scale=n if cfg.rr_scaling else None,
-    )
-
-
 def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
                            lam: float = 0.0, rho: float | None = None) -> float:
     """Schedule parameter making the first per-inner-step rate equal step."""
@@ -171,7 +159,34 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
             raise UsageError("a cosine schedule over T=1 epoch has a zero first "
                              "step for every gamma; use T >= 2")
         return step * n * T ** (1.0 / 3.0) / (1.0 + math.cos(math.pi / T))
-    raise UsageError(f"unknown schedule kind {kind!r}")
+    raise UsageError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
+
+
+def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
+              **changes) -> tuple[ExperimentConfig, Schedule, np.ndarray]:
+    """One run point of cfg on n samples: its validated config, its schedule
+    and its per-epoch rates.
+
+    changes replace config fields as given.  step, when given, is a
+    per-inner-step rate: Adam takes it as its gamma, and every other method
+    the schedule parameter whose first inner step is step, divided by
+    n^(1/3) under --rr-scaling, which the schedule multiplies back.  Adam's
+    rate is its gamma in every epoch.
+    """
+    point = replace(cfg, **changes)
+    if step is not None and point.algo == "adam":
+        point.gamma = step
+    elif step is not None:
+        point.gamma = gamma_for_initial_step(point.schedule, step, n, point.T,
+                                             point.lam, point.rho)
+        if point.rr_scaling:
+            point.gamma /= n ** (1.0 / 3.0)
+    point.validate()
+    schedule = Schedule(kind=point.schedule, gamma=point.gamma, horizon=point.T,
+                        lam=point.lam, rho=point.rho,
+                        rr_scale=n if point.rr_scaling else None)
+    etas = np.full(point.T, float(point.gamma)) if point.algo == "adam" else schedule.etas()
+    return point, schedule, etas
 
 
 def _strategies(cfg: ExperimentConfig) -> list[ShufflingStrategy]:
@@ -180,15 +195,10 @@ def _strategies(cfg: ExperimentConfig) -> list[ShufflingStrategy]:
             for seed in range(cfg.seed, cfg.seed + cfg.repeats)]
 
 
-def _etas(cfg: ExperimentConfig, schedule: Schedule) -> np.ndarray:
-    """Per-epoch rates of cfg's runs; Adam takes gamma as its per-step rate."""
-    return np.full(cfg.T, float(cfg.gamma)) if cfg.algo == "adam" else schedule.etas()
-
-
-def seeded_runs(problem: Problem, cfg: ExperimentConfig, schedule: Schedule,
+def seeded_runs(problem: Problem, cfg: ExperimentConfig, etas: np.ndarray,
                 w0=None) -> list[RunRecord]:
     """cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1, in lockstep."""
-    records = ensemble_run(cfg.algo, problem, _etas(cfg, schedule), _strategies(cfg),
+    records = ensemble_run(cfg.algo, problem, etas, _strategies(cfg),
                            cfg.resolved_beta, w0)
     config_hash = cfg.hash()
     for record in records:
@@ -205,50 +215,27 @@ def write_table(path: Path, cfg: ExperimentConfig, header: str, rows) -> Path:
     return path
 
 
-def check_cap(cfg: ExperimentConfig, problem: Problem, schedule: Schedule):
-    beta = cfg.resolved_beta
-    constants = problem.constants
-    if cfg.strategy == RANDOM_RESHUFFLING:
-        cap = cap_rr(beta, constants.theta, problem.n, constants.L)
-        label = "1/(L sqrt(D))"
-    else:
-        cap = cap_general(beta, constants.theta, constants.L)
-        label = "1/(L sqrt(K))"
-    if exceeds_cap(schedule, cap):
-        raise AuditRefusal(
-            f"eta_1 = {schedule.eta(1):.6e} exceeds the step cap "
-            f"{label} = {cap.max_eta:.6e}")
-
-
-def audit_records(cfg: ExperimentConfig, problem: Problem, schedule: Schedule,
-                  records: list[RunRecord]) -> list[BoundReport]:
-    sums = schedule_sums(schedule)
-    beta = cfg.resolved_beta
-    constants = problem.constants
-    if cfg.algo == "smg":
-        if cfg.strategy == RANDOM_RESHUFFLING:
-            return [audit_mod.audit_theorem2(records, constants, beta,
-                                             problem.n, sums)]
-        return [audit_mod.audit_theorem1(r, constants, beta, sums) for r in records]
-    if cfg.algo == "ssmg":
-        return [audit_mod.audit_theorem3(r, constants, beta, problem.n, sums)
-                for r in records]
-    raise AuditRefusal(f"no convergence bound is audited for {cfg.algo!r}")
-
-
 def run_experiment(cfg: ExperimentConfig, with_audit: bool):
-    """Shared driver for the run and audit subcommands."""
+    """Shared driver for the run and audit subcommands: the records of cfg's
+    seeds and, with_audit, their bound reports."""
     problem = build_problem(cfg)
-    schedule = build_schedule(cfg, problem.n)
+    cfg, schedule, etas = run_point(cfg, problem.n)
+    beta, constants = cfg.resolved_beta, problem.constants
     if cfg.enforce_cap:
-        check_cap(cfg, problem, schedule)
+        reshuffled = cfg.strategy == RANDOM_RESHUFFLING
+        cap, label = audit_mod.step_cap(beta, constants, problem.n if reshuffled else None)
+        if exceeds_cap(schedule, cap):
+            raise AuditRefusal(
+                f"eta_1 = {schedule.eta(1):.6e} exceeds the step cap "
+                f"{label} = {cap.max_eta:.6e}")
+    theorem = audit_mod.theorem_for(cfg.algo, cfg.strategy) if with_audit else None
     # the expectation audit conditions on one starting point shared by seeds
-    shared_w0 = None
-    if with_audit and cfg.algo == "smg" and cfg.strategy == RANDOM_RESHUFFLING:
-        shared_w0 = init_point(problem.d, cfg.seed)
-    records = seeded_runs(problem, cfg, schedule, shared_w0)
-    reports = audit_records(cfg, problem, schedule, records) if with_audit else []
-    return problem, schedule, records, reports
+    shared_w0 = init_point(problem.d, cfg.seed) if theorem == "T2" else None
+    records = seeded_runs(problem, cfg, etas, shared_w0)
+    if theorem is None:
+        return records, []
+    return records, audit_mod.audit_runs(theorem, records, constants, beta, problem.n,
+                                         schedule_sums(schedule))
 
 
 def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
@@ -288,26 +275,6 @@ def paper_grids(algo: str, schedule_kind: str) -> dict:
     return grids
 
 
-def _grid_points(cfg: ExperimentConfig, steps, lams, rhos, betas,
-                 n: int) -> list[tuple[float, ExperimentConfig, np.ndarray]]:
-    """(step, config, per-epoch rates) of each grid point; None keeps cfg's."""
-    points = []
-    for step, lam, rho, beta in itertools.product(steps, lams, rhos, betas):
-        point = replace(cfg, lam=cfg.lam if lam is None else lam,
-                        rho=cfg.rho if rho is None else rho,
-                        beta=cfg.beta if beta is None else beta)
-        if cfg.algo == "adam":
-            point.gamma = step
-        else:
-            point.gamma = gamma_for_initial_step(cfg.schedule, step, n, cfg.T,
-                                                 point.lam, point.rho)
-            if cfg.rr_scaling:
-                point.gamma /= n ** (1.0 / 3.0)
-        point.validate()
-        points.append((step, point, _etas(point, build_schedule(point, n))))
-    return points
-
-
 def _grid_row(step: float, point: ExperimentConfig, outcomes: list) -> dict:
     """A grid point's row from its seeds' records or aborts, in seed order."""
     row = {"step": step, "point": point, "status": "ok", "abort_epoch": "",
@@ -328,7 +295,7 @@ def _grid_row(step: float, point: ExperimentConfig, outcomes: list) -> dict:
 
 def cmd_run(args) -> int:
     cfg = config_from_args(args)
-    problem, schedule, records, reports = run_experiment(cfg, args.audit)
+    records, reports = run_experiment(cfg, args.audit)
     paths = write_outputs(cfg, records, reports, Path(args.out))
     for record, path in zip(records, paths):
         print(f"seed {record.seed}: final loss {record.losses[-1]:.6e}, "
@@ -340,7 +307,7 @@ def cmd_run(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = config_from_args(args)
-    problem, schedule, records, reports = run_experiment(cfg, with_audit=True)
+    records, reports = run_experiment(cfg, with_audit=True)
     out = Path(args.out)
     write_outputs(cfg, records, reports, out)
     payload = [r.to_dict() for r in reports]
@@ -359,21 +326,24 @@ def cmd_grid(args) -> int:
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
         steps = sorted(set(g["coarse"]) | set(g["fine"]), reverse=True)
-        lams, rhos, betas = g["lam"], g["rho"], g["beta"]
+        axes = {name: g[name] for name in ("lam", "rho", "beta")}
     else:
         steps = _parse_float_list(args.gamma_grid) or [cfg.gamma]
-        lams = _parse_float_list(args.lambda_grid) or [None]
-        rhos = _parse_float_list(args.rho_grid) or [None]
-        betas = _parse_float_list(args.beta_grid) or [None]
-    points = _grid_points(cfg, steps, lams, rhos, betas, problem.n)
+        axes = {"lam": _parse_float_list(args.lambda_grid) or [None],
+                "rho": _parse_float_list(args.rho_grid) or [None],
+                "beta": _parse_float_list(args.beta_grid) or [None]}
+    # (step, config, schedule, per-epoch rates) of each point; None keeps cfg's value
+    points = [(step, *run_point(cfg, problem.n, step, **{
+                   name: value for name, value in zip(axes, values) if value is not None}))
+              for step, *values in itertools.product(steps, *axes.values())]
 
     # every point runs every seed: one lockstep ensemble, members point-major
     seeds = _strategies(cfg)
     outcomes = ensemble_outcomes(
         cfg.algo, problem, np.repeat([etas for *_, etas in points], len(seeds), axis=0),
-        seeds * len(points), [p.resolved_beta for _, p, _ in points for _ in seeds])
+        seeds * len(points), [p.resolved_beta for _, p, *_ in points for _ in seeds])
     rows = [_grid_row(step, point, outcomes[k * len(seeds):(k + 1) * len(seeds)])
-            for k, (step, point, _) in enumerate(points)]
+            for k, (step, point, *_) in enumerate(points)]
 
     rows.sort(key=lambda r: (r["status"] != "ok", r["final_loss"]))
     header = "rank,step,gamma,lam,rho,beta,final_loss,weighted_grad_avg,status,abort_epoch,hash"
@@ -441,13 +411,9 @@ def cmd_compare(args) -> int:
         beta = None   # per-method default momentum, but smg and ssmg share one
         if method in ("smg", "ssmg"):
             beta = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
-        mcfg = replace(cfg, algo=method, beta=beta)
-        if method != "adam":
-            mcfg.gamma = gamma_for_initial_step(cfg.schedule, cfg.gamma,
-                                                problem.n, cfg.T, cfg.lam, cfg.rho)
-        schedule = build_schedule(mcfg, problem.n)
+        point, _, etas = run_point(cfg, problem.n, cfg.gamma, algo=method, beta=beta)
         curves[method] = np.stack([record.losses for record in
-                                   seeded_runs(problem, mcfg, schedule)])
+                                   seeded_runs(problem, point, etas)])
 
     if cfg.repeats == 1:
         header = "epoch," + ",".join(f"loss_{m}" for m in methods)
@@ -539,11 +505,6 @@ def config_from_args(args) -> ExperimentConfig:
     # every config field has a flag whose dest is the field's name
     cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     cfg.validate()
-    # construct once so malformed schedule parameters fail as usage errors
-    try:
-        build_schedule(cfg, n=max(cfg.synth_n, 1))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return cfg
 
 

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 from itertools import islice
 from pathlib import Path
@@ -39,6 +40,7 @@ CACHE_SUFFIX = ".smgopt.npz"
 CACHE_VERSION = 1
 HASH_BLOCK = 1 << 20
 CSR_ARRAYS = ("indptr", "indices", "values", "labels")
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -60,7 +62,7 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
     ParseError with its line number.
 
     A path to a regular file is read in the locale's text encoding, as
-    open() reads it.  Its arrays are loaded from the cache entry
+    open() reads it; a byte that does not decode is a ParseError.  Its arrays are loaded from the cache entry
     `<file>.smgopt.npz` when the entry's key matches CACHE_VERSION, that
     encoding and the sha256 of the file's bytes; otherwise the file is
     parsed and the entry (re)written under the hash of the bytes parsed,
@@ -70,7 +72,8 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
         return _parse_text(source)
     with open(source, "rb", buffering=0) as file:
         hashing = _Hashing(file)
-        text = io.TextIOWrapper(io.BufferedReader(hashing))
+        # an undecodable byte reads as a lone surrogate, which _parse_block refuses
+        text = io.TextIOWrapper(io.BufferedReader(hashing), errors="surrogateescape")
         entry = (Path(source).with_name(Path(source).name + CACHE_SUFFIX)
                  if stat.S_ISREG(os.fstat(file.fileno()).st_mode) else None)
         if entry and entry.is_file():
@@ -166,7 +169,14 @@ def _parse_block(lines: list[str], first_line: int):
     if text.isascii():
         data = text.encode()
     else:   # UTF-8 holds no multibyte character with a space or colon byte
-        lines = [" ".join(line.split()).encode() for line in lines]
+        try:
+            lines = [" ".join(line.split()).encode() for line in lines]
+        except UnicodeEncodeError:   # a lone surrogate, the form of an undecodable byte
+            j, char = next((j, found.group()) for j, line in enumerate(lines)
+                           if (found := LONE_SURROGATE.search(line)))
+            _parse_block(lines[:j], first_line)   # an earlier line raises its own error
+            raise ParseError(first_line + j,
+                             f"undecodable byte 0x{ord(char) & 0xFF:02x}") from None
         data = b"\n".join(lines)
     # raw pads the text with a space at each end; line j starts at begin[j]
     raw = np.frombuffer(b" " + data + b" ", np.uint8)

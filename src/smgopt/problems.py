@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,26 +70,13 @@ class ProblemConstants:
         return math.isfinite(self.G)
 
 
-@dataclass(frozen=True)
-class SparseSample:
-    """One labeled sparse example: label in {-1, +1}, features as sorted
-    (1-based index, value) pairs with strictly increasing indices.  Indexing
-    or iterating a SparseDataset gives its rows in this form."""
+class SparseSample(NamedTuple):
+    """One labeled sparse row of a SparseDataset, as indexing or iterating
+    it gives them: label in {-1, +1}, features as (1-based index, value)
+    pairs with strictly increasing indices."""
 
     label: int
     features: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-        prev = 0
-        for idx, _ in self.features:
-            if idx <= prev:
-                raise ValueError(
-                    f"feature indices must be strictly increasing and >= 1, "
-                    f"got {idx} after {prev}"
-                )
-            prev = idx
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,6 +201,19 @@ class TestRefusalAndSoundness:
             with pytest.raises(AuditRefusal):
                 fn()
 
+    @pytest.mark.parametrize("rhs", [
+        lambda rec, consts, sums: theorem1_rhs(rec, consts, 0.0, sums),
+        lambda rec, consts, sums: theorem2_rhs(rec, consts, 0.0, 4, sums),
+        lambda rec, consts, sums: theorem3_rhs(rec, consts, 0.0, 4, sums),
+    ], ids=["T1", "T2", "T3"])
+    def test_vacuous_bound_refused(self, rhs):
+        # rates this small sum to a subnormal, whose reciprocal overflows
+        rec = self._record_with_etas([1e-320] * 3)
+        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
+        sums = schedule_sums(Schedule("constant", gamma=1e-320, horizon=3))
+        with pytest.raises(AuditRefusal, match="vacuous"):
+            rhs(rec, consts, sums)
+
     def test_refusals_never_report_satisfied(self):
         prob = quad_problem()
         beta = 0.5

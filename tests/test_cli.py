@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smgopt import cli
 from smgopt.cli import (
     EXIT_ABORT,
     EXIT_OK,
@@ -220,6 +221,17 @@ class TestGridCommand:
         sch = Schedule("exponential", gamma=gamma, horizon=10, rho=0.99)
         assert sch.eta(1) / 32 == pytest.approx(0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("grid, rhos", [
+        (["--paper-grids"], {0.99, 0.995, 0.999}),
+        (["--rho-grid", "0.9,0.99"], {0.9, 0.99}),
+    ])
+    def test_exponential_grid_takes_rho_from_the_grid(self, grid, rhos, tmp_path):
+        rc = run_cli("grid", "--schedule", "exponential", *grid, "--T", "2",
+                     "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        rows = (tmp_path / "grid_results.csv").read_text().strip().splitlines()[2:]
+        assert {float(row.split(",")[4]) for row in rows} == rhos
+
 
 class TestRateCommand:
     def test_two_horizons_low_confidence(self, tmp_path, capsys):
@@ -292,6 +304,67 @@ class TestCompareCommand:
         assert rc == EXIT_USAGE
 
 
+def spy_first_steps(monkeypatch) -> list:
+    """The first per-inner-step rate of each ensemble the CLI starts."""
+    first = []
+
+    def spy(run):
+        def spied(algo, problem, etas, *args, **kwargs):
+            first.append(float(np.asarray(etas).flat[0]) / problem.n)
+            return run(algo, problem, etas, *args, **kwargs)
+        return spied
+    monkeypatch.setattr(cli, "ensemble_outcomes", spy(cli.ensemble_outcomes))
+    monkeypatch.setattr(cli, "ensemble_run", spy(cli.ensemble_run))
+    return first
+
+
+@pytest.mark.parametrize("rr", [[], ["--rr-scaling"]], ids=["plain", "rr-scaling"])
+@pytest.mark.parametrize("schedule", [
+    ["--schedule", "constant"],
+    ["--schedule", "diminishing", "--lambda", "2"],
+    ["--schedule", "exponential", "--rho", "0.9"],
+    ["--schedule", "cosine"],
+], ids=lambda flags: flags[1])
+def test_grid_and_compare_take_gamma_as_the_first_inner_step(schedule, rr, tmp_path,
+                                                             monkeypatch):
+    first = spy_first_steps(monkeypatch)
+    flags = [*schedule, *rr, "--T", "5", "--synth-n", "64"]
+    assert run_cli("grid", "--gamma-grid", "0.01", *flags,
+                   "--out", str(tmp_path / "grid")) == EXIT_OK
+    assert run_cli("compare", "--methods", "smg", "--gamma", "0.01", *flags,
+                   "--out", str(tmp_path / "compare")) == EXIT_OK
+    assert first == pytest.approx([0.01, 0.01], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--gamma", "1e-320", "--T", "2", "--audit", "--strategy", "inc"],
+    ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
+    ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2", "--audit",
+     "--strategy", "once"],
+], ids=["T1", "T2", "T3"])
+def test_vacuous_bound_is_refused_and_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_REFUSAL
+    assert capsys.readouterr().err == (
+        "audit refusal: premises unmet: the bound is vacuous: its right-hand side is inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--algo", "sgd", "--repeats", "200"],
+    ["run", "--algo", "sgdm", "--audit"],
+])
+def test_command_without_a_bound_refuses_before_running(argv, tmp_path, capsys,
+                                                        monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "ensemble_run", unreachable)
+    assert run_cli(*argv, "--T", "4", "--out", str(tmp_path)) == EXIT_REFUSAL
+    algo = argv[argv.index("--algo") + 1]
+    assert capsys.readouterr().err == (
+        f"audit refusal: premises unmet: no convergence bound is audited for {algo!r}\n")
+
+
 @pytest.mark.parametrize("command", ["grid", "compare"])
 def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     # eta_1 = 0 at T = 1, so no schedule parameter gives the requested step
@@ -343,6 +416,12 @@ class TestParseCommand:
         path = tmp_path / "bad.libsvm"
         path.write_text("+1 3:1.0 2:0.5\n")
         assert run_cli("parse", str(path)) == EXIT_ABORT
+
+    def test_undecodable_file_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"+1 1:0.5 2:\xff\n")
+        assert run_cli("parse", str(path)) == EXIT_ABORT
+        assert capsys.readouterr().err == "runtime error: line 1: undecodable byte 0xff\n"
 
     def test_missing_dataset_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SMG_DATA_DIR", raising=False)

@@ -267,6 +267,27 @@ class TestParseCache:
         assert from_path.value.line_number == 4
         assert _files(tmp_path) == [path.name]
 
+    @pytest.mark.parametrize("data, message", [
+        (b"+1 1:0.5 2:\xff\n", "line 1: undecodable byte 0xff"),
+        (TEXT.encode() + b"-1 1:\xfe0.5\n", "line 4: undecodable byte 0xfe"),
+        # an earlier malformed line keeps its own error
+        (b"+1 1:0.5\nbad 2:1\n+1 2:\xfe\n", "line 2: unparsable label 'bad'"),
+    ], ids=["first line", "after valid lines", "earlier error first"])
+    def test_undecodable_bytes_raise_and_write_nothing(self, tmp_path, data, message):
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_libsvm(path)
+        assert _files(tmp_path) == [path.name]
+
+    def test_cache_entry_is_not_a_dataset(self, tmp_path):
+        path = self._write(tmp_path)
+        parse_libsvm(path)
+        entry = _entry(path)
+        with pytest.raises(ParseError, match="undecodable byte"):
+            parse_libsvm(entry)
+        assert _files(tmp_path) == [path.name, entry.name]
+
     @pytest.mark.parametrize("argv, message", [
         (["parse", "missing.libsvm"],
          "runtime error: [Errno 2] No such file or directory: 'missing.libsvm'\n"),
