@@ -1,5 +1,11 @@
 """Shuffling gradient methods with momentum, schedules, and bound audits."""
 
+import os
+
+# Every BLAS call here is small and sequential, so an OpenBLAS worker pool only
+# adds start-up time; set before numpy loads, and a caller's own value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .problems import (
     DimensionMismatch,
     Problem,

@@ -214,7 +214,11 @@ def audit_theorem3(record: RunRecord, constants: ProblemConstants, beta: float,
 
 def theorem_for(algo: str, strategy_kind: str) -> str:
     """The bound audited for algo's runs: T2 for smg under randomized
-    reshuffling, T1 for smg under any other strategy, T3 for ssmg."""
+    reshuffling, T1 for smg under any other strategy, T3 for ssmg.
+
+    T3 assumes one permutation for all epochs, and ssmg meets it under every
+    strategy: it steps along the strategy's epoch-1 permutation in each
+    epoch, so reshuffling gives it no fresh permutation."""
     if algo == "smg":
         return "T2" if strategy_kind == RANDOM_RESHUFFLING else "T1"
     if algo == "ssmg":

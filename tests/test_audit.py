@@ -17,6 +17,7 @@ from smgopt.audit import (
     theorem1_rhs,
     theorem2_rhs,
     theorem3_rhs,
+    theorem_for,
 )
 from smgopt.optimizers import RunRecord, smg_run, ssmg_run
 from smgopt.problems import ProblemConstants, logistic_problem, quadratic_mean_problem
@@ -179,6 +180,22 @@ class TestTheorem3:
         rec = ssmg_run(prob, sch, ShufflingStrategy("inc", 0), beta=0.2)
         with pytest.raises(AuditRefusal):
             theorem3_rhs(rec, prob.constants, 0.2, prob.n, schedule_sums(sch))
+
+    @pytest.mark.parametrize("kind", ["rr", "once", "inc"])
+    def test_every_ssmg_strategy_keeps_one_permutation(self, kind):
+        # T3 assumes one permutation for all epochs; ssmg steps along its
+        # strategy's epoch-1 permutation in every epoch, even under rr
+        assert theorem_for("ssmg", kind) == "T3"
+        prob = quad_problem(n=6, d=2, seed=4)
+        sch = Schedule("constant", gamma=0.1, horizon=4)
+        strat = ShufflingStrategy(kind, 5)
+        ssmg = [e.permutation for e in ssmg_run(prob, sch, strat, 0.3, inner_trace=True).epochs]
+        smg = [e.permutation for e in smg_run(prob, sch, strat, 0.3, inner_trace=True).epochs]
+        assert len(ssmg) == 4
+        for perm in ssmg[1:]:
+            np.testing.assert_array_equal(perm, ssmg[0])
+        # smg under the same rr strategy draws a fresh permutation per epoch
+        assert (len({p.tobytes() for p in smg}) > 1) == (kind == "rr")
 
 
 class TestRefusalAndSoundness:

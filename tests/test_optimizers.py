@@ -158,15 +158,6 @@ class TestRecursiveMomentum:
             expected = beta * m0 + (1 - beta) * cur.gradients[0]
             assert np.max(np.abs(cur.momenta[0] - expected)) <= 1e-14
 
-    def test_fixed_permutation_reused(self):
-        prob = quad_problem(n=6, d=2, seed=4)
-        sch = Schedule("constant", gamma=0.1, horizon=4)
-        rec = ssmg_run(prob, sch, ShufflingStrategy("rr", 8), beta=0.3,
-                       inner_trace=True)
-        first = rec.epochs[0].permutation
-        for epoch in rec.epochs[1:]:
-            np.testing.assert_array_equal(epoch.permutation, first)
-
 
 class TestRunRecord:
     def test_determinism_bit_stable(self):
