@@ -49,15 +49,11 @@ from .audit import (
     BoundReport,
     IdentityCheck,
     RateFit,
-    audit_theorem1,
-    audit_theorem2,
-    audit_theorem3,
+    audit_runs,
+    bound_rhs,
     fit_power_law,
     fit_rate,
     identity_suite,
-    theorem1_rhs,
-    theorem2_rhs,
-    theorem3_rhs,
 )
 from .dataio import (
     ParseError,

@@ -80,13 +80,6 @@ def _require(condition: bool, reason: str):
         raise AuditRefusal(reason)
 
 
-def _common_premises(record: RunRecord, beta: float):
-    _require(0 <= beta < 1, f"momentum weight {beta} outside [0, 1)")
-    _require(is_non_increasing(record.etas),
-             "learning-rate sequence is not non-increasing")
-    _require(bool(np.all(record.etas >= 0)), "negative learning rate in record")
-
-
 def step_cap(beta: float, constants: ProblemConstants,
              n: int | None = None) -> tuple[StepCap, str]:
     """The anchored-momentum step cap and its name: 1/(L sqrt(D)) under
@@ -97,119 +90,54 @@ def step_cap(beta: float, constants: ProblemConstants,
     return cap_rr(beta, constants.theta, n, constants.L), "1/(L sqrt(D))"
 
 
-def _finite(rhs: float) -> float:
-    _require(math.isfinite(rhs),
-             f"the bound is vacuous: its right-hand side is {float(rhs)}")
-    return rhs
+def bound_rhs(theorem: str, record: RunRecord, constants: ProblemConstants,
+              beta: float, n: int, sums: ScheduleSums) -> float:
+    """The right-hand side of theorem ("T1", "T2" or "T3", see the module
+    docstring) for record's run over n samples; T1 does not depend on n.
 
-
-def theorem1_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
-                 sums: ScheduleSums) -> float:
-    """Anchored-momentum bound for arbitrary permutations."""
-    return _anchored_rhs(record, constants, beta, sums)
-
-
-def theorem2_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
-                 n: int, sums: ScheduleSums) -> float:
-    """Anchored-momentum bound under randomized reshuffling (in expectation)."""
-    return _anchored_rhs(record, constants, beta, sums, n)
-
-
-def _anchored_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
-                  sums: ScheduleSums, n: int | None = None) -> float:
-    """T1's right-hand side, or T2's under randomized reshuffling over n samples."""
-    _common_premises(record, beta)
-    if n is not None:
-        _require(record.strategy_kind == RANDOM_RESHUFFLING,
-                 f"randomized reshuffling required, run used {record.strategy_kind!r}")
-    cap, label = step_cap(beta, constants, n)
-    eta1 = float(record.etas[0])
-    _require(eta1 <= cap.max_eta * (1 + 1e-9),
-             f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap.max_eta:.3e}")
-    L = constants.L
-    if n is None:
-        variance = 9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta) / (1.0 - beta)
+    Refuses when a premise or the step cap fails, or when the right-hand
+    side is not finite.
+    """
+    if theorem not in ("T1", "T2", "T3"):
+        raise ValueError(f"unknown theorem {theorem!r}")
+    _require(0 <= beta < 1, f"momentum weight {beta} outside [0, 1)")
+    _require(is_non_increasing(record.etas),
+             "learning-rate sequence is not non-increasing")
+    _require(bool(np.all(record.etas >= 0)), "negative learning rate in record")
+    L, eta1 = constants.L, float(record.etas[0])
+    delta_f = float(record.losses[0]) - constants.f_lower
+    if theorem == "T3":
+        _require(constants.has_finite_G,
+                 "bounded component gradients required; G is not finite")
+        _require(eta1 <= (1.0 / L) * (1 + 1e-9),
+                 f"eta_1 = {eta1:.3e} exceeds cap 1/L = {1.0 / L:.3e}")
+        G, beta_n = constants.G, beta ** n
+        delta1 = (2.0 * delta_f + (1.0 / L + eta1) * float(record.grad_norms_sq[0])
+                  + 2.0 * L * eta1 * eta1 * G * G)
+        rhs = (delta1 / (sums.sum_eta * (1.0 - beta_n))
+               + L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
+               + 4.0 * beta_n * G * G / (1.0 - beta_n))
     else:
-        variance = 6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L / (n * (1.0 - beta))
-    delta_f = float(record.losses[0]) - constants.f_lower
-    first = 4.0 * delta_f / ((1.0 - beta) * sums.sum_eta)
-    return _finite(first + variance * (sums.sum_eta_prev_cubed / sums.sum_eta))
-
-
-def theorem3_rhs(record: RunRecord, constants: ProblemConstants, beta: float,
-                 n: int, sums: ScheduleSums) -> float:
-    """Recursive-momentum bound under one fixed permutation."""
-    _common_premises(record, beta)
-    _require(constants.has_finite_G,
-             "bounded component gradients required; G is not finite")
-    L = constants.L
-    eta1 = float(record.etas[0])
-    _require(eta1 <= (1.0 / L) * (1 + 1e-9),
-             f"eta_1 = {eta1:.3e} exceeds cap 1/L = {1.0 / L:.3e}")
-    G = constants.G
-    beta_n = beta ** n
-    delta_f = float(record.losses[0]) - constants.f_lower
-    grad0_sq = float(record.grad_norms_sq[0])
-    delta1 = (2.0 * delta_f + (1.0 / L + eta1) * grad0_sq
-              + 2.0 * L * eta1 * eta1 * G * G)
-    first = delta1 / (sums.sum_eta * (1.0 - beta_n))
-    second = L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
-    residual = 4.0 * beta_n * G * G / (1.0 - beta_n)
-    return _finite(first + second + residual)
+        reshuffled = theorem == "T2"
+        _require(not reshuffled or record.strategy_kind == RANDOM_RESHUFFLING,
+                 f"randomized reshuffling required, run used {record.strategy_kind!r}")
+        cap, label = step_cap(beta, constants, n if reshuffled else None)
+        _require(eta1 <= cap.max_eta * (1 + 1e-9),
+                 f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap.max_eta:.3e}")
+        if reshuffled:
+            variance = 6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L / (n * (1.0 - beta))
+        else:
+            variance = 9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta) / (1.0 - beta)
+        rhs = (4.0 * delta_f / ((1.0 - beta) * sums.sum_eta)
+               + variance * (sums.sum_eta_prev_cubed / sums.sum_eta))
+    _require(math.isfinite(rhs), f"the bound is vacuous: its right-hand side is {float(rhs)}")
+    return float(rhs)
 
 
 def _constants_dict(constants: ProblemConstants, beta: float, record: RunRecord,
                     sums: ScheduleSums) -> dict:
     return {**asdict(constants), "G": constants.G if constants.has_finite_G else "inf",
             "beta": beta, "F_w0": float(record.losses[0]), **sums._asdict()}
-
-
-def _pathwise_report(theorem: str, rhs: float, record: RunRecord,
-                     constants: ProblemConstants, beta: float,
-                     sums: ScheduleSums) -> BoundReport:
-    lhs = record.weighted_grad_avg()
-    satisfied = bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL))
-    return BoundReport(theorem, lhs, rhs, _constants_dict(constants, beta, record, sums),
-                       satisfied, rhs - lhs)
-
-
-def audit_theorem1(record: RunRecord, constants: ProblemConstants, beta: float,
-                   sums: ScheduleSums) -> BoundReport:
-    rhs = float(theorem1_rhs(record, constants, beta, sums))
-    return _pathwise_report("T1", rhs, record, constants, beta, sums)
-
-
-def audit_theorem2(records: Sequence[RunRecord], constants: ProblemConstants,
-                   beta: float, n: int, sums: ScheduleSums) -> BoundReport:
-    """Seed-averaged audit of the expectation bound.
-
-    The right-hand side is evaluated once (all runs must share the starting
-    point); the left-hand side is the sample mean over runs, compared with a
-    three-standard-error Monte Carlo allowance.
-    """
-    if not records:
-        raise ValueError("need at least one run to audit")
-    f0 = records[0].losses[0]
-    for r in records:
-        _require(abs(r.losses[0] - f0) <= 1e-9 * (1 + abs(f0)),
-                 "runs do not share the starting point; expectation bound "
-                 "conditions on a common initial iterate")
-    rhs = float(theorem2_rhs(records[0], constants, beta, n, sums))
-    values = np.array([r.weighted_grad_avg() for r in records])
-    lhs = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    satisfied = bool(lhs <= rhs + 3.0 * se + SATISFACTION_REL_TOL * rhs)
-    report = BoundReport("T2", lhs, rhs,
-                         _constants_dict(constants, beta, records[0], sums),
-                         satisfied, rhs - lhs)
-    report.extras = {"n_runs": int(values.size), "std_error": se}
-    return report
-
-
-def audit_theorem3(record: RunRecord, constants: ProblemConstants, beta: float,
-                   n: int, sums: ScheduleSums) -> BoundReport:
-    rhs = float(theorem3_rhs(record, constants, beta, n, sums))
-    return _pathwise_report("T3", rhs, record, constants, beta, sums)
 
 
 def theorem_for(algo: str, strategy_kind: str) -> str:
@@ -228,13 +156,36 @@ def theorem_for(algo: str, strategy_kind: str) -> str:
 
 def audit_runs(theorem: str, records: Sequence[RunRecord], constants: ProblemConstants,
                beta: float, n: int, sums: ScheduleSums) -> list[BoundReport]:
-    """theorem's reports on records: one over all of them for the expectation
-    bound T2, one per record for the pathwise T1 and T3."""
-    if theorem == "T2":
-        return [audit_theorem2(records, constants, beta, n, sums)]
-    if theorem == "T1":
-        return [audit_theorem1(r, constants, beta, sums) for r in records]
-    return [audit_theorem3(r, constants, beta, n, sums) for r in records]
+    """theorem's reports on records: one per record for the pathwise T1 and
+    T3, one over all of them for the expectation bound T2.
+
+    T2's right-hand side is evaluated once, so all runs must share the
+    starting point; its left-hand side is the sample mean over runs,
+    compared with a three-standard-error Monte Carlo allowance.
+    """
+    if theorem != "T2":
+        reports = []
+        for record in records:
+            rhs = bound_rhs(theorem, record, constants, beta, n, sums)
+            lhs = record.weighted_grad_avg()
+            reports.append(BoundReport(
+                theorem, lhs, rhs, _constants_dict(constants, beta, record, sums),
+                bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL)), rhs - lhs))
+        return reports
+    if not records:
+        raise ValueError("need at least one run to audit")
+    f0 = records[0].losses[0]
+    for r in records:
+        _require(abs(r.losses[0] - f0) <= 1e-9 * (1 + abs(f0)),
+                 "runs do not share the starting point; expectation bound "
+                 "conditions on a common initial iterate")
+    rhs = bound_rhs("T2", records[0], constants, beta, n, sums)
+    values = np.array([r.weighted_grad_avg() for r in records])
+    lhs = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    satisfied = bool(lhs <= rhs + 3.0 * se + SATISFACTION_REL_TOL * rhs)
+    return [BoundReport("T2", lhs, rhs, _constants_dict(constants, beta, records[0], sums),
+                        satisfied, rhs - lhs, {"n_runs": int(values.size), "std_error": se})]
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +201,21 @@ class RateFit:
     low_confidence: bool = False
 
 
+def _check_horizons(horizons: Sequence[int]):
+    """Refuse horizons a slope cannot be fitted over."""
+    if len(horizons) < 2:
+        raise ValueError("need at least two horizons to fit a slope")
+    if any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
+        raise ValueError("horizons must be strictly increasing")
+
+
 def fit_power_law(horizons: Sequence[int], metrics: Sequence[float]) -> RateFit:
     """Least-squares slope of log(metric) against log(T)."""
     horizons = list(horizons)
     metrics = [float(m) for m in metrics]
     if len(horizons) != len(metrics):
         raise ValueError("horizons and metrics must have equal length")
-    if len(horizons) < 2:
-        raise ValueError("need at least two horizons to fit a slope")
-    if any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing")
+    _check_horizons(horizons)
     if any(m <= 0 for m in metrics):
         raise ValueError("metrics must be positive for a log-log fit")
     x = np.log(np.asarray(horizons, dtype=float))
@@ -277,8 +233,10 @@ def fit_rate(problem: Problem, horizons: Sequence[int], gamma: float,
     Each horizon uses its own constant schedule gamma / T^(1/3); the metric
     per horizon is the median over seeds of the weighted average squared
     gradient norm of the anchored-momentum method, whose seeds advance in
-    lockstep.
+    lockstep.  The horizons are checked before the first run.
     """
+    horizons = list(horizons)
+    _check_horizons(horizons)
     strategies = [ShufflingStrategy(strategy_kind, base_seed + s)
                   for s in range(n_seeds)]
     metrics = []
@@ -286,7 +244,7 @@ def fit_rate(problem: Problem, horizons: Sequence[int], gamma: float,
         schedule = Schedule(kind="constant", gamma=gamma, horizon=int(T))
         records = ensemble_run("smg", problem, schedule.etas(), strategies, beta)
         metrics.append(float(np.median([r.weighted_grad_avg() for r in records])))
-    return fit_power_law(list(horizons), metrics)
+    return fit_power_law(horizons, metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
     if kind == "constant":
         return step * n * T ** (1.0 / 3.0)
     if kind == "diminishing":
-        if lam < 0:   # a negative base has a complex cube root
-            raise UsageError(f"lam must be nonnegative, got {lam}")
+        if not 0 <= lam < math.inf:   # a negative base has a complex cube root
+            raise UsageError(f"lam must be finite and nonnegative, got {lam}")
         return step * n * (1.0 + lam) ** (1.0 / 3.0)
     if kind == "exponential":
         if rho is None or not 0 < rho < 1:   # 0 divides by zero, rho < 0 is complex

@@ -49,9 +49,6 @@ from .shuffling import (
     selection_rng,
 )
 
-# keep the runs' full epoch-start snapshots only while R*T*d stays within this budget
-SNAPSHOT_BUDGET = 1_000_000
-
 
 class RunAborted(RuntimeError):
     """A non-finite iterate or objective value was produced."""
@@ -88,7 +85,6 @@ class RunRecord:
     seed: int
     beta: float
     strategy_kind: Optional[str] = None
-    snapshots: Optional[list] = None      # w_tilde_0 .. w_tilde_{T-1} if small
     config_hash: Optional[str] = None
     epochs: Optional[list] = field(default=None, repr=False)
 
@@ -267,7 +263,6 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
 
     losses = np.empty((R, T))
     grad_sq = np.empty((R, T))
-    snapshots = np.empty((R, T, d)) if R * T * d <= SNAPSHOT_BUDGET else None
     selected = np.array([select_output_index(etas[k], selection_rng(s.seed))
                          for k, s in enumerate(strategies)])
     selected_w = np.empty((R, d))
@@ -292,8 +287,6 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
             losses[:, t - 1] = loss
             # a stacked matmul takes each run's grad @ grad
             grad_sq[:, t - 1] = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]
-            if snapshots is not None:
-                snapshots[:, t - 1] = W
             chosen = selected == t - 1
             selected_w[chosen] = W[chosen]
             if t == 1 or reshuffle:
@@ -320,7 +313,6 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         algo=algo, etas=etas[k], losses=losses[k], grad_norms_sq=grad_sq[k],
         selected_index=int(selected[k]), selected_w=selected_w[k],
         final_w=W[k].copy(), seed=s.seed, beta=betas[k], strategy_kind=s.kind,
-        snapshots=None if snapshots is None else list(snapshots[k]),
         epochs=getattr(rule, "epochs", None),
     ) for k, s in enumerate(strategies)]
 

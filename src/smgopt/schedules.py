@@ -53,8 +53,8 @@ class Schedule:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.kind == EXPONENTIAL:
             if self.rho is None or not 0 < self.rho < 1:
                 raise ValueError(

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from smgopt.audit import (
-    audit_theorem1,
-    audit_theorem2,
-    audit_theorem3,
+    audit_runs,
     cosine_sum_deviation,
     fit_rate,
     identity_suite,
@@ -53,7 +51,7 @@ def test_01_theorem1_deterministic_audit():
             sch = Schedule("constant", gamma=0.9 * cap.max_eta * T ** (1 / 3),
                            horizon=T)
             rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-            rep = audit_theorem1(rec, prob.constants, beta, schedule_sums(sch))
+            [rep] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
             elapsed = time.time() - t0
             assert elapsed < 1.0, f"audit took {elapsed:.2f}s"
             assert rep.lhs <= rep.rhs * (1 + 1e-9)
@@ -72,7 +70,7 @@ def test_02_theorem2_expectation_audit():
     w0 = init_point(prob.d, 0)
     records = [smg_run(prob, sch, ShufflingStrategy("rr", s), beta, w0)
                for s in range(200)]
-    rep = audit_theorem2(records, prob.constants, beta, n, schedule_sums(sch))
+    [rep] = audit_runs("T2", records, prob.constants, beta, n, schedule_sums(sch))
     elapsed = time.time() - start
     se = rep.extras["std_error"]
     ok = rep.lhs <= rep.rhs + 3 * se and elapsed < 30
@@ -88,7 +86,7 @@ def test_03_theorem3_deterministic_audit():
     sch = Schedule("constant", gamma=0.9 / prob.constants.L * T ** (1 / 3),
                    horizon=T)
     rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta)
-    rep = audit_theorem3(rec, prob.constants, beta, n, schedule_sums(sch))
+    [rep] = audit_runs("T3", [rec], prob.constants, beta, n, schedule_sums(sch))
     elapsed = time.time() - start
     ok = rep.lhs <= rep.rhs * (1 + 1e-9) and elapsed < 5
     report(3, "theorem-3 deterministic audit", ok,
@@ -101,9 +99,10 @@ def test_04_beta_zero_reduction():
     worst = 0.0
     for kind in ("rr", "once", "inc"):
         strat = ShufflingStrategy(kind, seed=5)
-        a = smg_run(prob, sch, strat, beta=0.0)
-        b = shuffling_sgd_run(prob, sch, strat)
-        for wa, wb in zip(a.snapshots + [a.final_w], b.snapshots + [b.final_w]):
+        a = smg_run(prob, sch, strat, beta=0.0, inner_trace=True)
+        b = shuffling_sgd_run(prob, sch, strat, inner_trace=True)
+        for wa, wb in zip([e.start_w for e in a.epochs] + [a.final_w],
+                          [e.start_w for e in b.epochs] + [b.final_w]):
             worst = max(worst, float(np.max(np.abs(wa - wb))))
     report(4, "beta=0 reduction to shuffling SGD", worst <= 1e-12,
            f"max coordinate gap {worst:.2e}")

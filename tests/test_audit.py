@@ -7,16 +7,12 @@ import pytest
 
 from smgopt.audit import (
     AuditRefusal,
-    audit_theorem1,
-    audit_theorem2,
-    audit_theorem3,
+    audit_runs,
+    bound_rhs,
     cosine_sum_deviation,
     fit_power_law,
     fit_rate,
     identity_suite,
-    theorem1_rhs,
-    theorem2_rhs,
-    theorem3_rhs,
     theorem_for,
 )
 from smgopt.optimizers import RunRecord, smg_run, ssmg_run
@@ -54,7 +50,7 @@ class TestTheorem1:
         sch = capped_constant_schedule(prob, beta, T)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         sums = schedule_sums(sch)
-        rhs = theorem1_rhs(rec, prob.constants, beta, sums)
+        rhs = bound_rhs("T1", rec, prob.constants, beta, prob.n, sums)
         expected = 4 * (rec.losses[0] - prob.constants.f_lower) / ((1 - beta) * sums.sum_eta)
         assert rhs == pytest.approx(expected, rel=1e-15)
 
@@ -64,7 +60,7 @@ class TestTheorem1:
         T = 27
         sch = capped_constant_schedule(prob, 0.0, T)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), 0.0)
-        rhs = theorem1_rhs(rec, prob.constants, 0.0, schedule_sums(sch))
+        rhs = bound_rhs("T1", rec, prob.constants, 0.0, prob.n, schedule_sums(sch))
         gamma = sch.gamma
         dF = rec.losses[0] - prob.constants.f_lower
         L2 = prob.constants.L ** 2
@@ -76,7 +72,7 @@ class TestTheorem1:
         prob = quad_problem()
         sch = capped_constant_schedule(prob, beta, 32)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        report = audit_theorem1(rec, prob.constants, beta, schedule_sums(sch))
+        [report] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
         assert report.satisfied and report.slack > 0
 
     def test_cap_violation_refused(self):
@@ -85,7 +81,7 @@ class TestTheorem1:
         sch = capped_constant_schedule(prob, beta, 16, fraction=1.5)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         with pytest.raises(AuditRefusal):
-            theorem1_rhs(rec, prob.constants, beta, schedule_sums(sch))
+            bound_rhs("T1", rec, prob.constants, beta, prob.n, schedule_sums(sch))
 
 
 class TestTheorem2:
@@ -97,8 +93,8 @@ class TestTheorem2:
         rec = smg_run(prob, sch, ShufflingStrategy("rr", 0), 0.0)
         sums = schedule_sums(sch)
         first = 4 * (rec.losses[0] - prob.constants.f_lower) / sums.sum_eta
-        var1 = theorem1_rhs(rec, prob.constants, 0.0, sums) - first
-        var2 = theorem2_rhs(rec, prob.constants, 0.0, n, sums) - first
+        var1 = bound_rhs("T1", rec, prob.constants, 0.0, prob.n, sums) - first
+        var2 = bound_rhs("T2", rec, prob.constants, 0.0, n, sums) - first
         assert var2 == pytest.approx(var1 * 2 / (3 * n), rel=1e-12)
 
     def test_constant_rr_rate_collapse_at_beta_zero(self):
@@ -107,7 +103,7 @@ class TestTheorem2:
         n, T = prob.n, 16
         sch = capped_constant_schedule(prob, 0.0, T, rr=True)
         rec = smg_run(prob, sch, ShufflingStrategy("rr", 1), 0.0)
-        rhs = theorem2_rhs(rec, prob.constants, 0.0, n, schedule_sums(sch))
+        rhs = bound_rhs("T2", rec, prob.constants, 0.0, n, schedule_sums(sch))
         gamma = sch.gamma
         dF = rec.losses[0] - prob.constants.f_lower
         L2 = prob.constants.L ** 2
@@ -122,8 +118,8 @@ class TestTheorem2:
         w0 = init_point(prob.d, 0)
         records = [smg_run(prob, sch, ShufflingStrategy("rr", s), beta, w0)
                    for s in range(50)]
-        report = audit_theorem2(records, prob.constants, beta, prob.n,
-                                schedule_sums(sch))
+        [report] = audit_runs("T2", records, prob.constants, beta, prob.n,
+                              schedule_sums(sch))
         assert report.satisfied
         assert report.extras["n_runs"] == 50
 
@@ -132,7 +128,7 @@ class TestTheorem2:
         sch = capped_constant_schedule(prob, 0.0, 8, rr=True)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), 0.0)
         with pytest.raises(AuditRefusal):
-            theorem2_rhs(rec, prob.constants, 0.0, prob.n, schedule_sums(sch))
+            bound_rhs("T2", rec, prob.constants, 0.0, prob.n, schedule_sums(sch))
 
     def test_mixed_starting_points_refused(self):
         prob = quad_problem()
@@ -140,7 +136,7 @@ class TestTheorem2:
         records = [smg_run(prob, sch, ShufflingStrategy("rr", s), 0.0)
                    for s in range(2)]  # per-seed initial points differ
         with pytest.raises(AuditRefusal):
-            audit_theorem2(records, prob.constants, 0.0, prob.n, schedule_sums(sch))
+            audit_runs("T2", records, prob.constants, 0.0, prob.n, schedule_sums(sch))
 
 
 class TestTheorem3:
@@ -151,7 +147,7 @@ class TestTheorem3:
                        horizon=T)
         rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta=0.0)
         sums = schedule_sums(sch)
-        rhs = theorem3_rhs(rec, prob.constants, 0.0, prob.n, sums)
+        rhs = bound_rhs("T3", rec, prob.constants, 0.0, prob.n, sums)
         c = prob.constants
         eta1 = sch.eta(1)
         delta1 = (2 * rec.losses[0] + (1 / c.L + eta1) * rec.grad_norms_sq[0]
@@ -171,7 +167,7 @@ class TestTheorem3:
         sch = Schedule("constant", gamma=0.9 / prob.constants.L * T ** (1 / 3),
                        horizon=T)
         rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta)
-        report = audit_theorem3(rec, prob.constants, beta, n, schedule_sums(sch))
+        [report] = audit_runs("T3", [rec], prob.constants, beta, n, schedule_sums(sch))
         assert report.satisfied and report.slack > 0
 
     def test_unbounded_gradient_refused(self):
@@ -179,7 +175,7 @@ class TestTheorem3:
         sch = Schedule("constant", gamma=0.01, horizon=8)
         rec = ssmg_run(prob, sch, ShufflingStrategy("inc", 0), beta=0.2)
         with pytest.raises(AuditRefusal):
-            theorem3_rhs(rec, prob.constants, 0.2, prob.n, schedule_sums(sch))
+            bound_rhs("T3", rec, prob.constants, 0.2, prob.n, schedule_sums(sch))
 
     @pytest.mark.parametrize("kind", ["rr", "once", "inc"])
     def test_every_ssmg_strategy_keeps_one_permutation(self, kind):
@@ -212,24 +208,25 @@ class TestRefusalAndSoundness:
         rec = self._record_with_etas([0.01, 0.02, 0.01])
         consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
         sums_like = schedule_sums(Schedule("constant", gamma=0.01, horizon=3))
-        for fn in (lambda: theorem1_rhs(rec, consts, 0.0, sums_like),
-                   lambda: theorem2_rhs(rec, consts, 0.0, 4, sums_like),
-                   lambda: theorem3_rhs(rec, consts, 0.0, 4, sums_like)):
+        for theorem in ("T1", "T2", "T3"):
             with pytest.raises(AuditRefusal):
-                fn()
+                bound_rhs(theorem, rec, consts, 0.0, 4, sums_like)
 
-    @pytest.mark.parametrize("rhs", [
-        lambda rec, consts, sums: theorem1_rhs(rec, consts, 0.0, sums),
-        lambda rec, consts, sums: theorem2_rhs(rec, consts, 0.0, 4, sums),
-        lambda rec, consts, sums: theorem3_rhs(rec, consts, 0.0, 4, sums),
-    ], ids=["T1", "T2", "T3"])
-    def test_vacuous_bound_refused(self, rhs):
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3"])
+    def test_vacuous_bound_refused(self, theorem):
         # rates this small sum to a subnormal, whose reciprocal overflows
         rec = self._record_with_etas([1e-320] * 3)
         consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
         sums = schedule_sums(Schedule("constant", gamma=1e-320, horizon=3))
         with pytest.raises(AuditRefusal, match="vacuous"):
-            rhs(rec, consts, sums)
+            bound_rhs(theorem, rec, consts, 0.0, 4, sums)
+
+    def test_unknown_theorem_is_an_error(self):
+        rec = self._record_with_etas([0.01] * 3)
+        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
+        sums = schedule_sums(Schedule("constant", gamma=0.01, horizon=3))
+        with pytest.raises(ValueError, match="unknown theorem 'T4'"):
+            bound_rhs("T4", rec, consts, 0.0, 4, sums)
 
     def test_refusals_never_report_satisfied(self):
         prob = quad_problem()
@@ -237,7 +234,7 @@ class TestRefusalAndSoundness:
         sch = capped_constant_schedule(prob, beta, 8, fraction=2.0)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         with pytest.raises(AuditRefusal):
-            audit_theorem1(rec, prob.constants, beta, schedule_sums(sch))
+            audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
 
     def test_rhs_monotone_in_certified_constants(self):
         prob = quad_problem()
@@ -246,14 +243,14 @@ class TestRefusalAndSoundness:
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         sums = schedule_sums(sch)
         c = prob.constants
-        base = theorem1_rhs(rec, c, beta, sums)
+        base = bound_rhs("T1", rec, c, beta, prob.n, sums)
         more_var = ProblemConstants(L=c.L, G=c.G, theta=c.theta,
                                     sigma_sq=1.1 * c.sigma_sq, f_lower=c.f_lower)
         lower_floor = ProblemConstants(L=c.L, G=c.G, theta=c.theta,
                                        sigma_sq=c.sigma_sq,
                                        f_lower=c.f_lower - 0.1 * abs(c.f_lower) - 0.1)
-        assert theorem1_rhs(rec, more_var, beta, sums) >= base
-        assert theorem1_rhs(rec, lower_floor, beta, sums) >= base
+        assert bound_rhs("T1", rec, more_var, beta, prob.n, sums) >= base
+        assert bound_rhs("T1", rec, lower_floor, beta, prob.n, sums) >= base
 
 
 class TestRateFit:
@@ -315,7 +312,7 @@ class TestBoundReportShape:
         beta = 0.5
         sch = capped_constant_schedule(prob, beta, 8)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        report = audit_theorem1(rec, prob.constants, beta, schedule_sums(sch))
+        [report] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
         payload = report.to_dict()
         assert set(payload) == {"theorem", "lhs", "rhs", "constants_used",
                                 "satisfied", "slack"}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smgopt import cli
+from smgopt import audit, cli
 from smgopt.cli import (
     EXIT_ABORT,
     EXIT_OK,
@@ -273,6 +273,23 @@ def test_rate_refuses_flags_it_would_ignore(flags, tmp_path, capsys):
     assert not (tmp_path / "rate.csv").exists()
 
 
+@pytest.mark.parametrize("horizons, message", [
+    ("8", "need at least two horizons to fit a slope"),
+    ("2000,8", "horizons must be strictly increasing"),
+    ("2000,0", "horizons must be strictly increasing"),
+    ("16,16", "horizons must be strictly increasing"),
+    ("0,8", "horizon must be >= 1, got 0"),
+])
+def test_rate_checks_horizons_before_running(horizons, message, tmp_path, capsys,
+                                            monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(audit, "ensemble_run", unreachable)
+    assert run_cli("rate", "--horizons", horizons, "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not tmp_path.joinpath("rate.csv").exists()
+
+
 class TestCompareCommand:
     def test_shared_initialization_and_sgd_reduction(self, tmp_path):
         rc = run_cli("compare", "--methods", "smg,sgd,sgdm,adam", "--T", "6",
@@ -373,6 +390,15 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+NON_FINITE_LAMBDA = [
+    ["run", "--schedule", "diminishing", "--lambda", "nan", "--T", "2"],
+    ["run", "--schedule", "diminishing", "--lambda", "inf", "--T", "2"],
+    ["run", "--schedule", "constant", "--lambda", "nan", "--T", "2"],
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "nan", "--T", "2"],
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "inf", "--T", "2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     # infinite rates would give NaN output-selection weights
     ["run", "--gamma", "inf", "--T", "2"],
@@ -389,11 +415,21 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     ["audit", "--T", "2", "--seed", "-5", "--repeats", "3"],
     ["grid", "--T", "2", "--seed", "-1"],
     ["compare", "--T", "2", "--seed", "-1"],
+    # a non-finite lambda is refused as itself, under every schedule
+    *NON_FINITE_LAMBDA,
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_LAMBDA)
+def test_non_finite_lambda_names_lambda(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
+    value = float(argv[4])   # the --lambda or --lambda-grid value
+    assert capsys.readouterr().err == (
+        f"usage error: lam must be finite and nonnegative, got {value}\n")
 
 
 @pytest.mark.parametrize("argv", [["run"], ["audit", "--repeats", "3"], ["grid"], ["compare"]])

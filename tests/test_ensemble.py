@@ -100,8 +100,8 @@ def assert_same_record(actual: RunRecord, expected: RunRecord):
         a, e = getattr(actual, field.name), getattr(expected, field.name)
         if field.name in EXACT:
             assert a == e, field.name
-        else:   # arrays, and snapshots as a list of arrays or None
-            assert (a is None) == (e is None) and np.array_equal(a, e), field.name
+        else:
+            assert np.array_equal(a, e), field.name
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,11 @@ def test_a_diverging_member_leaves_the_others_alone(default_problem, outcomes):
     assert len(starts) == T   # the finishing members ran every epoch
     alone = run_sgd_ensemble(default_problem, [1, 4])
     for member, record in ((0, alone[0]), (3, alone[1])):
+        traced = shuffling_sgd_run(default_problem,
+                                   Schedule("constant", gamma=ABORT_GAMMA, horizon=T),
+                                   ShufflingStrategy("rr", record.seed), inner_trace=True)
+        assert_close([W[member] for W in starts], [e.start_w for e in traced.epochs])
         for expected in (record, outcomes[record.seed]):
-            assert_close([W[member] for W in starts], expected.snapshots)
             assert_close([v[member] for v in losses], expected.losses)
 
 
@@ -304,8 +307,9 @@ def test_a_poisoned_member_leaves_the_others_alone():
     assert str(info.value) == "run aborted at epoch 2: non-finite iterate after inner loop"
     assert len(starts) == T
     for member in (0, 2):
-        expected = scalar_run("smg", problem, strategies[member], None)
-        assert_close([W[member] for W in starts], expected.snapshots)
+        expected = smg_run(problem, schedule(), strategies[member], BETA["smg"],
+                           inner_trace=True)
+        assert_close([W[member] for W in starts], [e.start_w for e in expected.epochs])
 
 
 def test_run_with_a_diverging_seed_exits_2(tmp_path, capsys, outcomes):

@@ -5,9 +5,9 @@ Every case below is recomputed and compared with `golden_manifest.json`.
 Quadratic cases are locked bitwise, by sha256: for 5 algorithms x 3
 strategies the manifest holds the hash of the trace CSV bytes and of the
 JSON sidecar bytes, the selected output index, the hash of the raw bytes of
-the final iterate and of the epoch-start snapshots, and, for the methods
-with an inner trace, the hash of the raw bytes of every recorded inner-loop
-array.
+the final iterate and of the epoch-start iterates (read from the inner
+trace), and, for smg, ssmg and sgd, the hash of the raw bytes of every
+recorded inner-loop array.
 
 Logistic cases are locked by value, because the logistic oracles may sum in
 another order than the code that stored them.  The manifest holds the same
@@ -44,6 +44,7 @@ from smgopt.cli import main as cli_main
 from smgopt.dataio import synth_binary_dataset, write_trace
 from smgopt.optimizers import (
     adam_run,
+    ensemble_run,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,
@@ -73,18 +74,29 @@ def _problem(fixture):
     return logistic_problem(samples, lam=0.01)
 
 
-def _run(algo, problem, strategy, inner_trace=False):
-    schedule = Schedule("diminishing", gamma=0.3, horizon=T, lam=1.0)
-    traced = {"inner_trace": True} if inner_trace else {}
+SCHEDULE = Schedule("diminishing", gamma=0.3, horizon=T, lam=1.0)
+BETA = {"smg": 0.5, "ssmg": 0.5, "sgd": 0.0, "sgdm": 0.8, "adam": 0.9}
+ADAM_LR = 0.01
+
+
+def _run(algo, problem, strategy):
     if algo == "smg":
-        return smg_run(problem, schedule, strategy, 0.5, **traced)
+        return smg_run(problem, SCHEDULE, strategy, BETA[algo])
     if algo == "ssmg":
-        return ssmg_run(problem, schedule, strategy, 0.5, **traced)
+        return ssmg_run(problem, SCHEDULE, strategy, BETA[algo])
     if algo == "sgd":
-        return shuffling_sgd_run(problem, schedule, strategy, **traced)
+        return shuffling_sgd_run(problem, SCHEDULE, strategy)
     if algo == "sgdm":
-        return sgdm_run(problem, schedule, strategy, 0.8)
-    return adam_run(problem, 0.01, T, strategy)
+        return sgdm_run(problem, SCHEDULE, strategy, BETA[algo])
+    return adam_run(problem, ADAM_LR, T, strategy)
+
+
+def _inner_trace(algo, problem, strategy) -> list:
+    """The epochs of algo's run with its inner trace, which ensemble_run
+    records for every method."""
+    etas = np.full(T, ADAM_LR) if algo == "adam" else SCHEDULE.etas()
+    return ensemble_run(algo, problem, etas, [strategy], BETA[algo],
+                        inner_trace=True)[0].epochs
 
 
 def _sha(*chunks) -> str:
@@ -119,10 +131,9 @@ def optimizer_case(fixture, algo, kind, workdir: Path) -> dict:
     csv_path = workdir / f"trace_{fixture}_{algo}_{kind}.csv"
     sidecar_path = write_trace(record, csv_path,
                                config={"fixture": fixture, "algo": algo})
-    iterates = [record.final_w] + record.snapshots
-    epochs = []
-    if algo in ("smg", "ssmg", "sgd"):
-        epochs = _run(algo, problem, strategy, inner_trace=True).epochs
+    traced = _inner_trace(algo, problem, strategy)
+    iterates = [record.final_w] + [epoch.start_w for epoch in traced]
+    epochs = traced if algo in ("smg", "ssmg", "sgd") else []
     if fixture == "logistic":
         entry = {
             "trace": _contents(csv_path),

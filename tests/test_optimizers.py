@@ -5,11 +5,9 @@ import time
 import numpy as np
 import pytest
 
-import smgopt.optimizers as optimizers
 from smgopt.optimizers import (
     RunAborted,
     adam_run,
-    ensemble_run,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,
@@ -38,10 +36,10 @@ class TestMomentumReductions:
         prob = quad_problem()
         sch = Schedule("constant", gamma=0.2, horizon=10)
         strat = ShufflingStrategy(kind, seed=5)
-        a = smg_run(prob, sch, strat, beta=0.0)
-        b = shuffling_sgd_run(prob, sch, strat)
-        for wa, wb in zip(a.snapshots, b.snapshots):
-            assert np.max(np.abs(wa - wb)) <= 1e-12
+        a = smg_run(prob, sch, strat, beta=0.0, inner_trace=True)
+        b = shuffling_sgd_run(prob, sch, strat, inner_trace=True)
+        for ea, eb in zip(a.epochs, b.epochs, strict=True):
+            assert np.max(np.abs(ea.start_w - eb.start_w)) <= 1e-12
         assert np.max(np.abs(a.final_w - b.final_w)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["once", "inc"])
@@ -49,10 +47,10 @@ class TestMomentumReductions:
         prob = quad_problem()
         sch = Schedule("constant", gamma=0.2, horizon=8)
         strat = ShufflingStrategy(kind, seed=3)
-        a = ssmg_run(prob, sch, strat, beta=0.0)
-        b = shuffling_sgd_run(prob, sch, strat)
-        for wa, wb in zip(a.snapshots, b.snapshots):
-            assert np.max(np.abs(wa - wb)) <= 1e-12
+        a = ssmg_run(prob, sch, strat, beta=0.0, inner_trace=True)
+        b = shuffling_sgd_run(prob, sch, strat, inner_trace=True)
+        for ea, eb in zip(a.epochs, b.epochs, strict=True):
+            assert np.max(np.abs(ea.start_w - eb.start_w)) <= 1e-12
 
     def test_sgdm_zero_momentum_equals_sgd(self):
         prob = quad_problem()
@@ -183,9 +181,9 @@ class TestRunRecord:
     def test_selected_iterate_matches_snapshot(self):
         prob = quad_problem()
         sch = Schedule("constant", gamma=0.3, horizon=9)
-        rec = smg_run(prob, sch, ShufflingStrategy("rr", 2), beta=0.5)
+        rec = smg_run(prob, sch, ShufflingStrategy("rr", 2), beta=0.5, inner_trace=True)
         np.testing.assert_array_equal(rec.selected_w,
-                                      rec.snapshots[rec.selected_index])
+                                      rec.epochs[rec.selected_index].start_w)
 
     def test_selection_consistent_with_public_sampler(self):
         # sampling the run's step sizes with the run's seed must reproduce
@@ -193,29 +191,10 @@ class TestRunRecord:
         from smgopt.shuffling import select_output_index, selection_rng
         prob = quad_problem()
         sch = Schedule("diminishing", gamma=0.3, horizon=11, lam=1.0)
-        rec = smg_run(prob, sch, ShufflingStrategy("rr", 6), beta=0.5)
+        rec = smg_run(prob, sch, ShufflingStrategy("rr", 6), beta=0.5, inner_trace=True)
         idx = select_output_index(rec.etas, selection_rng(6))
         assert idx == rec.selected_index
-        np.testing.assert_array_equal(rec.snapshots[idx], rec.selected_w)
-
-    def test_snapshot_budget_drops_history_not_selection(self, monkeypatch):
-        prob = quad_problem(n=3, d=2, seed=6)
-        sch = Schedule("constant", gamma=0.3, horizon=5)
-        strat = ShufflingStrategy("rr", 7)
-        full = smg_run(prob, sch, strat, beta=0.4)
-        monkeypatch.setattr(optimizers, "SNAPSHOT_BUDGET", 4)
-        lean = smg_run(prob, sch, strat, beta=0.4)
-        assert lean.snapshots is None
-        assert lean.selected_index == full.selected_index
-        np.testing.assert_array_equal(lean.selected_w, full.selected_w)
-        # the budget covers an ensemble's R * T * d, not each member's T * d
-        monkeypatch.setattr(optimizers, "SNAPSHOT_BUDGET", 5 * 2)
-        assert smg_run(prob, sch, strat, beta=0.4).snapshots is not None
-        members = ensemble_run("smg", prob, sch.etas(),
-                               [strat, ShufflingStrategy("rr", 8)], 0.4)
-        assert [m.snapshots for m in members] == [None, None]
-        assert members[0].selected_index == full.selected_index
-        np.testing.assert_array_equal(members[0].selected_w, full.selected_w)
+        np.testing.assert_array_equal(rec.epochs[idx].start_w, rec.selected_w)
 
     def test_invalid_inputs(self):
         prob = quad_problem()
