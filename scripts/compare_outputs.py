@@ -10,6 +10,8 @@ src/, each in a fresh working directory with `--out out`:
   * the CLI cases of tests/test_golden.py (read from this script's checkout)
   * T1, T2 and T3 audits and each audit refusal: step caps, a vacuous bound,
     methods without a bound
+  * --enforce-cap for each method, and in grid and compare, which refuse it
+  * grid and compare under --rr-scaling with each schedule
   * edge usage errors: non-finite --lambda and bad --horizons
   * the benchmark's three commands at tiny sizes
 
@@ -54,6 +56,19 @@ CASES = {
     "refuse-cap-T3": ["audit", "--algo", "ssmg", "--T", "4", "--gamma", "50"],
     "refuse-enforce-cap": ["run", "--algo", "smg", "--strategy", "inc", "--T", "16",
                            "--gamma", "50.0", "--enforce-cap"],
+    # --enforce-cap checks the cap of the method's bound; grid and compare refuse it
+    "enforce-cap-ssmg": ["run", "--algo", "ssmg", "--strategy", "once", "--T", "8",
+                         "--gamma", "0.3", "--enforce-cap"],
+    "refuse-enforce-cap-ssmg": ["run", "--algo", "ssmg", "--strategy", "once", "--T", "8",
+                                "--gamma", "0.8", "--enforce-cap"],
+    "enforce-cap-adam": ["run", "--algo", "adam", "--T", "8", "--gamma", "0.2",
+                         "--enforce-cap"],
+    "enforce-cap-sgd": ["run", "--algo", "sgd", "--T", "4", "--enforce-cap"],
+    "enforce-cap-sgdm": ["run", "--algo", "sgdm", "--T", "4", "--enforce-cap"],
+    "enforce-cap-grid": ["grid", "--algo", "smg", "--T", "4", "--gamma-grid", "50,0.01",
+                         "--enforce-cap"],
+    "enforce-cap-compare": ["compare", "--T", "3", "--gamma", "5", "--enforce-cap"],
+    "compare-method-twice": ["compare", "--methods", "smg,smg", "--T", "3"],
     "refuse-vacuous-T1": ["run", "--gamma", "1e-320", "--T", "2", "--audit",
                           "--strategy", "inc"],
     "refuse-vacuous-T2": ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
@@ -89,6 +104,17 @@ CASES = {
                         "--synth-d", "20", "--synth-seed", "1", "--T", "4",
                         "--jobs", "1", "--seed", "1"],
 }
+
+# grid and compare invert each schedule for its first inner step, under --rr-scaling
+SCHEDULE_FLAGS = {"constant": [], "diminishing": ["--lambda", "2"],
+                  "exponential": ["--rho", "0.9"], "cosine": []}
+CASES.update({
+    f"{command}-rr-scaling-{kind}": [command, "--schedule", kind, *flags, "--rr-scaling",
+                                     "--T", "5", *rates]
+    for kind, flags in SCHEDULE_FLAGS.items()
+    for command, rates in (("grid", ["--gamma-grid", "0.01,0.1"]),
+                           ("compare", ["--gamma", "0.01"]))
+})
 
 
 def golden_cases() -> dict:

@@ -31,7 +31,6 @@ from .schedules import (
     StepCap,
     cap_general,
     cap_rr,
-    exceeds_cap,
     schedule_sums,
 )
 from .optimizers import (

@@ -35,7 +35,6 @@ from .problems import Problem, ProblemConstants
 from .schedules import (
     Schedule,
     ScheduleSums,
-    StepCap,
     cap_general,
     cap_rr,
     is_non_increasing,
@@ -80,14 +79,21 @@ def _require(condition: bool, reason: str):
         raise AuditRefusal(reason)
 
 
-def step_cap(beta: float, constants: ProblemConstants,
-             n: int | None = None) -> tuple[StepCap, str]:
-    """The anchored-momentum step cap and its name: 1/(L sqrt(D)) under
-    randomized reshuffling over n samples, 1/(L sqrt(K)) for any permutation
-    when n is None."""
-    if n is None:
-        return cap_general(beta, constants.theta, constants.L), "1/(L sqrt(K))"
-    return cap_rr(beta, constants.theta, n, constants.L), "1/(L sqrt(D))"
+def check_cap(theorem: str, beta: float, constants: ProblemConstants, n: int,
+              eta1: float):
+    """Refuse a first rate eta1 above theorem's cap: 1/(L sqrt(K)) for T1,
+    1/(L sqrt(D)) over n samples for T2, and 1/L for T3, which also needs a
+    finite G."""
+    L = constants.L
+    if theorem == "T3":
+        _require(constants.has_finite_G,
+                 "bounded component gradients required; G is not finite")
+        cap, label = 1.0 / L, "1/L"
+    elif theorem == "T2":
+        cap, label = cap_rr(beta, constants.theta, n, L).max_eta, "1/(L sqrt(D))"
+    else:
+        cap, label = cap_general(beta, constants.theta, L).max_eta, "1/(L sqrt(K))"
+    _require(eta1 <= cap * (1 + 1e-9), f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap:.3e}")
 
 
 def bound_rhs(theorem: str, record: RunRecord, constants: ProblemConstants,
@@ -104,13 +110,12 @@ def bound_rhs(theorem: str, record: RunRecord, constants: ProblemConstants,
     _require(is_non_increasing(record.etas),
              "learning-rate sequence is not non-increasing")
     _require(bool(np.all(record.etas >= 0)), "negative learning rate in record")
+    _require(theorem != "T2" or record.strategy_kind == RANDOM_RESHUFFLING,
+             f"randomized reshuffling required, run used {record.strategy_kind!r}")
     L, eta1 = constants.L, float(record.etas[0])
+    check_cap(theorem, beta, constants, n, eta1)
     delta_f = float(record.losses[0]) - constants.f_lower
     if theorem == "T3":
-        _require(constants.has_finite_G,
-                 "bounded component gradients required; G is not finite")
-        _require(eta1 <= (1.0 / L) * (1 + 1e-9),
-                 f"eta_1 = {eta1:.3e} exceeds cap 1/L = {1.0 / L:.3e}")
         G, beta_n = constants.G, beta ** n
         delta1 = (2.0 * delta_f + (1.0 / L + eta1) * float(record.grad_norms_sq[0])
                   + 2.0 * L * eta1 * eta1 * G * G)
@@ -118,13 +123,7 @@ def bound_rhs(theorem: str, record: RunRecord, constants: ProblemConstants,
                + L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
                + 4.0 * beta_n * G * G / (1.0 - beta_n))
     else:
-        reshuffled = theorem == "T2"
-        _require(not reshuffled or record.strategy_kind == RANDOM_RESHUFFLING,
-                 f"randomized reshuffling required, run used {record.strategy_kind!r}")
-        cap, label = step_cap(beta, constants, n if reshuffled else None)
-        _require(eta1 <= cap.max_eta * (1 + 1e-9),
-                 f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap.max_eta:.3e}")
-        if reshuffled:
+        if theorem == "T2":
             variance = 6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L / (n * (1.0 - beta))
         else:
             variance = 9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta) / (1.0 - beta)

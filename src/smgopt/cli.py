@@ -38,8 +38,8 @@ from .dataio import (
 )
 from .optimizers import RunAborted, RunRecord, ensemble_outcomes, ensemble_run
 from .problems import Problem, logistic_problem
-from .schedules import SCHEDULE_KINDS, Schedule, exceeds_cap, schedule_sums
-from .shuffling import RANDOM_RESHUFFLING, STRATEGY_KINDS, ShufflingStrategy, init_point
+from .schedules import Schedule, gamma_for_initial_step, schedule_sums
+from .shuffling import STRATEGY_KINDS, ShufflingStrategy, init_point
 
 ALGOS = ("smg", "ssmg", "sgd", "sgdm", "adam")
 DEFAULT_BETA = {"smg": 0.5, "ssmg": 0.5, "sgd": 0.0, "sgdm": 0.9, "adam": 0.9}
@@ -141,27 +141,6 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return logistic_problem(dataset, lam=cfg.reg)
 
 
-def gamma_for_initial_step(kind: str, step: float, n: int, T: int,
-                           lam: float = 0.0, rho: float | None = None) -> float:
-    """Schedule parameter making the first per-inner-step rate equal step."""
-    if kind == "constant":
-        return step * n * T ** (1.0 / 3.0)
-    if kind == "diminishing":
-        if not 0 <= lam < math.inf:   # a negative base has a complex cube root
-            raise UsageError(f"lam must be finite and nonnegative, got {lam}")
-        return step * n * (1.0 + lam) ** (1.0 / 3.0)
-    if kind == "exponential":
-        if rho is None or not 0 < rho < 1:   # 0 divides by zero, rho < 0 is complex
-            raise UsageError(f"exponential schedule needs rho in (0, 1), got {rho}")
-        return step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
-    if kind == "cosine":
-        if T == 1:
-            raise UsageError("a cosine schedule over T=1 epoch has a zero first "
-                             "step for every gamma; use T >= 2")
-        return step * n * T ** (1.0 / 3.0) / (1.0 + math.cos(math.pi / T))
-    raise UsageError(f"unknown schedule kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-
-
 def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
               **changes) -> tuple[ExperimentConfig, Schedule, np.ndarray]:
     """One run point of cfg on n samples: its validated config, its schedule
@@ -177,10 +156,8 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
     if step is not None and point.algo == "adam":
         point.gamma = step
     elif step is not None:
-        point.gamma = gamma_for_initial_step(point.schedule, step, n, point.T,
-                                             point.lam, point.rho)
-        if point.rr_scaling:
-            point.gamma /= n ** (1.0 / 3.0)
+        point.gamma = gamma_for_initial_step(point.schedule, step, n, point.T, point.lam,
+                                             point.rho, point.rr_scaling)
     point.validate()
     schedule = Schedule(kind=point.schedule, gamma=point.gamma, horizon=point.T,
                         lam=point.lam, rho=point.rho,
@@ -221,18 +198,14 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
     problem = build_problem(cfg)
     cfg, schedule, etas = run_point(cfg, problem.n)
     beta, constants = cfg.resolved_beta, problem.constants
-    if cfg.enforce_cap:
-        reshuffled = cfg.strategy == RANDOM_RESHUFFLING
-        cap, label = audit_mod.step_cap(beta, constants, problem.n if reshuffled else None)
-        if exceeds_cap(schedule, cap):
-            raise AuditRefusal(
-                f"eta_1 = {schedule.eta(1):.6e} exceeds the step cap "
-                f"{label} = {cap.max_eta:.6e}")
-    theorem = audit_mod.theorem_for(cfg.algo, cfg.strategy) if with_audit else None
+    theorem = (audit_mod.theorem_for(cfg.algo, cfg.strategy)
+               if with_audit or cfg.enforce_cap else None)
+    if cfg.enforce_cap:   # the cap of the bound audited, on the rate the run takes
+        audit_mod.check_cap(theorem, beta, constants, problem.n, float(etas[0]))
     # the expectation audit conditions on one starting point shared by seeds
-    shared_w0 = init_point(problem.d, cfg.seed) if theorem == "T2" else None
+    shared_w0 = init_point(problem.d, cfg.seed) if with_audit and theorem == "T2" else None
     records = seeded_runs(problem, cfg, etas, shared_w0)
-    if theorem is None:
+    if not with_audit:
         return records, []
     return records, audit_mod.audit_runs(theorem, records, constants, beta, problem.n,
                                          schedule_sums(schedule))
@@ -293,6 +266,14 @@ def _grid_row(step: float, point: ExperimentConfig, outcomes: list) -> dict:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _refuse_flags(command: str, flags) -> None:
+    """Refuse each given flag of the (flag, given) pairs, which command
+    would ignore; command says what it does instead."""
+    ignored = [flag for flag, given in flags if given]
+    if ignored:
+        raise UsageError(f"{command}; it does not take {', '.join(ignored)}")
+
+
 def cmd_run(args) -> int:
     cfg = config_from_args(args)
     records, reports = run_experiment(cfg, args.audit)
@@ -322,6 +303,8 @@ def cmd_audit(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = config_from_args(args)
+    _refuse_flags("grid ranks step sizes without a cap check",
+                         [("--enforce-cap", cfg.enforce_cap)])
     problem = build_problem(cfg)
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
@@ -364,7 +347,7 @@ def cmd_grid(args) -> int:
 def cmd_rate(args) -> int:
     cfg = config_from_args(args)
     # fit_rate runs smg (sgd is its beta = 0 case) under a constant schedule
-    unsupported = [flag for flag, given in (
+    _refuse_flags("rate fits smg or sgd under a constant schedule", (
         (f"--algo {cfg.algo}", cfg.algo not in ("smg", "sgd")),
         ("--beta with --algo sgd", cfg.algo == "sgd" and cfg.resolved_beta != 0),
         (f"--schedule {cfg.schedule}", cfg.schedule != "constant"),
@@ -372,10 +355,7 @@ def cmd_rate(args) -> int:
         ("--rho", cfg.rho is not None),
         ("--rr-scaling", cfg.rr_scaling),
         ("--enforce-cap", cfg.enforce_cap),
-    ) if given]
-    if unsupported:
-        raise UsageError("rate fits smg or sgd under a constant schedule; "
-                         f"it does not take {', '.join(unsupported)}")
+    ))
     horizons = [int(h) for h in args.horizons.split(",")]
     problem = build_problem(cfg)
     fit = fit_rate(problem, horizons, gamma=cfg.gamma, beta=cfg.resolved_beta,
@@ -401,10 +381,14 @@ def cmd_rate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = config_from_args(args)
+    _refuse_flags("compare runs every method without a cap check",
+                         [("--enforce-cap", cfg.enforce_cap)])
     methods = [m.strip() for m in args.methods.split(",")]
     for m in methods:
         if m not in ALGOS:
             raise UsageError(f"unknown method {m!r} in --methods")
+        if methods.count(m) > 1:
+            raise UsageError(f"method {m!r} is named twice in --methods")
     problem = build_problem(cfg)
     curves: dict[str, np.ndarray] = {}
     for method in methods:
@@ -486,7 +470,7 @@ def _add_experiment_args(p: argparse.ArgumentParser):
     p.add_argument("--repeats", type=int, default=1,
                    help="seeded repetitions (seeds seed..seed+repeats-1)")
     p.add_argument("--enforce-cap", action="store_true",
-                   help="refuse schedules whose eta_1 exceeds the theoretical cap")
+                   help="refuse an eta_1 above the audited bound's cap (run, audit)")
     p.add_argument("--rr-scaling", action="store_true",
                    help="scale gamma by n^(1/3), the reshuffling rate form")
     p.add_argument("--dataset", default=None,

@@ -1,4 +1,5 @@
-"""Epoch learning-rate schedules, theoretical step-size caps, and sums.
+"""Epoch learning-rate schedules and their inversion for a first inner step,
+theoretical step-size caps, and sums.
 
 Schedules assign one rate per epoch t = 1..T:
 
@@ -87,6 +88,26 @@ class Schedule:
         return np.array([self.eta(t) for t in range(1, self.horizon + 1)])
 
 
+def gamma_for_initial_step(kind: str, step: float, n: int, T: int, lam: float = 0.0,
+                           rho: float | None = None, rr_scaling: bool = False) -> float:
+    """The gamma whose schedule over n samples takes step as its first
+    per-inner-step rate eta_1 / n; with rr_scaling, divided by the n^(1/3)
+    that rr_scale=n multiplies back."""
+    Schedule(kind, 1.0, T, lam, rho)   # refuses the kind, T, lam and rho as a schedule does
+    if kind == CONSTANT:
+        gamma = step * n * T ** (1.0 / 3.0)
+    elif kind == DIMINISHING:
+        gamma = step * n * (1.0 + lam) ** (1.0 / 3.0)
+    elif kind == EXPONENTIAL:
+        gamma = step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
+    else:
+        if T == 1:
+            raise ValueError("a cosine schedule over T=1 epoch has a zero first "
+                             "step for every gamma; use T >= 2")
+        gamma = step * n * T ** (1.0 / 3.0) / (1.0 + math.cos(math.pi / T))
+    return gamma / n ** (1.0 / 3.0) if rr_scaling else gamma
+
+
 class ScheduleSums(NamedTuple):
     sum_eta: float
     sum_eta_prev_cubed: float  # sum of eta_{t-1}^3 with eta_0 = eta_1
@@ -135,11 +156,6 @@ def cap_rr(beta: float, theta: float, n: int, L: float) -> StepCap:
         raise ValueError(f"need n >= 1, got {n}")
     D = max(5.0 / 3.0, 6.0 * (5.0 - 3.0 * beta) * (theta + n) / (n * (1.0 - beta)))
     return StepCap(constant=D, max_eta=1.0 / (L * math.sqrt(D)))
-
-
-def exceeds_cap(schedule: Schedule, cap: StepCap, rel_tol: float = 1e-12) -> bool:
-    """True when the schedule's largest rate violates the cap."""
-    return schedule.eta(1) > cap.max_eta * (1.0 + rel_tol)
 
 
 def is_non_increasing(etas: np.ndarray, rel_tol: float = 1e-12) -> bool:

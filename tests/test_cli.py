@@ -17,12 +17,12 @@ from smgopt.cli import (
     ExperimentConfig,
     UsageError,
     build_problem,
-    gamma_for_initial_step,
     main,
     paper_grids,
 )
 from smgopt.dataio import read_trace
 from smgopt.optimizers import adam_run
+from smgopt.schedules import Schedule, cap_general, cap_rr, gamma_for_initial_step
 from smgopt.shuffling import ShufflingStrategy
 
 
@@ -92,6 +92,12 @@ class TestRunCommand:
         rc = run_cli("run", "--algo", "smg", "--strategy", "inc", "--T", "16",
                      "--gamma", "50.0", "--enforce-cap", "--out", str(tmp_path))
         assert rc == EXIT_REFUSAL
+
+    @pytest.mark.parametrize("gamma, rc", [("0.3", EXIT_OK), ("0.8", EXIT_REFUSAL)])
+    def test_enforce_cap_takes_ssmg_cap_from_theorem3(self, gamma, rc, tmp_path):
+        # T3's cap is 1/L = 0.347 on the default problem, and eta_1 = gamma / 2
+        assert run_cli("run", "--algo", "ssmg", "--strategy", "once", "--T", "8",
+                       "--gamma", gamma, "--enforce-cap", "--out", str(tmp_path)) == rc
 
     def test_baseline_audit_refused(self, tmp_path):
         rc = run_cli("run", "--algo", "adam", "--T", "4", "--gamma", "0.001",
@@ -217,7 +223,6 @@ class TestGridCommand:
 
     def test_exponential_grid_sets_initial_step(self):
         gamma = gamma_for_initial_step("exponential", 0.1, n=32, T=10, rho=0.99)
-        from smgopt.schedules import Schedule
         sch = Schedule("exponential", gamma=gamma, horizon=10, rho=0.99)
         assert sch.eta(1) / 32 == pytest.approx(0.1, rel=1e-12)
 
@@ -320,6 +325,25 @@ class TestCompareCommand:
         rc = run_cli("compare", "--methods", "smg,newton", "--out", str(tmp_path))
         assert rc == EXIT_USAGE
 
+    def test_method_named_twice_usage_error(self, tmp_path, capsys):
+        rc = run_cli("compare", "--methods", "sgd,smg,sgd", "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: method 'sgd' is named twice in --methods\n")
+        assert not tmp_path.joinpath("compare.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--algo", "smg", "--T", "4", "--gamma-grid", "50,0.01"],
+    ["compare", "--T", "3", "--gamma", "5"],
+], ids=["grid", "compare"])
+def test_grid_and_compare_refuse_enforce_cap(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--enforce-cap", "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {argv[0]} ")
+    assert err.endswith("; it does not take --enforce-cap\n")
+    assert not any(tmp_path.iterdir())
+
 
 def spy_first_steps(monkeypatch) -> list:
     """The first per-inner-step rate of each ensemble the CLI starts."""
@@ -370,6 +394,10 @@ def test_vacuous_bound_is_refused_and_writes_nothing(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["audit", "--algo", "sgd", "--repeats", "200"],
     ["run", "--algo", "sgdm", "--audit"],
+    # --enforce-cap checks the cap of the bound a method has, so these have none
+    ["run", "--algo", "sgd", "--enforce-cap"],
+    ["run", "--algo", "sgdm", "--enforce-cap"],
+    ["run", "--algo", "adam", "--gamma", "0.2", "--enforce-cap"],
 ])
 def test_command_without_a_bound_refuses_before_running(argv, tmp_path, capsys,
                                                         monkeypatch):
@@ -380,6 +408,23 @@ def test_command_without_a_bound_refuses_before_running(argv, tmp_path, capsys,
     algo = argv[argv.index("--algo") + 1]
     assert capsys.readouterr().err == (
         f"audit refusal: premises unmet: no convergence bound is audited for {algo!r}\n")
+
+
+@pytest.mark.parametrize("factor, rc", [(1 + 5e-10, EXIT_OK), (1 + 2e-9, EXIT_REFUSAL)])
+@pytest.mark.parametrize("check", ["--enforce-cap", "--audit"])
+@pytest.mark.parametrize("argv, cap", [
+    (["--strategy", "inc"], lambda c, n: cap_general(0.5, c.theta, c.L).max_eta),
+    (["--strategy", "rr"], lambda c, n: cap_rr(0.5, c.theta, n, c.L).max_eta),
+    (["--algo", "ssmg", "--strategy", "once"], lambda c, n: 1.0 / c.L),
+], ids=["T1", "T2", "T3"])
+def test_enforce_cap_and_audit_share_one_cap_tolerance(argv, cap, check, factor, rc,
+                                                       tmp_path, capsys):
+    problem = build_problem(ExperimentConfig())
+    eta1 = cap(problem.constants, problem.n) * factor
+    # over T = 1 epoch a constant schedule's one rate is gamma itself
+    assert run_cli("run", *argv, "--T", "1", "--gamma", repr(eta1), check,
+                   "--out", str(tmp_path)) == rc
+    assert ("exceeds cap" in capsys.readouterr().err) == (rc == EXIT_REFUSAL)
 
 
 @pytest.mark.parametrize("command", ["grid", "compare"])

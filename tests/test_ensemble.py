@@ -31,7 +31,7 @@ from smgopt.optimizers import (
     ssmg_run,
 )
 from smgopt.problems import logistic_problem, quadratic_mean_problem
-from smgopt.schedules import Schedule
+from smgopt.schedules import Schedule, gamma_for_initial_step
 from smgopt.shuffling import STRATEGY_KINDS, ShufflingStrategy
 
 RTOL = 1e-12
@@ -324,7 +324,7 @@ def test_run_with_a_diverging_seed_exits_2(tmp_path, capsys, outcomes):
 def test_grid_point_with_a_diverging_seed(tmp_path, default_problem):
     n = default_problem.n
     step = ABORT_GAMMA / (n * T ** (1.0 / 3.0))
-    gamma = cli.gamma_for_initial_step("constant", step, n, T)
+    gamma = gamma_for_initial_step("constant", step, n, T)
     outcomes = sequential(default_problem, gamma, [1, 2, 3])
     assert [type(o) for o in outcomes] == [RunRecord, RunAborted, RunAborted]
     out = tmp_path / "out"

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from smgopt.schedules import (
     Schedule,
-    StepCap,
     cap_general,
     cap_rr,
-    exceeds_cap,
     is_non_increasing,
     schedule_sums,
 )
@@ -164,10 +162,3 @@ class TestCaps:
             cap_general(-0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             cap_rr(0.5, 0.0, 0, 1.0)
-
-    def test_exceeds_cap_flags_violation(self):
-        cap = StepCap(constant=45.0, max_eta=0.1)
-        small = Schedule("constant", gamma=0.1 * 8 ** (1 / 3), horizon=8)
-        big = Schedule("constant", gamma=0.2 * 8 ** (1 / 3), horizon=8)
-        assert not exceeds_cap(small, cap)
-        assert exceeds_cap(big, cap)
