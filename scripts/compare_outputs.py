@@ -13,6 +13,8 @@ src/, each in a fresh working directory with `--out out`:
   * --enforce-cap for each method, and in grid and compare, which refuse it
   * grid and compare under --rr-scaling with each schedule
   * edge usage errors: non-finite --lambda and bad --horizons
+  * rate with sgd, each strategy, a dataset and a diverging --gamma
+  * compare --beta under an --algo other than smg or ssmg, which it refuses
   * the benchmark's three commands at tiny sizes
 
 A difference is any change in exit code, stdout or stderr (the tree and the
@@ -95,6 +97,14 @@ CASES = {
     "horizons-zero-last": ["rate", "--horizons", "200,0"],
     "horizons-zero-first": ["rate", "--horizons", "0,8"],
     "horizons-valid": ["rate", "--horizons", "8,16"],
+    # rate: sgd's own rule, other strategies, a dataset and a divergence
+    "rate-sgd-rr": ["rate", "--algo", "sgd", "--horizons", "4,8,16", "--repeats", "2"],
+    "rate-sgd-once": ["rate", "--algo", "sgd", "--strategy", "once", "--horizons", "4,8,16",
+                      "--repeats", "2"],
+    "rate-inc-beta": ["rate", "--strategy", "inc", "--beta", "0.7", "--horizons", "4,8,16"],
+    "rate-dataset": ["rate", "--dataset", DATASET, "--horizons", "2,4", "--repeats", "2"],
+    "rate-diverging": ["rate", "--gamma", "1e300", "--horizons", "2,4"],
+    "compare-beta-sgdm": ["compare", "--algo", "sgdm", "--beta", "0.1", "--T", "3"],
     # the benchmark's commands at tiny sizes
     "bench-w8a-run": ["run", "--algo", "smg", "--strategy", "rr", "--T", "2",
                       "--gamma", "500", "--seed", "1", "--dataset", DATASET],

@@ -50,8 +50,8 @@ from .audit import (
     RateFit,
     audit_runs,
     bound_rhs,
+    check_horizons,
     fit_power_law,
-    fit_rate,
     identity_suite,
 )
 from .dataio import (

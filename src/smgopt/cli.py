@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from .audit import AuditRefusal, BoundReport, fit_rate
+from .audit import AuditRefusal, BoundReport, check_horizons, fit_power_law
 from .dataio import (
     ParseError,
     parse_libsvm,
@@ -346,7 +346,7 @@ def cmd_grid(args) -> int:
 
 def cmd_rate(args) -> int:
     cfg = config_from_args(args)
-    # fit_rate runs smg (sgd is its beta = 0 case) under a constant schedule
+    # the bounds' setting: smg (or sgd, its beta = 0 case) under a constant schedule
     _refuse_flags("rate fits smg or sgd under a constant schedule", (
         (f"--algo {cfg.algo}", cfg.algo not in ("smg", "sgd")),
         ("--beta with --algo sgd", cfg.algo == "sgd" and cfg.resolved_beta != 0),
@@ -358,9 +358,11 @@ def cmd_rate(args) -> int:
     ))
     horizons = [int(h) for h in args.horizons.split(",")]
     problem = build_problem(cfg)
-    fit = fit_rate(problem, horizons, gamma=cfg.gamma, beta=cfg.resolved_beta,
-                   strategy_kind=cfg.strategy, base_seed=cfg.seed,
-                   n_seeds=cfg.repeats)
+    check_horizons(horizons)
+    points = [run_point(cfg, problem.n, T=h) for h in horizons]
+    fit = fit_power_law(horizons, [   # each horizon's median over its seeds
+        np.median([r.weighted_grad_avg() for r in seeded_runs(problem, point, etas)])
+        for point, _, etas in points])
     out = Path(args.out)
     csv_path = write_table(out / "rate.csv", cfg, "T,metric",
                            ([str(T), repr(m)] for T, m in zip(fit.horizons, fit.metrics)))
@@ -383,6 +385,9 @@ def cmd_compare(args) -> int:
     cfg = config_from_args(args)
     _refuse_flags("compare runs every method without a cap check",
                          [("--enforce-cap", cfg.enforce_cap)])
+    _refuse_flags("compare gives --beta to smg and ssmg, under --algo smg or ssmg",
+                  [(f"--beta with --algo {cfg.algo}",
+                    cfg.beta is not None and cfg.algo not in ("smg", "ssmg"))])
     methods = [m.strip() for m in args.methods.split(",")]
     for m in methods:
         if m not in ALGOS:
@@ -392,9 +397,8 @@ def cmd_compare(args) -> int:
     problem = build_problem(cfg)
     curves: dict[str, np.ndarray] = {}
     for method in methods:
-        beta = None   # per-method default momentum, but smg and ssmg share one
-        if method in ("smg", "ssmg"):
-            beta = cfg.resolved_beta if cfg.algo in ("smg", "ssmg") else 0.5
+        # --beta, or their shared default, is smg's and ssmg's; the others keep theirs
+        beta = cfg.beta if method in ("smg", "ssmg") else None
         point, _, etas = run_point(cfg, problem.n, cfg.gamma, algo=method, beta=beta)
         curves[method] = np.stack([record.losses for record in
                                    seeded_runs(problem, point, etas)])
@@ -410,7 +414,8 @@ def cmd_compare(args) -> int:
             cells = [str(t + 1)]
             for m in methods:
                 col = curves[m][:, t]
-                cells += [repr(float(col.mean())), repr(float(col.std(ddof=1)))]
+                with np.errstate(over="ignore"):   # written as inf past the float range
+                    cells += [repr(float(col.mean())), repr(float(col.std(ddof=1)))]
             rows.append(cells)
     out = Path(args.out)
     csv_path = write_table(out / "compare.csv", cfg, header, rows)

@@ -94,8 +94,8 @@ class RunRecord:
 
     def weighted_grad_avg(self) -> float:
         """sum_t eta_t ||grad F(w_tilde_{t-1})||^2 / sum_t eta_t."""
-        total = float(self.etas.sum())
-        return float(np.dot(self.etas, self.grad_norms_sq)) / total
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or nan past float range
+            return float(np.dot(self.etas, self.grad_norms_sq)) / float(self.etas.sum())
 
 
 class _Rule:
@@ -171,10 +171,12 @@ class _Recursive(_Rule):
 class _Adam(_Rule):
     """Bias-corrected Adam at each run's constant per-step rate lr."""
 
-    def __init__(self, lr: np.ndarray, beta: np.ndarray, beta2: float, eps: float):
+    beta2, eps = 0.999, 1e-8
+    c2 = 1.0 - beta2
+
+    def __init__(self, lr: np.ndarray, beta: np.ndarray):
         self.lr, self.beta, self.c = lr, beta, 1.0 - beta
         self.beta1 = beta[:, 0].tolist()   # for float powers, as Python takes them
-        self.beta2, self.c2, self.eps = beta2, 1.0 - beta2, eps
         self.m, self.v, self.k = np.zeros_like(beta), np.zeros_like(beta), 0
         self.u, self.s, self.bias = np.empty_like(beta), np.empty_like(beta), np.empty_like(beta)
 
@@ -319,8 +321,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
 
 def ensemble_outcomes(algo: str, problem: Problem, etas,
                       strategies: Sequence[ShufflingStrategy], beta,
-                      w0: Optional[np.ndarray] = None, inner_trace: bool = False,
-                      beta2: float = 0.999, eps: float = 1e-8) -> list:
+                      w0: Optional[np.ndarray] = None, inner_trace: bool = False) -> list:
     """Runs of algo ("smg", "ssmg", "sgd", "sgdm" or "adam"), one per strategy.
 
     etas holds the per-epoch rates, (T,) shared or (R, T) one row per run
@@ -349,7 +350,7 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
     elif algo == "sgd":
         rule = _Plain(beta)
     elif algo == "adam":
-        rule = _Adam(_rows(etas[:, 0], problem.d), beta, beta2, eps)
+        rule = _Adam(_rows(etas[:, 0], problem.d), beta)
     else:
         raise ValueError(f"unknown method {algo!r}")
     if inner_trace:
@@ -362,12 +363,11 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
 
 def ensemble_run(algo: str, problem: Problem, etas,
                  strategies: Sequence[ShufflingStrategy], beta,
-                 w0: Optional[np.ndarray] = None, inner_trace: bool = False,
-                 beta2: float = 0.999, eps: float = 1e-8) -> list[RunRecord]:
+                 w0: Optional[np.ndarray] = None,
+                 inner_trace: bool = False) -> list[RunRecord]:
     """The records of ensemble_outcomes; if a run aborts, the RunAborted of
     the first aborted run in strategy order, the one a loop would meet first."""
-    outcomes = ensemble_outcomes(algo, problem, etas, strategies, beta, w0,
-                                 inner_trace, beta2, eps)
+    outcomes = ensemble_outcomes(algo, problem, etas, strategies, beta, w0, inner_trace)
     for outcome in outcomes:
         if isinstance(outcome, RunAborted):
             raise outcome
@@ -414,9 +414,8 @@ def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
 
 
 def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
-             w0: Optional[np.ndarray] = None, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> RunRecord:
-    """Adam baseline with bias correction, constant per-step rate lr.
+             w0: Optional[np.ndarray] = None, beta1: float = 0.9) -> RunRecord:
+    """Adam baseline, bias-corrected (beta2 = 0.999, eps = 1e-8), at per-step rate lr.
 
     The recorded eta column holds lr for every epoch, so the output iterate
     is drawn uniformly over epoch starts.
@@ -425,5 +424,4 @@ def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
         raise ValueError(f"learning rate must be positive, got {lr}")
     if T < 1:
         raise ValueError(f"need at least one epoch, got T={T}")
-    return ensemble_run("adam", problem, np.full(T, float(lr)), [strategy], beta1,
-                        w0, beta2=beta2, eps=eps)[0]
+    return ensemble_run("adam", problem, np.full(T, float(lr)), [strategy], beta1, w0)[0]

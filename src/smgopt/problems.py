@@ -217,7 +217,8 @@ def logistic_constants(dataset: SparseDataset, lam: float) -> ProblemConstants:
     if n == 0:
         raise ValueError("cannot certify constants for an empty dataset")
     values = dataset.values
-    sq_norms = np.bincount(dataset.row_ids(), weights=values * values, minlength=n)
+    with np.errstate(over="ignore"):   # rows past the float range certify L = inf
+        sq_norms = np.bincount(dataset.row_ids(), weights=values * values, minlength=n)
     max_norm = math.sqrt(sq_norms.max())
     L = 0.25 * max_norm ** 2 + lam
     G = max_norm + lam * REG_GRAD_PEAK * math.sqrt(dataset.d)

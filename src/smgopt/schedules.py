@@ -118,11 +118,12 @@ def schedule_sums(schedule: Schedule) -> ScheduleSums:
     etas = schedule.etas()
     prev = np.concatenate(([etas[0]], etas[:-1]))
     xi = np.maximum(etas, prev)
-    return ScheduleSums(
-        sum_eta=float(etas.sum()),
-        sum_eta_prev_cubed=float((prev ** 3).sum()),
-        sum_xi_cubed=float((xi ** 3).sum()),
-    )
+    with np.errstate(over="ignore"):   # sums past the float range are inf
+        return ScheduleSums(
+            sum_eta=float(etas.sum()),
+            sum_eta_prev_cubed=float((prev ** 3).sum()),
+            sum_xi_cubed=float((xi ** 3).sum()),
+        )
 
 
 @dataclass(frozen=True)

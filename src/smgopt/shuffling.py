@@ -159,7 +159,8 @@ def select_output_index(etas: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError("cannot select an output iterate from zero epochs")
     if np.any(etas < 0):
         raise ValueError("step-size weights must be nonnegative")
-    total = float(etas.sum())
+    with np.errstate(over="ignore"):   # a sum past the float range is refused below
+        total = float(etas.sum())
     if not 0 < total < np.inf:
         raise ValueError(f"step-size weights must have a finite positive sum, got {total}")
     p = etas / total

@@ -13,7 +13,7 @@ import pytest
 from smgopt.audit import (
     audit_runs,
     cosine_sum_deviation,
-    fit_rate,
+    fit_power_law,
     identity_suite,
 )
 from smgopt.cli import main as cli_main
@@ -152,10 +152,14 @@ def test_06_gradient_correctness():
            f"max rel err {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_07_empirical_rate():
+def test_07_empirical_rate(tmp_path):
     start = time.time()
-    fit = fit_rate(logistic_toy(), [8, 16, 32, 64, 128, 256, 512], gamma=2.0,
-                   beta=0.5, strategy_kind="rr", base_seed=0, n_seeds=5)
+    # the CLI's synthetic data at seed 7 is logistic_toy()'s
+    assert cli_main(["rate", "--horizons", "8,16,32,64,128,256,512", "--gamma", "2.0",
+                     "--beta", "0.5", "--strategy", "rr", "--seed", "0", "--repeats", "5",
+                     "--synth-seed", "7", "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "rate.csv").read_text().splitlines()[2:]]
+    fit = fit_power_law([int(T) for T, _ in rows], [float(m) for _, m in rows])
     elapsed = time.time() - start
     ok = fit.slope <= -0.5 and elapsed < 120
     report(7, "empirical decay exponent over T=8..512", ok,

@@ -11,10 +11,10 @@ from smgopt.audit import (
     bound_rhs,
     cosine_sum_deviation,
     fit_power_law,
-    fit_rate,
     identity_suite,
     theorem_for,
 )
+from smgopt.cli import main as cli_main
 from smgopt.optimizers import RunRecord, smg_run, ssmg_run
 from smgopt.problems import ProblemConstants, logistic_problem, quadratic_mean_problem
 from smgopt.schedules import Schedule, cap_general, cap_rr, schedule_sums
@@ -277,9 +277,14 @@ class TestRateFit:
         with pytest.raises(ValueError):
             fit_power_law([8, 16], [1.0, -1.0])
 
-    def test_empirical_slope_on_logistic_toy(self):
-        fit = fit_rate(logistic_toy(), [8, 16, 32, 64], gamma=2.0, beta=0.5,
-                       strategy_kind="rr", base_seed=0, n_seeds=2)
+    def test_empirical_slope_on_logistic_toy(self, tmp_path):
+        # the CLI's synthetic data at seed 7 is logistic_toy()'s
+        assert cli_main(["rate", "--horizons", "8,16,32,64", "--gamma", "2.0",
+                         "--beta", "0.5", "--strategy", "rr", "--seed", "0",
+                         "--repeats", "2", "--synth-seed", "7",
+                         "--out", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in (tmp_path / "rate.csv").read_text().splitlines()[2:]]
+        fit = fit_power_law([int(T) for T, _ in rows], [float(m) for _, m in rows])
         assert fit.slope <= -0.35  # short-horizon prefix of the full sweep
 
 

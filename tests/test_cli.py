@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smgopt import audit, cli
+from smgopt import cli
 from smgopt.cli import (
     EXIT_ABORT,
     EXIT_OK,
@@ -271,7 +271,7 @@ class TestRateCommand:
     ["--enforce-cap"],
 ])
 def test_rate_refuses_flags_it_would_ignore(flags, tmp_path, capsys):
-    # fit_rate only runs smg (or sgd, its beta = 0 case) on a constant schedule
+    # rate fits the bounds' setting: smg (or sgd, its beta = 0 case) on a constant schedule
     rc = run_cli("rate", "--horizons", "4,8", *flags, "--out", str(tmp_path))
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
@@ -289,7 +289,7 @@ def test_rate_checks_horizons_before_running(horizons, message, tmp_path, capsys
                                             monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
-    monkeypatch.setattr(audit, "ensemble_run", unreachable)
+    monkeypatch.setattr(cli, "ensemble_run", unreachable)
     assert run_cli("rate", "--horizons", horizons, "--out", str(tmp_path)) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not tmp_path.joinpath("rate.csv").exists()
@@ -330,6 +330,17 @@ class TestCompareCommand:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
             "usage error: method 'sgd' is named twice in --methods\n")
+        assert not tmp_path.joinpath("compare.csv").exists()
+
+    @pytest.mark.parametrize("algo", ["sgd", "sgdm", "adam"])
+    def test_beta_refused_without_smg_or_ssmg_algo(self, algo, tmp_path, capsys):
+        # --beta sets smg's and ssmg's weight only; sgd, sgdm and adam keep theirs
+        rc = run_cli("compare", "--algo", algo, "--beta", "0.1", "--T", "3",
+                     "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: compare gives --beta to smg and ssmg, under --algo smg or ssmg; "
+            f"it does not take --beta with --algo {algo}\n")
         assert not tmp_path.joinpath("compare.csv").exists()
 
 
@@ -462,11 +473,31 @@ NON_FINITE_LAMBDA = [
     ["compare", "--T", "2", "--seed", "-1"],
     # a non-finite lambda is refused as itself, under every schedule
     *NON_FINITE_LAMBDA,
+    # rates whose sum passes the float range are refused with no numpy warning
+    ["run", "--algo", "sgdm", "--gamma", "1e308", "--T", "3"],
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the rates' cubes pass the float range before the cap refuses the first rate
+    (["audit", "--T", "1", "--synth-n", "1", "--gamma", "1e308"], EXIT_REFUSAL),
+    # the rate-weighted sum of squared gradient norms passes the float range
+    (["run", "--T", "1", "--synth-n", "2", "--reg", "1e154", "--gamma", "1e154"], EXIT_OK),
+    # a row's squared norm, and the seeds' squared loss deviations, pass it too
+    (["compare", "--T", "1", "--repeats", "2", "--methods", "smg", "--dataset", "big"],
+     EXIT_OK),
+])
+def test_values_past_the_float_range_raise_no_warning(argv, code, tmp_path, capsys):
+    # pytest turns a RuntimeWarning into an error (pyproject.toml)
+    (tmp_path / "big").write_text("+1 1:1e300 3:1\n-1 2:1e-300\n+1 1:1e308 2:0.25\n"
+                                  "-1 3:-1e308\n")
+    argv = [str(tmp_path / "big") if arg == "big" else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
+    assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_LAMBDA)

@@ -1,6 +1,6 @@
 """Property test of the CLI contract: every argv of every subcommand, at tiny
 sizes and with edge values, ends in a documented exit code (0 to 3) with
-no traceback."""
+no traceback, and a nonzero exit prints one stderr line."""
 import contextlib
 import io
 import tempfile
@@ -99,3 +99,5 @@ def test_every_argv_ends_in_a_documented_exit_code(datasets, argv):
         code = main([*argv, "--out", out] if argv[0] != "parse" else argv)
     assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
+    if code:   # the error or refusal alone, with no warning before it
+        assert len(stderr.getvalue().splitlines()) == 1

@@ -48,17 +48,20 @@ EQUAL = ("+1 1:0.5 4:-1.0 7:2.0\n-1 2:1.5 3:-0.25 6:0.75\n+1 1:-2.0 5:0.5 6:1.0\
 FIXTURES = ("quadratic", "dense-logistic", "ragged-logistic", "sparse-logistic")
 
 
+def make_dataset(name):
+    """The data of a logistic fixture."""
+    if name == "dense-logistic":
+        return synth_binary_dataset(24, 4, seed=3, separability=0.8)
+    if name == "sparse-logistic":
+        return parse_libsvm(io.StringIO(EQUAL))[0]
+    return dataclasses.replace(parse_libsvm(io.StringIO(RAGGED))[0], d=9)
+
+
 def make_problem(name):
     if name == "quadratic":
         centers = np.random.default_rng(0).standard_normal((8, 3))
         return quadratic_mean_problem(centers, np.diag([1.0, 2.0, 4.0]))
-    if name == "dense-logistic":
-        return logistic_problem(synth_binary_dataset(24, 4, seed=3, separability=0.8),
-                                lam=0.01)
-    if name == "sparse-logistic":
-        return logistic_problem(parse_libsvm(io.StringIO(EQUAL))[0], lam=0.05)
-    dataset = dataclasses.replace(parse_libsvm(io.StringIO(RAGGED))[0], d=9)
-    return logistic_problem(dataset, lam=0.05)
+    return logistic_problem(make_dataset(name), lam=0.01 if name == "dense-logistic" else 0.05)
 
 
 def schedule(k=0):
@@ -146,6 +149,18 @@ def test_batched_oracles_match_scalar_oracles(fixture, monkeypatch):
     values, grads = problem.batch_full_pass(W)
     assert_close(values, [problem.full_value(w) for w in W])
     assert_close(grads, [problem.full_grad(w) for w in W])
+
+
+@pytest.mark.parametrize("fixture", FIXTURES[1:])
+def test_full_pass_chunks_of_two_members_match_single_passes(fixture, monkeypatch):
+    # a budget of two members' entries splits five members into chunks of 2, 2
+    # and 1, whose passes are concatenated
+    monkeypatch.setattr(problems, "BATCH_BUDGET", 2 * make_dataset(fixture).values.size)
+    problem = make_problem(fixture)
+    W = np.random.default_rng(3).standard_normal((5, problem.d))
+    values, grads = problem.batch_full_pass(W)
+    assert np.array_equal(values, [problem.full_value(w) for w in W])
+    assert np.array_equal(grads, [problem.full_grad(w) for w in W])
 
 
 def count_permutations(monkeypatch) -> list:
