@@ -9,7 +9,9 @@ src/, each in a fresh working directory with `--out out`:
 
   * the CLI cases of tests/test_golden.py (read from this script's checkout)
   * T1, T2 and T3 audits and each audit refusal: step caps, a vacuous bound,
-    methods without a bound
+    a bound whose denominator underflows, methods without a bound
+  * audits of the diminishing, exponential and cosine schedules, under
+    --rr-scaling, of ssmg under rr, and run --audit over several seeds
   * --enforce-cap for each method, and in grid and compare, which refuse it
   * grid and compare under --rr-scaling with each schedule
   * edge usage errors: non-finite --lambda and bad --horizons
@@ -50,6 +52,19 @@ CASES = {
                      "--repeats", "3", "--audit"],
     "run-audit-T3": ["run", "--algo", "ssmg", "--strategy", "rr", "--T", "4",
                      "--gamma", "0.05", "--audit"],
+    # audits of non-constant schedules, --rr-scaling, ssmg under rr, seeded run --audit
+    "audit-diminishing": ["audit", "--schedule", "diminishing", "--lambda", "2",
+                          "--strategy", "inc", "--T", "8", "--gamma", "0.01"],
+    "audit-exponential": ["audit", "--schedule", "exponential", "--rho", "0.5",
+                          "--strategy", "once", "--T", "8", "--gamma", "0.01"],
+    "audit-cosine": ["audit", "--schedule", "cosine", "--strategy", "inc", "--T", "8",
+                     "--gamma", "0.01", "--repeats", "2"],
+    "audit-rr-scaling-T2": ["audit", "--rr-scaling", "--T", "6", "--gamma", "0.002",
+                            "--repeats", "4"],
+    "audit-ssmg-rr": ["audit", "--algo", "ssmg", "--strategy", "rr", "--T", "6",
+                      "--gamma", "0.05", "--repeats", "2"],
+    "run-audit-repeats": ["run", "--algo", "smg", "--strategy", "inc", "--T", "5",
+                          "--gamma", "0.01", "--audit", "--repeats", "3"],
     # refusals
     "refuse-cap-T1": ["audit", "--algo", "smg", "--strategy", "inc", "--T", "4",
                       "--gamma", "50"],
@@ -76,6 +91,13 @@ CASES = {
     "refuse-vacuous-T2": ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
     "refuse-vacuous-T3": ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2",
                           "--audit", "--strategy", "once"],
+    # near 1, beta underflows the first term's denominator to 0
+    "refuse-underflow-T1": ["run", "--algo", "smg", "--beta", "0.999999", "--gamma",
+                            "1e-320", "--T", "2", "--audit", "--strategy", "inc"],
+    "refuse-underflow-T2": ["audit", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+                            "--repeats", "3"],
+    "refuse-underflow-T3": ["run", "--algo", "ssmg", "--beta", "0.999999", "--gamma",
+                            "1e-320", "--T", "2", "--audit", "--strategy", "once"],
     "refuse-sgd": ["audit", "--algo", "sgd", "--T", "4", "--repeats", "200"],
     "refuse-sgdm": ["run", "--algo", "sgdm", "--T", "4", "--audit"],
     "refuse-adam": ["run", "--algo", "adam", "--T", "4", "--gamma", "0.001", "--audit"],

@@ -31,14 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .optimizers import RunRecord, smg_run, ssmg_run
-from .problems import Problem, ProblemConstants
-from .schedules import (
-    Schedule,
-    ScheduleSums,
-    cap_general,
-    cap_rr,
-    is_non_increasing,
-)
+from .problems import Problem
+from .schedules import Schedule, cap_general, cap_rr, is_non_increasing, schedule_sums
 from .shuffling import RANDOM_RESHUFFLING, ShufflingStrategy
 
 SATISFACTION_REL_TOL = 1e-9
@@ -79,64 +73,66 @@ def _require(condition: bool, reason: str):
         raise AuditRefusal(reason)
 
 
-def check_cap(theorem: str, beta: float, constants: ProblemConstants, n: int,
-              eta1: float):
-    """Refuse a first rate eta1 above theorem's cap: 1/(L sqrt(K)) for T1,
-    1/(L sqrt(D)) over n samples for T2, and 1/L for T3, which also needs a
-    finite G."""
-    L = constants.L
+def check_cap(theorem: str, beta: float, problem: Problem, eta1: float):
+    """Refuse a first rate eta1 above theorem's cap at momentum weight beta:
+    1/(L sqrt(K)) for T1, 1/(L sqrt(D)) over problem's n samples for T2, and
+    1/L for T3, which also needs a finite G."""
+    constants, L = problem.constants, problem.constants.L
     if theorem == "T3":
         _require(constants.has_finite_G,
                  "bounded component gradients required; G is not finite")
         cap, label = 1.0 / L, "1/L"
     elif theorem == "T2":
-        cap, label = cap_rr(beta, constants.theta, n, L).max_eta, "1/(L sqrt(D))"
+        cap, label = cap_rr(beta, constants.theta, problem.n, L).max_eta, "1/(L sqrt(D))"
     else:
         cap, label = cap_general(beta, constants.theta, L).max_eta, "1/(L sqrt(K))"
     _require(eta1 <= cap * (1 + 1e-9), f"eta_1 = {eta1:.3e} exceeds cap {label} = {cap:.3e}")
 
 
-def bound_rhs(theorem: str, record: RunRecord, constants: ProblemConstants,
-              beta: float, n: int, sums: ScheduleSums) -> float:
+def bound_rhs(theorem: str, record: RunRecord, problem: Problem) -> float:
     """The right-hand side of theorem ("T1", "T2" or "T3", see the module
-    docstring) for record's run over n samples; T1 does not depend on n.
+    docstring) for record's run, at its rates and momentum weight, on
+    problem; T1 does not depend on n.
 
     Refuses when a premise or the step cap fails, or when the right-hand
     side is not finite.
     """
     if theorem not in ("T1", "T2", "T3"):
         raise ValueError(f"unknown theorem {theorem!r}")
+    beta, constants, n = record.beta, problem.constants, problem.n
     _require(0 <= beta < 1, f"momentum weight {beta} outside [0, 1)")
     _require(is_non_increasing(record.etas),
              "learning-rate sequence is not non-increasing")
     _require(bool(np.all(record.etas >= 0)), "negative learning rate in record")
     _require(theorem != "T2" or record.strategy_kind == RANDOM_RESHUFFLING,
              f"randomized reshuffling required, run used {record.strategy_kind!r}")
-    L, eta1 = constants.L, float(record.etas[0])
-    check_cap(theorem, beta, constants, n, eta1)
+    L, eta1, sums = constants.L, float(record.etas[0]), schedule_sums(record.etas)
+    check_cap(theorem, beta, problem, eta1)
     delta_f = float(record.losses[0]) - constants.f_lower
+    G, beta_n = constants.G, beta ** n
+    # the first term's denominator, which underflows to 0 at tiny rates
+    scale = sums.sum_eta * (1.0 - beta_n) if theorem == "T3" else (1.0 - beta) * sums.sum_eta
+    _require(scale > 0, "the bound is vacuous: its right-hand side is inf")
     if theorem == "T3":
-        G, beta_n = constants.G, beta ** n
         delta1 = (2.0 * delta_f + (1.0 / L + eta1) * float(record.grad_norms_sq[0])
                   + 2.0 * L * eta1 * eta1 * G * G)
-        rhs = (delta1 / (sums.sum_eta * (1.0 - beta_n))
-               + L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
+        rhs = (delta1 / scale + L * L * G * G * (sums.sum_xi_cubed / sums.sum_eta)
                + 4.0 * beta_n * G * G / (1.0 - beta_n))
     else:
         if theorem == "T2":
             variance = 6.0 * constants.sigma_sq * (5.0 - 3.0 * beta) * L * L / (n * (1.0 - beta))
         else:
             variance = 9.0 * constants.sigma_sq * L * L * (5.0 - 3.0 * beta) / (1.0 - beta)
-        rhs = (4.0 * delta_f / ((1.0 - beta) * sums.sum_eta)
-               + variance * (sums.sum_eta_prev_cubed / sums.sum_eta))
+        rhs = 4.0 * delta_f / scale + variance * (sums.sum_eta_prev_cubed / sums.sum_eta)
     _require(math.isfinite(rhs), f"the bound is vacuous: its right-hand side is {float(rhs)}")
     return float(rhs)
 
 
-def _constants_dict(constants: ProblemConstants, beta: float, record: RunRecord,
-                    sums: ScheduleSums) -> dict:
+def _constants_dict(record: RunRecord, problem: Problem) -> dict:
+    constants = problem.constants
     return {**asdict(constants), "G": constants.G if constants.has_finite_G else "inf",
-            "beta": beta, "F_w0": float(record.losses[0]), **sums._asdict()}
+            "beta": record.beta, "F_w0": float(record.losses[0]),
+            **schedule_sums(record.etas)._asdict()}
 
 
 def theorem_for(algo: str, strategy_kind: str) -> str:
@@ -153,38 +149,40 @@ def theorem_for(algo: str, strategy_kind: str) -> str:
     raise AuditRefusal(f"no convergence bound is audited for {algo!r}")
 
 
-def audit_runs(theorem: str, records: Sequence[RunRecord], constants: ProblemConstants,
-               beta: float, n: int, sums: ScheduleSums) -> list[BoundReport]:
-    """theorem's reports on records: one per record for the pathwise T1 and
-    T3, one over all of them for the expectation bound T2.
+def audit_runs(records: Sequence[RunRecord], problem: Problem) -> list[BoundReport]:
+    """The reports on records, runs of one method and strategy on problem,
+    for the bound theorem_for picks from the first: one per record for the
+    pathwise T1 and T3, one over all of them for the expectation bound T2.
 
-    T2's right-hand side is evaluated once, so all runs must share the
-    starting point; its left-hand side is the sample mean over runs,
-    compared with a three-standard-error Monte Carlo allowance.
+    T2's right-hand side is evaluated once, on the first record's rates and
+    momentum weight, so all runs must share the starting point; its
+    left-hand side is the sample mean over runs, compared with a
+    three-standard-error Monte Carlo allowance.
     """
+    if not records:
+        raise ValueError("need at least one run to audit")
+    theorem = theorem_for(records[0].algo, records[0].strategy_kind)
     if theorem != "T2":
         reports = []
         for record in records:
-            rhs = bound_rhs(theorem, record, constants, beta, n, sums)
+            rhs = bound_rhs(theorem, record, problem)
             lhs = record.weighted_grad_avg()
             reports.append(BoundReport(
-                theorem, lhs, rhs, _constants_dict(constants, beta, record, sums),
+                theorem, lhs, rhs, _constants_dict(record, problem),
                 bool(lhs <= rhs * (1 + SATISFACTION_REL_TOL)), rhs - lhs))
         return reports
-    if not records:
-        raise ValueError("need at least one run to audit")
     f0 = records[0].losses[0]
     for r in records:
         _require(abs(r.losses[0] - f0) <= 1e-9 * (1 + abs(f0)),
                  "runs do not share the starting point; expectation bound "
                  "conditions on a common initial iterate")
-    rhs = bound_rhs("T2", records[0], constants, beta, n, sums)
+    rhs = bound_rhs("T2", records[0], problem)
     values = np.array([r.weighted_grad_avg() for r in records])
     with np.errstate(over="ignore"):   # an inf mean or error fails the check below
         lhs = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     satisfied = bool(lhs <= rhs + 3.0 * se + SATISFACTION_REL_TOL * rhs)
-    return [BoundReport("T2", lhs, rhs, _constants_dict(constants, beta, records[0], sums),
+    return [BoundReport("T2", lhs, rhs, _constants_dict(records[0], problem),
                         satisfied, rhs - lhs, {"n_runs": int(values.size), "std_error": se})]
 
 

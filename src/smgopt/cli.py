@@ -38,7 +38,7 @@ from .dataio import (
 )
 from .optimizers import RunAborted, RunRecord, ensemble_outcomes, ensemble_run
 from .problems import Problem, logistic_problem
-from .schedules import Schedule, gamma_for_initial_step, schedule_sums
+from .schedules import Schedule, gamma_for_initial_step
 from .shuffling import STRATEGY_KINDS, ShufflingStrategy, init_point
 
 ALGOS = ("smg", "ssmg", "sgd", "sgdm", "adam")
@@ -142,9 +142,9 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 
 def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
-              **changes) -> tuple[ExperimentConfig, Schedule, np.ndarray]:
-    """One run point of cfg on n samples: its validated config, its schedule
-    and its per-epoch rates.
+              **changes) -> tuple[ExperimentConfig, np.ndarray]:
+    """One run point of cfg on n samples: its validated config and its
+    per-epoch rates.
 
     changes replace config fields as given.  step, when given, is a
     per-inner-step rate: Adam takes it as its gamma, and every other method
@@ -163,7 +163,7 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
                         lam=point.lam, rho=point.rho,
                         rr_scale=n if point.rr_scaling else None)
     etas = np.full(point.T, float(point.gamma)) if point.algo == "adam" else schedule.etas()
-    return point, schedule, etas
+    return point, etas
 
 
 def _strategies(cfg: ExperimentConfig) -> list[ShufflingStrategy]:
@@ -196,19 +196,17 @@ def run_experiment(cfg: ExperimentConfig, with_audit: bool):
     """Shared driver for the run and audit subcommands: the records of cfg's
     seeds and, with_audit, their bound reports."""
     problem = build_problem(cfg)
-    cfg, schedule, etas = run_point(cfg, problem.n)
-    beta, constants = cfg.resolved_beta, problem.constants
+    cfg, etas = run_point(cfg, problem.n)
     theorem = (audit_mod.theorem_for(cfg.algo, cfg.strategy)
                if with_audit or cfg.enforce_cap else None)
     if cfg.enforce_cap:   # the cap of the bound audited, on the rate the run takes
-        audit_mod.check_cap(theorem, beta, constants, problem.n, float(etas[0]))
+        audit_mod.check_cap(theorem, cfg.resolved_beta, problem, float(etas[0]))
     # the expectation audit conditions on one starting point shared by seeds
     shared_w0 = init_point(problem.d, cfg.seed) if with_audit and theorem == "T2" else None
     records = seeded_runs(problem, cfg, etas, shared_w0)
     if not with_audit:
         return records, []
-    return records, audit_mod.audit_runs(theorem, records, constants, beta, problem.n,
-                                         schedule_sums(schedule))
+    return records, audit_mod.audit_runs(records, problem)
 
 
 def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
@@ -315,7 +313,7 @@ def cmd_grid(args) -> int:
         axes = {"lam": _parse_float_list(args.lambda_grid) or [None],
                 "rho": _parse_float_list(args.rho_grid) or [None],
                 "beta": _parse_float_list(args.beta_grid) or [None]}
-    # (step, config, schedule, per-epoch rates) of each point; None keeps cfg's value
+    # (step, config, per-epoch rates) of each point; None keeps cfg's value
     points = [(step, *run_point(cfg, problem.n, step, **{
                    name: value for name, value in zip(axes, values) if value is not None}))
               for step, *values in itertools.product(steps, *axes.values())]
@@ -324,9 +322,9 @@ def cmd_grid(args) -> int:
     seeds = _strategies(cfg)
     outcomes = ensemble_outcomes(
         cfg.algo, problem, np.repeat([etas for *_, etas in points], len(seeds), axis=0),
-        seeds * len(points), [p.resolved_beta for _, p, *_ in points for _ in seeds])
+        seeds * len(points), [p.resolved_beta for _, p, _ in points for _ in seeds])
     rows = [_grid_row(step, point, outcomes[k * len(seeds):(k + 1) * len(seeds)])
-            for k, (step, point, *_) in enumerate(points)]
+            for k, (step, point, _) in enumerate(points)]
 
     rows.sort(key=lambda r: (r["status"] != "ok", r["final_loss"]))
     header = "rank,step,gamma,lam,rho,beta,final_loss,weighted_grad_avg,status,abort_epoch,hash"
@@ -362,7 +360,7 @@ def cmd_rate(args) -> int:
     points = [run_point(cfg, problem.n, T=h) for h in horizons]
     fit = fit_power_law(horizons, [   # each horizon's median over its seeds
         np.median([r.weighted_grad_avg() for r in seeded_runs(problem, point, etas)])
-        for point, _, etas in points])
+        for point, etas in points])
     out = Path(args.out)
     csv_path = write_table(out / "rate.csv", cfg, "T,metric",
                            ([str(T), repr(m)] for T, m in zip(fit.horizons, fit.metrics)))
@@ -399,7 +397,7 @@ def cmd_compare(args) -> int:
     for method in methods:
         # --beta, or their shared default, is smg's and ssmg's; the others keep theirs
         beta = cfg.beta if method in ("smg", "ssmg") else None
-        point, _, etas = run_point(cfg, problem.n, cfg.gamma, algo=method, beta=beta)
+        point, etas = run_point(cfg, problem.n, cfg.gamma, algo=method, beta=beta)
         curves[method] = np.stack([record.losses for record in
                                    seeded_runs(problem, point, etas)])
 

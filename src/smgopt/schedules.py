@@ -114,8 +114,7 @@ class ScheduleSums(NamedTuple):
     sum_xi_cubed: float        # sum of max(eta_t, eta_{t-1})^3, xi_1 = eta_1
 
 
-def schedule_sums(schedule: Schedule) -> ScheduleSums:
-    etas = schedule.etas()
+def schedule_sums(etas: np.ndarray) -> ScheduleSums:
     prev = np.concatenate(([etas[0]], etas[:-1]))
     xi = np.maximum(etas, prev)
     with np.errstate(over="ignore"):   # sums past the float range are inf

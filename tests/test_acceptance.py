@@ -20,7 +20,7 @@ from smgopt.cli import main as cli_main
 from smgopt.dataio import parse_libsvm, synth_binary_dataset
 from smgopt.optimizers import smg_run, shuffling_sgd_run, ssmg_run
 from smgopt.problems import logistic_problem, quadratic_mean_problem
-from smgopt.schedules import Schedule, cap_general, cap_rr, schedule_sums
+from smgopt.schedules import Schedule, cap_general, cap_rr
 from smgopt.shuffling import ShufflingStrategy, init_point
 
 
@@ -51,7 +51,7 @@ def test_01_theorem1_deterministic_audit():
             sch = Schedule("constant", gamma=0.9 * cap.max_eta * T ** (1 / 3),
                            horizon=T)
             rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-            [rep] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
+            [rep] = audit_runs([rec], prob)
             elapsed = time.time() - t0
             assert elapsed < 1.0, f"audit took {elapsed:.2f}s"
             assert rep.lhs <= rep.rhs * (1 + 1e-9)
@@ -70,7 +70,7 @@ def test_02_theorem2_expectation_audit():
     w0 = init_point(prob.d, 0)
     records = [smg_run(prob, sch, ShufflingStrategy("rr", s), beta, w0)
                for s in range(200)]
-    [rep] = audit_runs("T2", records, prob.constants, beta, n, schedule_sums(sch))
+    [rep] = audit_runs(records, prob)
     elapsed = time.time() - start
     se = rep.extras["std_error"]
     ok = rep.lhs <= rep.rhs + 3 * se and elapsed < 30
@@ -86,7 +86,7 @@ def test_03_theorem3_deterministic_audit():
     sch = Schedule("constant", gamma=0.9 / prob.constants.L * T ** (1 / 3),
                    horizon=T)
     rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta)
-    [rep] = audit_runs("T3", [rec], prob.constants, beta, n, schedule_sums(sch))
+    [rep] = audit_runs([rec], prob)
     elapsed = time.time() - start
     ok = rep.lhs <= rep.rhs * (1 + 1e-9) and elapsed < 5
     report(3, "theorem-3 deterministic audit", ok,

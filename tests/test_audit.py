@@ -2,6 +2,8 @@
 under specific schedules, deterministic and Monte Carlo satisfaction,
 refusal paths, soundness monotonicity, rate fitting, and the identity
 suite."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from smgopt.audit import (
     theorem_for,
 )
 from smgopt.cli import main as cli_main
-from smgopt.optimizers import RunRecord, smg_run, ssmg_run
+from smgopt.optimizers import RunRecord, shuffling_sgd_run, smg_run, ssmg_run
 from smgopt.problems import ProblemConstants, logistic_problem, quadratic_mean_problem
 from smgopt.schedules import Schedule, cap_general, cap_rr, schedule_sums
 from smgopt.shuffling import ShufflingStrategy, init_point
@@ -49,8 +51,8 @@ class TestTheorem1:
         beta, T = 0.3, 16
         sch = capped_constant_schedule(prob, beta, T)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        sums = schedule_sums(sch)
-        rhs = bound_rhs("T1", rec, prob.constants, beta, prob.n, sums)
+        sums = schedule_sums(sch.etas())
+        rhs = bound_rhs("T1", rec, prob)
         expected = 4 * (rec.losses[0] - prob.constants.f_lower) / ((1 - beta) * sums.sum_eta)
         assert rhs == pytest.approx(expected, rel=1e-15)
 
@@ -60,7 +62,7 @@ class TestTheorem1:
         T = 27
         sch = capped_constant_schedule(prob, 0.0, T)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), 0.0)
-        rhs = bound_rhs("T1", rec, prob.constants, 0.0, prob.n, schedule_sums(sch))
+        rhs = bound_rhs("T1", rec, prob)
         gamma = sch.gamma
         dF = rec.losses[0] - prob.constants.f_lower
         L2 = prob.constants.L ** 2
@@ -72,7 +74,7 @@ class TestTheorem1:
         prob = quad_problem()
         sch = capped_constant_schedule(prob, beta, 32)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        [report] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
+        [report] = audit_runs([rec], prob)
         assert report.satisfied and report.slack > 0
 
     def test_cap_violation_refused(self):
@@ -81,7 +83,7 @@ class TestTheorem1:
         sch = capped_constant_schedule(prob, beta, 16, fraction=1.5)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         with pytest.raises(AuditRefusal):
-            bound_rhs("T1", rec, prob.constants, beta, prob.n, schedule_sums(sch))
+            bound_rhs("T1", rec, prob)
 
 
 class TestTheorem2:
@@ -91,10 +93,10 @@ class TestTheorem2:
         n, T = prob.n, 16
         sch = capped_constant_schedule(prob, 0.0, T, fraction=0.2)
         rec = smg_run(prob, sch, ShufflingStrategy("rr", 0), 0.0)
-        sums = schedule_sums(sch)
+        sums = schedule_sums(sch.etas())
         first = 4 * (rec.losses[0] - prob.constants.f_lower) / sums.sum_eta
-        var1 = bound_rhs("T1", rec, prob.constants, 0.0, prob.n, sums) - first
-        var2 = bound_rhs("T2", rec, prob.constants, 0.0, n, sums) - first
+        var1 = bound_rhs("T1", rec, prob) - first
+        var2 = bound_rhs("T2", rec, prob) - first
         assert var2 == pytest.approx(var1 * 2 / (3 * n), rel=1e-12)
 
     def test_constant_rr_rate_collapse_at_beta_zero(self):
@@ -103,7 +105,7 @@ class TestTheorem2:
         n, T = prob.n, 16
         sch = capped_constant_schedule(prob, 0.0, T, rr=True)
         rec = smg_run(prob, sch, ShufflingStrategy("rr", 1), 0.0)
-        rhs = bound_rhs("T2", rec, prob.constants, 0.0, n, schedule_sums(sch))
+        rhs = bound_rhs("T2", rec, prob)
         gamma = sch.gamma
         dF = rec.losses[0] - prob.constants.f_lower
         L2 = prob.constants.L ** 2
@@ -118,8 +120,7 @@ class TestTheorem2:
         w0 = init_point(prob.d, 0)
         records = [smg_run(prob, sch, ShufflingStrategy("rr", s), beta, w0)
                    for s in range(50)]
-        [report] = audit_runs("T2", records, prob.constants, beta, prob.n,
-                              schedule_sums(sch))
+        [report] = audit_runs(records, prob)
         assert report.satisfied
         assert report.extras["n_runs"] == 50
 
@@ -128,7 +129,7 @@ class TestTheorem2:
         sch = capped_constant_schedule(prob, 0.0, 8, rr=True)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), 0.0)
         with pytest.raises(AuditRefusal):
-            bound_rhs("T2", rec, prob.constants, 0.0, prob.n, schedule_sums(sch))
+            bound_rhs("T2", rec, prob)
 
     def test_mixed_starting_points_refused(self):
         prob = quad_problem()
@@ -136,7 +137,7 @@ class TestTheorem2:
         records = [smg_run(prob, sch, ShufflingStrategy("rr", s), 0.0)
                    for s in range(2)]  # per-seed initial points differ
         with pytest.raises(AuditRefusal):
-            audit_runs("T2", records, prob.constants, 0.0, prob.n, schedule_sums(sch))
+            audit_runs(records, prob)
 
 
 class TestTheorem3:
@@ -146,8 +147,8 @@ class TestTheorem3:
         sch = Schedule("constant", gamma=0.5 / prob.constants.L * T ** (1 / 3),
                        horizon=T)
         rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta=0.0)
-        sums = schedule_sums(sch)
-        rhs = bound_rhs("T3", rec, prob.constants, 0.0, prob.n, sums)
+        sums = schedule_sums(sch.etas())
+        rhs = bound_rhs("T3", rec, prob)
         c = prob.constants
         eta1 = sch.eta(1)
         delta1 = (2 * rec.losses[0] + (1 / c.L + eta1) * rec.grad_norms_sq[0]
@@ -167,7 +168,7 @@ class TestTheorem3:
         sch = Schedule("constant", gamma=0.9 / prob.constants.L * T ** (1 / 3),
                        horizon=T)
         rec = ssmg_run(prob, sch, ShufflingStrategy("once", 0), beta)
-        [report] = audit_runs("T3", [rec], prob.constants, beta, n, schedule_sums(sch))
+        [report] = audit_runs([rec], prob)
         assert report.satisfied and report.slack > 0
 
     def test_unbounded_gradient_refused(self):
@@ -175,7 +176,7 @@ class TestTheorem3:
         sch = Schedule("constant", gamma=0.01, horizon=8)
         rec = ssmg_run(prob, sch, ShufflingStrategy("inc", 0), beta=0.2)
         with pytest.raises(AuditRefusal):
-            bound_rhs("T3", rec, prob.constants, 0.2, prob.n, schedule_sums(sch))
+            bound_rhs("T3", rec, prob)
 
     @pytest.mark.parametrize("kind", ["rr", "once", "inc"])
     def test_every_ssmg_strategy_keeps_one_permutation(self, kind):
@@ -195,38 +196,44 @@ class TestTheorem3:
 
 
 class TestRefusalAndSoundness:
-    def _record_with_etas(self, etas):
+    def _record_with_etas(self, etas, beta=0.0):
         T = len(etas)
         return RunRecord(
             algo="smg", etas=np.asarray(etas, dtype=float),
             losses=np.linspace(1.0, 0.5, T), grad_norms_sq=np.full(T, 0.1),
             selected_index=0, selected_w=np.zeros(2), final_w=np.zeros(2),
-            seed=0, beta=0.0, strategy_kind="rr",
+            seed=0, beta=beta, strategy_kind="rr",
         )
+
+    def _unit_problem(self):
+        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
+        return replace(quad_problem(n=4), constants=consts)
 
     def test_non_monotone_schedule_refused(self):
         rec = self._record_with_etas([0.01, 0.02, 0.01])
-        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
-        sums_like = schedule_sums(Schedule("constant", gamma=0.01, horizon=3))
         for theorem in ("T1", "T2", "T3"):
-            with pytest.raises(AuditRefusal):
-                bound_rhs(theorem, rec, consts, 0.0, 4, sums_like)
+            with pytest.raises(AuditRefusal, match="not non-increasing"):
+                bound_rhs(theorem, rec, self._unit_problem())
 
     @pytest.mark.parametrize("theorem", ["T1", "T2", "T3"])
     def test_vacuous_bound_refused(self, theorem):
         # rates this small sum to a subnormal, whose reciprocal overflows
         rec = self._record_with_etas([1e-320] * 3)
-        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
-        sums = schedule_sums(Schedule("constant", gamma=1e-320, horizon=3))
         with pytest.raises(AuditRefusal, match="vacuous"):
-            bound_rhs(theorem, rec, consts, 0.0, 4, sums)
+            bound_rhs(theorem, rec, self._unit_problem())
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3"])
+    def test_underflowing_denominator_refused(self, theorem):
+        # (1 - beta) S1 and S1 (1 - beta^n) underflow to 0 at these rates
+        rec = self._record_with_etas([1e-320] * 2, beta=0.999999)
+        with pytest.raises(AuditRefusal,
+                           match="the bound is vacuous: its right-hand side is inf"):
+            bound_rhs(theorem, rec, self._unit_problem())
 
     def test_unknown_theorem_is_an_error(self):
         rec = self._record_with_etas([0.01] * 3)
-        consts = ProblemConstants(L=1.0, G=1.0, theta=0.0, sigma_sq=1.0, f_lower=0.0)
-        sums = schedule_sums(Schedule("constant", gamma=0.01, horizon=3))
         with pytest.raises(ValueError, match="unknown theorem 'T4'"):
-            bound_rhs("T4", rec, consts, 0.0, 4, sums)
+            bound_rhs("T4", rec, self._unit_problem())
 
     def test_refusals_never_report_satisfied(self):
         prob = quad_problem()
@@ -234,23 +241,62 @@ class TestRefusalAndSoundness:
         sch = capped_constant_schedule(prob, beta, 8, fraction=2.0)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
         with pytest.raises(AuditRefusal):
-            audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
+            audit_runs([rec], prob)
 
     def test_rhs_monotone_in_certified_constants(self):
         prob = quad_problem()
         beta = 0.25
         sch = capped_constant_schedule(prob, beta, 16, fraction=0.5)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        sums = schedule_sums(sch)
         c = prob.constants
-        base = bound_rhs("T1", rec, c, beta, prob.n, sums)
+        base = bound_rhs("T1", rec, prob)
         more_var = ProblemConstants(L=c.L, G=c.G, theta=c.theta,
                                     sigma_sq=1.1 * c.sigma_sq, f_lower=c.f_lower)
         lower_floor = ProblemConstants(L=c.L, G=c.G, theta=c.theta,
                                        sigma_sq=c.sigma_sq,
                                        f_lower=c.f_lower - 0.1 * abs(c.f_lower) - 0.1)
-        assert bound_rhs("T1", rec, more_var, beta, prob.n, sums) >= base
-        assert bound_rhs("T1", rec, lower_floor, beta, prob.n, sums) >= base
+        assert bound_rhs("T1", rec, replace(prob, constants=more_var)) >= base
+        assert bound_rhs("T1", rec, replace(prob, constants=lower_floor)) >= base
+
+
+class TestAuditRunsReadsTheRecords:
+    """audit_runs takes its bound, rates and momentum weight from the records."""
+
+    def test_incremental_runs_get_one_t1_report_each(self):
+        prob = quad_problem()
+        sch = capped_constant_schedule(prob, 0.5, 8)
+        records = [smg_run(prob, sch, ShufflingStrategy("inc", s), 0.5) for s in range(2)]
+        reports = audit_runs(records, prob)
+        assert [r.theorem for r in reports] == ["T1", "T1"]
+        assert [r.rhs for r in reports] == [bound_rhs("T1", r, prob) for r in records]
+
+    def test_reshuffled_runs_from_one_start_get_one_t2_report(self):
+        prob = quad_problem()
+        sch = capped_constant_schedule(prob, 0.5, 8, rr=True)
+        w0 = init_point(prob.d, 0)
+        records = [smg_run(prob, sch, ShufflingStrategy("rr", s), 0.5, w0) for s in range(3)]
+        [report] = audit_runs(records, prob)
+        assert report.theorem == "T2" and report.extras["n_runs"] == 3
+        assert report.rhs == bound_rhs("T2", records[0], prob)
+
+    def test_ssmg_under_reshuffling_gets_t3(self):
+        prob = logistic_toy()
+        sch = Schedule("constant", gamma=0.5 / prob.constants.L * 8 ** (1 / 3), horizon=8)
+        rec = ssmg_run(prob, sch, ShufflingStrategy("rr", 0), 0.3)
+        [report] = audit_runs([rec], prob)
+        assert report.theorem == "T3"
+        assert report.constants_used["beta"] == rec.beta == 0.3
+
+    def test_sgd_runs_refused(self):
+        prob = quad_problem()
+        rec = shuffling_sgd_run(prob, Schedule("constant", gamma=0.01, horizon=4),
+                                ShufflingStrategy("inc", 0))
+        with pytest.raises(AuditRefusal, match="no convergence bound is audited for 'sgd'"):
+            audit_runs([rec], prob)
+
+    def test_no_runs_is_an_error(self):
+        with pytest.raises(ValueError, match="need at least one run"):
+            audit_runs([], quad_problem())
 
 
 class TestRateFit:
@@ -307,7 +353,7 @@ class TestIdentitySuite:
     def test_cosine_sum_small_horizon(self):
         # T = 2: (1 + cos(pi/2)) + (1 + cos(pi)) = 1 = T - 1
         sch = Schedule("cosine", gamma=2 ** (1 / 3), horizon=2)
-        assert schedule_sums(sch).sum_eta == pytest.approx(1.0, abs=1e-15)
+        assert schedule_sums(sch.etas()).sum_eta == pytest.approx(1.0, abs=1e-15)
         assert cosine_sum_deviation(64) <= 1e-12
 
 
@@ -317,7 +363,7 @@ class TestBoundReportShape:
         beta = 0.5
         sch = capped_constant_schedule(prob, beta, 8)
         rec = smg_run(prob, sch, ShufflingStrategy("inc", 0), beta)
-        [report] = audit_runs("T1", [rec], prob.constants, beta, prob.n, schedule_sums(sch))
+        [report] = audit_runs([rec], prob)
         payload = report.to_dict()
         assert set(payload) == {"theorem", "lhs", "rhs", "constants_used",
                                 "satisfied", "slack"}

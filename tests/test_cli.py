@@ -22,7 +22,13 @@ from smgopt.cli import (
 )
 from smgopt.dataio import read_trace
 from smgopt.optimizers import adam_run
-from smgopt.schedules import Schedule, cap_general, cap_rr, gamma_for_initial_step
+from smgopt.schedules import (
+    Schedule,
+    cap_general,
+    cap_rr,
+    gamma_for_initial_step,
+    schedule_sums,
+)
 from smgopt.shuffling import ShufflingStrategy
 
 
@@ -160,6 +166,17 @@ class TestAuditCommand:
         assert report["satisfied"] is True
         assert report["extras"]["n_runs"] == 10
         assert "T2" in capsys.readouterr().out
+
+    def test_report_sums_are_the_traced_rates(self, tmp_path):
+        rc = run_cli("audit", "--schedule", "diminishing", "--lambda", "2",
+                     "--strategy", "inc", "--T", "8", "--gamma", "0.01",
+                     "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        report = json.loads(next(tmp_path.glob("bound_report_*.json")).read_text())
+        etas = read_trace(next(tmp_path.glob("trace_*.csv")))["eta"]
+        assert etas[0] > etas[-1]
+        for name, value in schedule_sums(etas)._asdict().items():
+            assert report["constants_used"][name] == value
 
     def test_ssmg_audit_is_t3(self, tmp_path):
         rc = run_cli("audit", "--algo", "ssmg", "--strategy", "once", "--T", "8",
@@ -393,7 +410,13 @@ def test_grid_and_compare_take_gamma_as_the_first_inner_step(schedule, rr, tmp_p
     ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
     ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2", "--audit",
      "--strategy", "once"],
-], ids=["T1", "T2", "T3"])
+    # near 1, beta makes the first term's denominator underflow to 0
+    ["run", "--algo", "smg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+     "--audit", "--strategy", "inc"],
+    ["audit", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
+    ["run", "--algo", "ssmg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+     "--audit", "--strategy", "once"],
+], ids=["T1", "T2", "T3", "T1-underflow", "T2-underflow", "T3-underflow"])
 def test_vacuous_bound_is_refused_and_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == EXIT_REFUSAL

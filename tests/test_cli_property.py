@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from smgopt.cli import main
@@ -15,7 +15,7 @@ from smgopt.cli import main
 EXIT_CODES = {0, 1, 2, 3}
 
 EDGE = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"]
-FLOATS = st.sampled_from(["0.01", "0.5", "0.9", "2"]) | st.sampled_from(EDGE)
+FLOATS = st.sampled_from(["0.01", "0.5", "0.9", "0.999999", "2"]) | st.sampled_from(EDGE)
 FLOAT_LISTS = st.sampled_from(["0.1", "0.5,0.01"]) | st.sampled_from(
     ["", ",", "0.1,0.1", "nan", "0.01,inf", "-1,0.5", "1e308", "0,0.5", "1e-320", "abc"])
 SEEDS = st.sampled_from(["0", "1", str(2 ** 64)]) | st.sampled_from(["-1", "x"])
@@ -90,6 +90,9 @@ def datasets(tmp_path_factory) -> dict:
 
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
+# beta near 1 and a subnormal gamma underflow the T1 bound's denominator to 0
+@example(argv=["run", "--algo", "smg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+               "--audit", "--strategy", "inc"])
 def test_every_argv_ends_in_a_documented_exit_code(datasets, argv):
     # a dataset name stands for its file; later flags override earlier ones
     argv = [datasets.get(arg, arg) for arg in argv]

@@ -25,7 +25,7 @@ class TestEta:
         expected = [1.7071067811865475, 1.0, 0.2928932188134525, 0.0]
         for t, e in enumerate(expected, start=1):
             assert sch.eta(t) == pytest.approx(e, abs=1e-12)
-        assert schedule_sums(sch).sum_eta == pytest.approx(3.0, abs=1e-12)
+        assert schedule_sums(sch.etas()).sum_eta == pytest.approx(3.0, abs=1e-12)
 
     def test_exponential_terminal_value(self):
         gamma, rho, T = 1.3, 0.5, 10
@@ -102,14 +102,14 @@ def test_monotone_property(kind, gamma, lam, rho, T):
 class TestSums:
     def test_constant_closed_forms(self):
         gamma, T = 0.8, 125
-        sums = schedule_sums(Schedule("constant", gamma=gamma, horizon=T))
+        sums = schedule_sums(Schedule("constant", gamma=gamma, horizon=T).etas())
         assert sums.sum_eta == pytest.approx(gamma * T ** (2 / 3), rel=1e-10)
         assert sums.sum_eta_prev_cubed == pytest.approx(gamma ** 3, rel=1e-10)
         assert sums.sum_xi_cubed == pytest.approx(gamma ** 3, rel=1e-10)
 
     def test_single_epoch_diminishing(self):
         gamma = 0.37
-        sums = schedule_sums(Schedule("diminishing", gamma=gamma, horizon=1, lam=0.0))
+        sums = schedule_sums(Schedule("diminishing", gamma=gamma, horizon=1, lam=0.0).etas())
         assert sums.sum_eta == pytest.approx(gamma, rel=1e-14)
         assert sums.sum_eta_prev_cubed == pytest.approx(gamma ** 3, rel=1e-14)
         assert sums.sum_xi_cubed == pytest.approx(gamma ** 3, rel=1e-14)
@@ -118,13 +118,13 @@ class TestSums:
         # sum eta_t = gamma (T - 1) / T^(1/3) because the cosines sum to -1
         for T in (2, 5, 32, 333, 1000):
             gamma = 0.6
-            sums = schedule_sums(Schedule("cosine", gamma=gamma, horizon=T))
+            sums = schedule_sums(Schedule("cosine", gamma=gamma, horizon=T).etas())
             assert sums.sum_eta == pytest.approx(gamma * (T - 1) / T ** (1 / 3),
                                                  abs=1e-9)
 
     def test_xi_equals_previous_eta_for_monotone(self):
         sch = Schedule("diminishing", gamma=1.0, horizon=12, lam=1.0)
-        sums = schedule_sums(sch)
+        sums = schedule_sums(sch.etas())
         assert sums.sum_xi_cubed == pytest.approx(sums.sum_eta_prev_cubed, rel=1e-14)
 
 
