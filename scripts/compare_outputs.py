@@ -18,8 +18,13 @@ src/, each in a fresh working directory with `--out out`:
   * rate with sgd, each strategy, a dataset and a diverging --gamma
   * compare --beta under an --algo other than smg or ssmg, which it refuses
   * the benchmark's three commands at tiny sizes
+  * parse of small files: clean ASCII, clean with NBSP separators, a
+    malformed token past line 1,024, an undecodable byte and an index past
+    int64, and run on the clean ones
+  * runs of 110 equal epoch rates, and each setting a run would ignore
 
-A difference is any change in exit code, stdout or stderr (the tree and the
+`parse` runs without --out and writes its cache entry beside the file, so
+it is compared by its exit code and streams.  A difference is any change in exit code, stdout or stderr (the tree and the
 working directory are replaced by placeholders), in the names of the files
 under out/, or in any such file's bytes.  Each differing case is printed
 with what differs; the exit code is 0 when no case differs and 1 otherwise.
@@ -37,6 +42,9 @@ import numpy as np
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "test_golden.py"
 DATASET = "tiny.libsvm"
+# small LIBSVM files of each kind of block the parser reads, beside DATASET
+NBSP, MALFORMED, UNDECODABLE, PAST_INT64 = (
+    "nbsp.libsvm", "malformed.libsvm", "undecodable.libsvm", "int64.libsvm")
 
 CASES = {
     # audits: T1, T2 and T3, as audit and as run --audit
@@ -135,6 +143,43 @@ CASES = {
     "bench-ssmg-grid": ["grid", "--algo", "ssmg", "--paper-grids", "--synth-n", "40",
                         "--synth-d", "20", "--synth-seed", "1", "--T", "4",
                         "--jobs", "1", "--seed", "1"],
+    # the parser's clean ASCII and non-ASCII blocks and each kind of error
+    "parse-ascii": ["parse", DATASET],
+    "parse-nbsp": ["parse", NBSP],
+    "parse-malformed-past-block": ["parse", MALFORMED],
+    "parse-undecodable": ["parse", UNDECODABLE],
+    "parse-index-past-int64": ["parse", PAST_INT64],
+    "run-nbsp": ["run", "--T", "2", "--gamma", "500", "--dataset", NBSP],
+    # 110 equal selection weights, which sum to 1 - 1.1e-15 once normalised
+    "run-T110": ["run", "--T", "110", "--gamma", "0.5"],
+    "rate-T110": ["rate", "--horizons", "8,110", "--gamma", "2.0"],
+    # settings a run would ignore
+    "ignore-lambda": ["run", "--lambda", "5", "--T", "3"],
+    "ignore-rho": ["run", "--rho", "0.5", "--T", "3"],
+    "ignore-rho-diminishing": ["audit", "--schedule", "diminishing", "--rho", "0.5",
+                               "--gamma", "0.01", "--T", "3"],
+    "ignore-beta-sgd": ["run", "--algo", "sgd", "--beta", "0.5", "--T", "3"],
+    "ignore-schedule-adam": ["run", "--algo", "adam", "--schedule", "cosine", "--T", "3"],
+    "ignore-lambda-adam": ["run", "--algo", "adam", "--lambda", "5", "--T", "3"],
+    "ignore-rho-adam": ["run", "--algo", "adam", "--rho", "0.5", "--T", "3"],
+    "ignore-rr-scaling-adam": ["run", "--algo", "adam", "--rr-scaling", "--T", "3"],
+    "ignore-audit-adam-schedule": ["audit", "--algo", "adam", "--schedule", "cosine",
+                                   "--T", "3"],
+    "ignore-lambda-grid": ["grid", "--gamma-grid", "0.01", "--lambda-grid", "1,2,4",
+                           "--T", "3"],
+    "ignore-adam-paper-grid": ["grid", "--algo", "adam", "--schedule", "diminishing",
+                               "--paper-grids", "--T", "3", "--synth-n", "8"],
+    "ignore-paper-gamma-grid": ["grid", "--paper-grids", "--gamma-grid", "0.01",
+                                "--T", "3", "--synth-n", "8"],
+    "ignore-paper-lambda-grid": ["grid", "--paper-grids", "--lambda-grid", "1",
+                                 "--T", "3", "--synth-n", "8"],
+    "ignore-paper-rho-grid": ["grid", "--paper-grids", "--rho-grid", "0.5",
+                              "--T", "3", "--synth-n", "8"],
+    "ignore-paper-beta-grid": ["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid",
+                               "0.5", "--T", "3", "--synth-n", "8"],
+    "ignore-lambda-compare": ["compare", "--lambda", "5", "--T", "3"],
+    # compare runs adam at its constant rate next to a scheduled method
+    "compare-adam-cosine": ["compare", "--schedule", "cosine", "--rr-scaling", "--T", "3"],
 }
 
 # grid and compare invert each schedule for its first inner step, under --rr-scaling
@@ -157,23 +202,28 @@ def golden_cases() -> dict:
     raise SystemExit(f"no CLI_CASES in {GOLDEN}")
 
 
-def write_dataset(path: Path):
-    """A small w8a-like LIBSVM file: binary features, rows of unequal length."""
+def write_datasets(root: Path):
+    """DATASET, a small w8a-like LIBSVM file (binary features, rows of
+    unequal length), and the parse cases' files beside it."""
     rng = np.random.default_rng(1)
     X = rng.random((300, 60)) < 0.2
     labels = np.where(X @ rng.standard_normal(60) >= 0, "+1", "-1")
-    path.write_text("".join(
-        " ".join([label] + [f"{j + 1}:1" for j in np.flatnonzero(row)]) + "\n"
-        for label, row in zip(labels, X)))
+    lines = [" ".join([label] + [f"{j + 1}:1" for j in np.flatnonzero(row)]) + "\n"
+             for label, row in zip(labels, X)]
+    (root / DATASET).write_text("".join(lines))
+    (root / NBSP).write_text("".join(lines).replace(" ", "\u00a0"), encoding="utf-8")
+    (root / MALFORMED).write_text("".join(lines * 4) + "+1 1:1 2:x\n")
+    (root / UNDECODABLE).write_bytes(b"+1 1:0.5\n-1 2:\xff\n")
+    (root / PAST_INT64).write_text("+1 1:1\n-1 9223372036854775808:1\n")
 
 
-def run_case(tree: Path, argv: list, work: Path, dataset: Path) -> dict:
+def run_case(tree: Path, argv: list, work: Path, datasets: Path) -> dict:
     """Exit code, normalised streams and out/ file bytes of one invocation."""
-    work.mkdir(parents=True)
-    shutil.copy(dataset, work / DATASET)
+    shutil.copytree(datasets, work)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.pop("SMG_DATA_DIR", None)
-    proc = subprocess.run([sys.executable, "-m", "smgopt", *argv, "--out", "out"],
+    out = [] if argv[0] == "parse" else ["--out", "out"]
+    proc = subprocess.run([sys.executable, "-m", "smgopt", *argv, *out],
                           cwd=work, env=env, capture_output=True, text=True)
 
     def normal(text):
@@ -211,10 +261,11 @@ def main(argv=None) -> int:
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        dataset = root / DATASET
-        write_dataset(dataset)
+        datasets = root / "datasets"
+        datasets.mkdir()
+        write_datasets(datasets)
         for k, (name, case) in enumerate(cases.items()):
-            old, new = (run_case(tree, case, root / side / name, dataset)
+            old, new = (run_case(tree, case, root / side / name, datasets)
                         for side, tree in zip(("old", "new"), trees))
             found = differences(old, new)
             differing += bool(found)

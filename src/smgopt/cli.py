@@ -150,19 +150,27 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
     per-inner-step rate: Adam takes it as its gamma, and every other method
     the schedule parameter whose first inner step is step, divided by
     n^(1/3) under --rr-scaling, which the schedule multiplies back.  Adam's
-    rate is its gamma in every epoch.
+    rate is its gamma in every epoch.  A setting the run would ignore is a
+    UsageError.
     """
     point = replace(cfg, **changes)
-    if step is not None and point.algo == "adam":
-        point.gamma = step
-    elif step is not None:
-        point.gamma = gamma_for_initial_step(point.schedule, step, n, point.T, point.lam,
-                                             point.rho, point.rr_scaling)
+    adam = point.algo == "adam"
+    if step is not None:
+        point.gamma = step if adam else gamma_for_initial_step(
+            point.schedule, step, n, point.T, point.lam, point.rho, point.rr_scaling)
     point.validate()
     schedule = Schedule(kind=point.schedule, gamma=point.gamma, horizon=point.T,
                         lam=point.lam, rho=point.rho,
                         rr_scale=n if point.rr_scaling else None)
-    etas = np.full(point.T, float(point.gamma)) if point.algo == "adam" else schedule.etas()
+    _refuse_flags("sgd runs without momentum",
+                  [("--beta", point.algo == "sgd" and point.resolved_beta != 0)])
+    _refuse_flags("adam runs at a constant per-step rate" if adam else
+                  f"{point.algo} runs the {point.schedule} schedule", [
+        (f"--schedule {point.schedule}", adam and point.schedule != "constant"),
+        ("--lambda", point.lam != 0 and (adam or point.schedule != "diminishing")),
+        ("--rho", point.rho is not None and (adam or point.schedule != "exponential")),
+        ("--rr-scaling", adam and point.rr_scaling)])
+    etas = np.full(point.T, float(point.gamma)) if adam else schedule.etas()
     return point, etas
 
 
@@ -302,7 +310,10 @@ def cmd_audit(args) -> int:
 def cmd_grid(args) -> int:
     cfg = config_from_args(args)
     _refuse_flags("grid ranks step sizes without a cap check",
-                         [("--enforce-cap", cfg.enforce_cap)])
+                  [("--enforce-cap", cfg.enforce_cap)])
+    _refuse_flags("grid --paper-grids takes every grid from the paper", [
+        (f"--{name}-grid", args.paper_grids and getattr(args, f"{name}_grid") is not None)
+        for name in ("gamma", "lambda", "rho", "beta")])
     problem = build_problem(cfg)
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
@@ -382,7 +393,7 @@ def cmd_rate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = config_from_args(args)
     _refuse_flags("compare runs every method without a cap check",
-                         [("--enforce-cap", cfg.enforce_cap)])
+                  [("--enforce-cap", cfg.enforce_cap)])
     _refuse_flags("compare gives --beta to smg and ssmg, under --algo smg or ssmg",
                   [(f"--beta with --algo {cfg.algo}",
                     cfg.beta is not None and cfg.algo not in ("smg", "ssmg"))])
@@ -396,8 +407,10 @@ def cmd_compare(args) -> int:
     curves: dict[str, np.ndarray] = {}
     for method in methods:
         # --beta, or their shared default, is smg's and ssmg's; the others keep theirs
-        beta = cfg.beta if method in ("smg", "ssmg") else None
-        point, etas = run_point(cfg, problem.n, cfg.gamma, algo=method, beta=beta)
+        changes = {"algo": method, "beta": cfg.beta if method in ("smg", "ssmg") else None}
+        if method == "adam":   # and adam its constant rate
+            changes.update(schedule="constant", lam=0.0, rho=None, rr_scaling=False)
+        point, etas = run_point(cfg, problem.n, cfg.gamma, **changes)
         curves[method] = np.stack([record.losses for record in
                                    seeded_runs(problem, point, etas)])
 

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import stat
 from itertools import islice
 from pathlib import Path
@@ -40,7 +39,6 @@ CACHE_SUFFIX = ".smgopt.npz"
 CACHE_VERSION = 1
 HASH_BLOCK = 1 << 20
 CSR_ARRAYS = ("indptr", "indices", "values", "labels")
-LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -57,9 +55,9 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
     Each nonempty line is a label followed by whitespace-separated
     index:value pairs with strictly increasing 1-based indices.  Labels
     {1, +1} map to +1 and {0, -1} map to -1.  The dimension is the largest
-    index seen (0 for an empty input).  Blocks of lines are converted with
-    array operations; the first malformed token in file order raises a
-    ParseError with its line number.
+    index seen (0 for an empty input).  A clean ASCII block of lines is
+    converted with array operations; every other block is read line by line,
+    and its first malformed token raises a ParseError with its line number.
 
     A path to a regular file is read in the locale's text encoding, as
     open() reads it; a byte that does not decode is a ParseError.  Its arrays are loaded from the cache entry
@@ -72,7 +70,7 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
         return _parse_text(source)
     with open(source, "rb", buffering=0) as file:
         hashing = _Hashing(file)
-        # an undecodable byte reads as a lone surrogate, which _parse_block refuses
+        # an undecodable byte reads as a lone surrogate, which _parse_lines refuses
         text = io.TextIOWrapper(io.BufferedReader(hashing), errors="surrogateescape")
         entry = (Path(source).with_name(Path(source).name + CACHE_SUFFIX)
                  if stat.S_ISREG(os.fstat(file.fileno()).st_mode) else None)
@@ -142,44 +140,29 @@ def _store_entry(entry: Path, key: str, dataset: SparseDataset, d: int):
 
 def _parse_text(source: TextIO) -> tuple[SparseDataset, int]:
     """parse_libsvm of an open text stream."""
-    blocks = []
-    first_line = 1
-    while lines := list(islice(source, BLOCK_LINES)):
-        blocks.append(_parse_block(lines, first_line))
-        first_line += len(lines)
-    widths, labels, idx, values = (
-        (np.concatenate(column) for column in zip(*blocks)) if blocks
-        else _parse_block([], first_line))
+    chunks = iter(lambda: list(islice(source, BLOCK_LINES)), [])
+    blocks = [_parse_block(lines) or _parse_lines(lines, 1 + k * BLOCK_LINES)
+              for k, lines in enumerate(chunks)] + [_parse_lines([], 1)]   # dtypes if empty
+    widths, labels, idx, values = (np.concatenate(column) for column in zip(*blocks))
     d = int(idx.max()) if idx.size else 0
     indptr = np.concatenate(([0], np.cumsum(widths)))
     return SparseDataset(indptr, idx - 1, values, labels, d), d
 
 
-def _parse_block(lines: list[str], first_line: int):
-    """Features per row, labels, 1-based indices and values of some lines.
+def _parse_block(lines: list[str]):
+    """_parse_lines' arrays of a clean ASCII block of lines, or None.
 
     The lines are joined and read as bytes: token edges, rows, labels and
     colons come from array comparisons, with str.split's whitespace.  A
-    block holding non-ASCII text first normalises its lines with str.split,
-    which knows the non-ASCII whitespace.  The checks run on whole arrays,
-    but an error is raised for the first malformed token in line order, so
-    the message is the one a token-by-token reading would give.
+    clean block's features are each one colon between an index and a value,
+    its numbers convert, its labels lie in {1, 0, -1} and its indices
+    strictly increase along each row.
     """
     text = "\n".join(lines)
-    if text.isascii():
-        data = text.encode()
-    else:   # UTF-8 holds no multibyte character with a space or colon byte
-        try:
-            lines = [" ".join(line.split()).encode() for line in lines]
-        except UnicodeEncodeError:   # a lone surrogate, the form of an undecodable byte
-            j, char = next((j, found.group()) for j, line in enumerate(lines)
-                           if (found := LONE_SURROGATE.search(line)))
-            _parse_block(lines[:j], first_line)   # an earlier line raises its own error
-            raise ParseError(first_line + j,
-                             f"undecodable byte 0x{ord(char) & 0xFF:02x}") from None
-        data = b"\n".join(lines)
+    if not text.isascii():
+        return None
     # raw pads the text with a space at each end; line j starts at begin[j]
-    raw = np.frombuffer(b" " + data + b" ", np.uint8)
+    raw = np.frombuffer(b" " + text.encode() + b" ", np.uint8)
     length = np.fromiter(map(len, lines), np.int64, len(lines)) + 1   # with its "\n"
     begin = np.cumsum(length) - length + 1
     # str.split's ASCII whitespace: 9 to 13 and 28 to 32 (uint8 wraps below)
@@ -193,59 +176,32 @@ def _parse_block(lines: list[str], first_line: int):
     is_label = np.zeros(starts.size, dtype=bool)
     is_label[label_at] = True
     feature_at = np.flatnonzero(~is_label)
-    errors = []                                   # (token position, detail)
-
-    def token(j):
-        return raw[starts[j]:stops[j]].tobytes().decode()
-
-    labels, k = _numbers(raw, starts[label_at], stops[label_at], float)
-    if k < label_at.size:
-        errors.append((label_at[k], f"unparsable label {token(label_at[k])!r}"))
-    outside = np.flatnonzero((labels != 1) & (labels != -1) & (labels != 0))
-    if outside.size:
-        j = label_at[outside[0]]
-        errors.append((j, f"label {token(j)!r} outside the binary set"))
-
-    # a well-formed feature is one colon between a nonempty index and value;
-    # the well-formed features before the first that is not convert at once
     at = np.append(np.flatnonzero(raw == ord(":")), [raw.size, raw.size])
     lo, hi = starts[feature_at], stops[feature_at]
     c = np.searchsorted(at, lo)
     colon = at[c]                                 # a feature's first colon
-    well_formed = (colon > lo) & (colon < hi - 1) & (at[c + 1] >= hi)
-    m = feature_at.size
-    m_ok = m if well_formed.all() else int(np.argmin(well_formed))
-    idx, k_idx = _numbers(raw, lo[:m_ok], colon[:m_ok], int)
-    values, k_val = _numbers(raw, colon[:m_ok] + 1, hi[:m_ok], float)
-    k = min(k_idx, k_val, m_ok)
-    if k < m:
-        feature = token(feature_at[k])
-        detail = "unparsable token" if feature.partition(":")[2] else "expected index:value, got"
-        errors.append((feature_at[k], f"{detail} {feature!r}"))
-    idx, values = idx[:k], values[:k]
+    if not ((colon > lo) & (colon < hi - 1) & (at[c + 1] >= hi)).all():
+        return None
+    try:
+        labels = _numbers(raw, starts[label_at], stops[label_at], float)
+        idx = _numbers(raw, lo, colon, int)
+        values = _numbers(raw, colon + 1, hi, float)
+    except (ValueError, OverflowError):
+        return None
     prev = np.concatenate(([0], idx))[:-1]
-    prev[is_label[feature_at[:k] - 1]] = 0        # a row's first index follows 0
-    falls = np.flatnonzero(idx <= prev)
-    if falls.size:
-        j = falls[0]
-        errors.append((feature_at[j], f"feature index {idx[j]} not strictly "
-                                      f"increasing (previous {prev[j]})"))
-
-    if errors:
-        at, detail = min(errors, key=lambda error: error[0])
-        row = np.searchsorted(label_at, at, side="right") - 1
-        raise ParseError(first_line + int(rows[row]), detail)
+    prev[is_label[feature_at - 1]] = 0            # a row's first index follows 0
+    if ((labels != 1) & (labels != -1) & (labels != 0)).any() or (idx <= prev).any():
+        return None
     return width - 1, np.where(labels == 1, 1, -1), idx, values
 
 
 def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
-    """kind (int or float) of each byte span raw[lo:hi], as int64 or float64.
+    """kind (int or float) of each ASCII byte span raw[lo:hi], as int64 or float64.
 
-    A span of one to EXACT_DIGITS[kind] ASCII digits, after at most one
-    '+' or '-', converts by digit arithmetic, which is exact there ("-0"
-    gives -0.0 as float does); kind converts every other span from its
-    text.  Returns the values of the spans before the first one kind
-    rejects, and its position (lo.size when it accepts all).
+    A span of one to EXACT_DIGITS[kind] digits, after at most one '+' or
+    '-', converts by digit arithmetic, which is exact there ("-0" gives
+    -0.0 as float does); kind converts every other span from its bytes, and
+    raises ValueError or OverflowError where kind or the type rejects one.
     """
     out = np.empty(lo.size, np.int64 if kind is int else np.float64)
     lead = raw[lo]
@@ -270,17 +226,50 @@ def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
     slow = np.flatnonzero(~fast)
     text = raw.tobytes()
     strings = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
-    if not text.isascii():   # kind reads ASCII bytes as it reads their text
-        strings = [string.decode() for string in strings]
-    try:
-        out[slow] = np.fromiter(map(kind, strings), out.dtype, slow.size)
-    except (ValueError, OverflowError):   # find the first span kind rejects
-        for j, string in zip(slow.tolist(), strings):
+    out[slow] = np.fromiter(map(kind, strings), out.dtype, slow.size)
+    return out
+
+
+def _parse_lines(lines: list[str], first_line: int):
+    """Features per row, labels, 1-based indices and values of some lines,
+    read token by token; the first malformed token raises a ParseError."""
+    widths, labels, indices, values = [], [], [], []
+    for number, line in enumerate(lines, first_line):
+        try:
+            line.encode()
+        except UnicodeEncodeError as exc:   # a lone surrogate, the form of an undecodable byte
+            raise ParseError(number, f"undecodable byte 0x{ord(line[exc.start]) & 0xFF:02x}"
+                             ) from None
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            y = float(tokens[0])
+        except ValueError:
+            raise ParseError(number, f"unparsable label {tokens[0]!r}") from None
+        if y not in (1, 0, -1):
+            raise ParseError(number, f"label {tokens[0]!r} outside the binary set")
+        labels.append(1 if y == 1 else -1)
+        widths.append(len(tokens) - 1)
+        previous = 0
+        for feature in tokens[1:]:
+            index, _, value = feature.partition(":")
+            if not value:
+                raise ParseError(number, f"expected index:value, got {feature!r}")
             try:
-                out[j] = kind(string)
-            except (ValueError, OverflowError):
-                return out[:j], j
-    return out, lo.size
+                index, value = int(index), float(value)
+                if not -2**63 <= index < 2**63:   # int64's range
+                    raise ValueError
+            except ValueError:
+                raise ParseError(number, f"unparsable token {feature!r}") from None
+            if index <= previous:
+                raise ParseError(number, f"feature index {index} not strictly "
+                                         f"increasing (previous {previous})")
+            indices.append(index)
+            values.append(value)
+            previous = index
+    return (*(np.array(column, np.int64) for column in (widths, labels, indices)),
+            np.array(values, np.float64))
 
 
 def scale_features(dataset: SparseDataset) -> SparseDataset:

@@ -121,6 +121,15 @@ class TestRunCommand:
         data = read_trace(next(tmp_path.glob("*.csv")))
         np.testing.assert_array_equal(data["loss"], expected.losses)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--T", "110", "--gamma", "0.5"],
+        ["run", "--T", "110", "--gamma", "2.0"],
+        ["rate", "--horizons", "8,110", "--gamma", "2.0"],
+    ])
+    def test_many_equal_rates_select_an_output(self, argv, tmp_path):
+        # 110 equal selection weights sum to 1 - 1.1e-15 once normalised
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+
     def test_repeats_write_one_trace_per_seed(self, tmp_path):
         rc = run_cli("run", "--T", "5", "--repeats", "3", "--seed", "10",
                      "--out", str(tmp_path))
@@ -349,6 +358,16 @@ class TestCompareCommand:
             "usage error: method 'sgd' is named twice in --methods\n")
         assert not tmp_path.joinpath("compare.csv").exists()
 
+    def test_adam_keeps_its_constant_rate_next_to_a_schedule(self, tmp_path):
+        losses = []
+        for name, flags in (("cosine", ["--schedule", "cosine", "--rr-scaling"]),
+                            ("constant", [])):
+            assert run_cli("compare", "--methods", "smg,adam", "--T", "4", *flags,
+                           "--out", str(tmp_path / name)) == EXIT_OK
+            rows = (tmp_path / name / "compare.csv").read_text().splitlines()[2:]
+            losses.append([row.split(",")[2] for row in rows])
+        assert losses[0] == losses[1]
+
     @pytest.mark.parametrize("algo", ["sgd", "sgdm", "adam"])
     def test_beta_refused_without_smg_or_ssmg_algo(self, algo, tmp_path, capsys):
         # --beta sets smg's and ssmg's weight only; sgd, sgdm and adam keep theirs
@@ -371,6 +390,46 @@ def test_grid_and_compare_refuse_enforce_cap(argv, tmp_path, capsys):
     assert err.startswith(f"usage error: {argv[0]} ")
     assert err.endswith("; it does not take --enforce-cap\n")
     assert not any(tmp_path.iterdir())
+
+
+ADAM = "adam runs at a constant per-step rate; it does not take"
+PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
+
+
+# each of these ran as if the setting were absent, under another config hash
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
+    (["run", "--rho", "0.5"], "smg runs the constant schedule; it does not take --rho"),
+    (["audit", "--schedule", "diminishing", "--rho", "0.5", "--gamma", "0.01"],
+     "smg runs the diminishing schedule; it does not take --rho"),
+    (["run", "--algo", "ssmg", "--schedule", "cosine", "--lambda", "2", "--rho", "0.5"],
+     "ssmg runs the cosine schedule; it does not take --lambda, --rho"),
+    (["run", "--algo", "sgd", "--beta", "0.5"],
+     "sgd runs without momentum; it does not take --beta"),
+    (["run", "--algo", "adam", "--schedule", "cosine"], f"{ADAM} --schedule cosine"),
+    (["run", "--algo", "adam", "--lambda", "5"], f"{ADAM} --lambda"),
+    (["run", "--algo", "adam", "--schedule", "exponential", "--rho", "0.5"],
+     f"{ADAM} --schedule exponential, --rho"),
+    (["run", "--algo", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
+    (["grid", "--gamma-grid", "0.01", "--lambda-grid", "1,2,4"],
+     "smg runs the constant schedule; it does not take --lambda"),
+    (["grid", "--algo", "sgd", "--gamma-grid", "0.01", "--beta-grid", "0.1,0.5"],
+     "sgd runs without momentum; it does not take --beta"),
+    (["grid", "--algo", "adam", "--schedule", "diminishing", "--paper-grids"],
+     f"{ADAM} --schedule diminishing, --lambda"),
+    (["grid", "--paper-grids", "--gamma-grid", "0.01"], f"{PAPER} --gamma-grid"),
+    (["grid", "--paper-grids", "--lambda-grid", "1"], f"{PAPER} --lambda-grid"),
+    (["grid", "--paper-grids", "--rho-grid", "0.5"], f"{PAPER} --rho-grid"),
+    (["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid", "0.5"],
+     f"{PAPER} --beta-grid"),
+    (["compare", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
+], ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, list) else "refused")
+def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli(*argv, "--T", "3", "--synth-n", "8", "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def spy_first_steps(monkeypatch) -> list:

@@ -285,6 +285,8 @@ TEXT = st.builds("\n".join, st.lists(LINE | st.sampled_from(["", "  "]), max_siz
 @example("+1 \u0663:1.5 5:\u0661\n-1 2:\u00e9\n")
 @example("+1 1:1\u00a02:2\n")
 @example("+1 1:1\u00a02:2\n-1 3:1 2:1\n")
+@example("+1 1:1\u00a02:2\n-1 2:1:1\n")
+@example("-1 2:x\n+1 1:1\u00a02:2\n")
 @example("+1 1234567890123456789:1\n-1 123456789012345678:2\n")
 @example("+1 1:999999999999999 2:9999999999999999 3:12345678901234567\n")
 @example("-1 1:0.12345678901234567 2:1e5 3:2E-3 4:15e0 5:-0\n")
