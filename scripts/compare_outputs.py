@@ -22,6 +22,9 @@ src/, each in a fresh working directory with `--out out`:
     malformed token past line 1,024, an undecodable byte and an index past
     int64, and run on the clean ones
   * runs of 110 equal epoch rates, and each setting a run would ignore
+  * compare with adam alone under schedule settings, compare whose first
+    method aborts and whose second is refused, and rates whose last or
+    first horizon aborts
 
 `parse` runs without --out and writes its cache entry beside the file, so
 it is compared by its exit code and streams.  A difference is any change in exit code, stdout or stderr (the tree and the
@@ -180,6 +183,18 @@ CASES = {
     "ignore-lambda-compare": ["compare", "--lambda", "5", "--T", "3"],
     # compare runs adam at its constant rate next to a scheduled method
     "compare-adam-cosine": ["compare", "--schedule", "cosine", "--rr-scaling", "--T", "3"],
+    # adam alone refuses the schedule settings; compare builds every point before a run
+    "compare-adam-only-cosine-lambda": ["compare", "--methods", "adam", "--schedule",
+                                        "cosine", "--lambda", "5", "--T", "3"],
+    "compare-adam-only-exponential": ["compare", "--methods", "adam", "--schedule",
+                                      "exponential", "--T", "3"],
+    "compare-adam-only-rr-scaling": ["compare", "--methods", "adam", "--rr-scaling",
+                                     "--T", "3"],
+    "compare-abort-then-refusal": ["compare", "--methods", "adam,smg", "--lambda", "5",
+                                   "--gamma", "1e300", "--T", "3"],
+    # the first two horizons finish and the last one aborts, and the reverse
+    "rate-last-horizon-aborts": ["rate", "--gamma", "2e155", "--horizons", "2,8,64"],
+    "rate-first-horizon-aborts": ["rate", "--gamma", "1.931e155", "--horizons", "64,512"],
 }
 
 # grid and compare invert each schedule for its first inner step, under --rr-scaling

@@ -28,15 +28,16 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from .audit import AuditRefusal, BoundReport, check_horizons, fit_power_law
+from .audit import AuditRefusal, check_horizons, fit_power_law
 from .dataio import (
     ParseError,
     parse_libsvm,
     scale_features,
     synth_binary_dataset,
+    write_table,
     write_trace,
 )
-from .optimizers import RunAborted, RunRecord, ensemble_outcomes, ensemble_run
+from .optimizers import RunAborted, RunRecord, ensemble_outcomes, records_of
 from .problems import Problem, logistic_problem
 from .schedules import Schedule, gamma_for_initial_step
 from .shuffling import STRATEGY_KINDS, ShufflingStrategy, init_point
@@ -164,72 +165,46 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
                         rr_scale=n if point.rr_scaling else None)
     _refuse_flags("sgd runs without momentum",
                   [("--beta", point.algo == "sgd" and point.resolved_beta != 0)])
-    _refuse_flags("adam runs at a constant per-step rate" if adam else
-                  f"{point.algo} runs the {point.schedule} schedule", [
-        (f"--schedule {point.schedule}", adam and point.schedule != "constant"),
-        ("--lambda", point.lam != 0 and (adam or point.schedule != "diminishing")),
-        ("--rho", point.rho is not None and (adam or point.schedule != "exponential")),
-        ("--rr-scaling", adam and point.rr_scaling)])
+    _refuse_schedule_flags(point, adam)
     etas = np.full(point.T, float(point.gamma)) if adam else schedule.etas()
     return point, etas
 
 
-def _strategies(cfg: ExperimentConfig) -> list[ShufflingStrategy]:
-    """One strategy per seed cfg.seed .. cfg.seed + repeats - 1."""
-    return [ShufflingStrategy(cfg.strategy, seed)
-            for seed in range(cfg.seed, cfg.seed + cfg.repeats)]
+def _refuse_schedule_flags(cfg: ExperimentConfig, adam: bool) -> None:
+    """Refuse the schedule settings cfg's runs would drop; adam drops them all."""
+    _refuse_flags("adam runs at a constant per-step rate" if adam else
+                  f"{cfg.algo} runs the {cfg.schedule} schedule", [
+        (f"--schedule {cfg.schedule}", adam and cfg.schedule != "constant"),
+        ("--lambda", cfg.lam != 0 and (adam or cfg.schedule != "diminishing")),
+        ("--rho", cfg.rho is not None and (adam or cfg.schedule != "exponential")),
+        ("--rr-scaling", adam and cfg.rr_scaling)])
 
 
-def seeded_runs(problem: Problem, cfg: ExperimentConfig, etas: np.ndarray,
-                w0=None) -> list[RunRecord]:
-    """cfg.algo's runs for seeds cfg.seed .. cfg.seed + repeats - 1, in lockstep."""
-    records = ensemble_run(cfg.algo, problem, etas, _strategies(cfg),
-                           cfg.resolved_beta, w0)
-    config_hash = cfg.hash()
-    for record in records:
-        record.config_hash = config_hash
-    return records
+def run_points(problem: Problem, points, w0=None):
+    """Yield each (config, per-epoch rates) point's outcomes over the seeds
+    seed .. seed + repeats - 1, in point order: its RunRecords, stamped with
+    the point's config hash, or the RunAborted of each seed that aborted.
 
-
-def write_table(path: Path, cfg: ExperimentConfig, header: str, rows) -> Path:
-    """Write CSV rows (lists of cells) under the config-hash and seed stamp."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", header]
-    lines += [",".join(cells) for cells in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def run_experiment(cfg: ExperimentConfig, with_audit: bool):
-    """Shared driver for the run and audit subcommands: the records of cfg's
-    seeds and, with_audit, their bound reports."""
-    problem = build_problem(cfg)
-    cfg, etas = run_point(cfg, problem.n)
-    theorem = (audit_mod.theorem_for(cfg.algo, cfg.strategy)
-               if with_audit or cfg.enforce_cap else None)
-    if cfg.enforce_cap:   # the cap of the bound audited, on the rate the run takes
-        audit_mod.check_cap(theorem, cfg.resolved_beta, problem, float(etas[0]))
-    # the expectation audit conditions on one starting point shared by seeds
-    shared_w0 = init_point(problem.d, cfg.seed) if with_audit and theorem == "T2" else None
-    records = seeded_runs(problem, cfg, etas, shared_w0)
-    if not with_audit:
-        return records, []
-    return records, audit_mod.audit_runs(records, problem)
-
-
-def write_outputs(cfg: ExperimentConfig, records: list[RunRecord],
-                  reports: list[BoundReport], out: Path) -> list[Path]:
-    """Each record's trace and sidecar, named by the config hash it carries."""
-    out.mkdir(parents=True, exist_ok=True)
-    config = cfg.to_dict()
-    blocks = [report.to_dict() for report in reports]   # one shared, or one per record
-    paths = []
-    for i, record in enumerate(records):
-        block = (blocks[0] if len(blocks) == 1 else blocks[i]) if blocks else None
-        path = out / f"trace_{cfg.algo}_{record.config_hash}_s{record.seed}.csv"
-        write_trace(record, path, config=config, bound_report=block)
-        paths.append(path)
-    return paths
+    Points of one method and one horizon run as one lockstep ensemble,
+    members point-major, when the first of them is due, so a caller that
+    stops early starts no later ensemble; w0, when given, starts every run.
+    """
+    hashes = [cfg.hash() for cfg, _ in points]
+    groups: dict = {}   # (method, horizon) -> (point, strategy, rates, beta) of each member
+    for k, (cfg, etas) in enumerate(points):
+        groups.setdefault((cfg.algo, cfg.T), []).extend(
+            (k, ShufflingStrategy(cfg.strategy, seed), etas, cfg.resolved_beta)
+            for seed in range(cfg.seed, cfg.seed + cfg.repeats))
+    outcomes: dict = {}   # point -> its outcomes, once its ensemble has run
+    for k, (cfg, _) in enumerate(points):
+        if k not in outcomes:
+            ks, strategies, etas, betas = zip(*groups[cfg.algo, cfg.T])
+            ran = ensemble_outcomes(cfg.algo, problem, etas, strategies, betas, w0)
+            for j, outcome in zip(ks, ran):
+                if isinstance(outcome, RunRecord):
+                    outcome.config_hash = hashes[j]
+                outcomes.setdefault(j, []).append(outcome)
+        yield outcomes.pop(k)
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +256,37 @@ def _refuse_flags(command: str, flags) -> None:
 
 
 def cmd_run(args) -> int:
+    """run, and audit: a run --audit that writes its bound report as JSON."""
     cfg = config_from_args(args)
-    records, reports = run_experiment(cfg, args.audit)
-    paths = write_outputs(cfg, records, reports, Path(args.out))
-    for record, path in zip(records, paths):
-        print(f"seed {record.seed}: final loss {record.losses[-1]:.6e}, "
-              f"weighted grad avg {record.weighted_grad_avg():.6e} -> {path}")
-    for report in reports:
-        print(report.summary())
-    return EXIT_OK
+    problem = build_problem(cfg)
+    cfg, etas = run_point(cfg, problem.n)
+    theorem = (audit_mod.theorem_for(cfg.algo, cfg.strategy)
+               if args.audit or cfg.enforce_cap else None)
+    if cfg.enforce_cap:   # the cap of the bound audited, on the rate the run takes
+        audit_mod.check_cap(theorem, cfg.resolved_beta, problem, float(etas[0]))
+    # the expectation audit conditions on one starting point shared by seeds
+    w0 = init_point(problem.d, cfg.seed) if args.audit and theorem == "T2" else None
+    records = records_of(next(run_points(problem, [(cfg, etas)], w0)))
+    reports = audit_mod.audit_runs(records, problem) if args.audit else []
 
-
-def cmd_audit(args) -> int:
-    cfg = config_from_args(args)
-    records, reports = run_experiment(cfg, with_audit=True)
-    out = Path(args.out)
-    write_outputs(cfg, records, reports, out)
-    payload = [r.to_dict() for r in reports]
-    report_path = out / f"bound_report_{records[0].config_hash}.json"
-    report_path.write_text(json.dumps(payload if len(payload) > 1 else payload[0],
-                                      indent=2, sort_keys=True) + "\n")
-    for report in reports:
-        print(report.summary())
-    print(f"report written to {report_path}")
+    out, config = Path(args.out), cfg.to_dict()
+    out.mkdir(parents=True, exist_ok=True)
+    # one report block shared by every record, one per record, or none
+    blocks = [report.to_dict() for report in reports] or [None]
+    written = []
+    for record, block in zip(records, itertools.cycle(blocks)):
+        path = out / f"trace_{cfg.algo}_{record.config_hash}_s{record.seed}.csv"
+        write_trace(record, path, config=config, bound_report=block)
+        written.append(f"seed {record.seed}: final loss {record.losses[-1]:.6e}, "
+                       f"weighted grad avg {record.weighted_grad_avg():.6e} -> {path}")
+    summaries = [report.summary() for report in reports]
+    if args.command == "audit":   # the report file in place of the seeds' lines
+        report_path = out / f"bound_report_{records[0].config_hash}.json"
+        report_path.write_text(json.dumps(blocks if len(blocks) > 1 else blocks[0],
+                                          indent=2, sort_keys=True) + "\n")
+        print(*summaries, f"report written to {report_path}", sep="\n")
+    else:
+        print(*written, *summaries, sep="\n")
     return EXIT_OK
 
 
@@ -328,14 +311,8 @@ def cmd_grid(args) -> int:
     points = [(step, *run_point(cfg, problem.n, step, **{
                    name: value for name, value in zip(axes, values) if value is not None}))
               for step, *values in itertools.product(steps, *axes.values())]
-
-    # every point runs every seed: one lockstep ensemble, members point-major
-    seeds = _strategies(cfg)
-    outcomes = ensemble_outcomes(
-        cfg.algo, problem, np.repeat([etas for *_, etas in points], len(seeds), axis=0),
-        seeds * len(points), [p.resolved_beta for _, p, _ in points for _ in seeds])
-    rows = [_grid_row(step, point, outcomes[k * len(seeds):(k + 1) * len(seeds)])
-            for k, (step, point, _) in enumerate(points)]
+    outcomes = run_points(problem, [(point, etas) for _, point, etas in points])
+    rows = [_grid_row(step, point, o) for (step, point, _), o in zip(points, outcomes)]
 
     rows.sort(key=lambda r: (r["status"] != "ok", r["final_loss"]))
     header = "rank,step,gamma,lam,rho,beta,final_loss,weighted_grad_avg,status,abort_epoch,hash"
@@ -344,7 +321,9 @@ def cmd_grid(args) -> int:
               repr(row["final_loss"]), repr(row["weighted_grad_avg"]),
               row["status"], row["abort_epoch"], p.hash()]
              for rank, row in enumerate(rows, start=1) for p in [row["point"]]]
-    table = write_table(Path(args.out) / "grid_results.csv", cfg, header, cells)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    table = write_table(out / "grid_results.csv", cfg.hash(), cfg.seed, header, cells)
     best, p = rows[0], rows[0]["point"]
     print(f"{len(rows)} grid points -> {table}")
     print(f"best: step={best['step']} (gamma={p.gamma:.6g}, "
@@ -370,10 +349,11 @@ def cmd_rate(args) -> int:
     check_horizons(horizons)
     points = [run_point(cfg, problem.n, T=h) for h in horizons]
     fit = fit_power_law(horizons, [   # each horizon's median over its seeds
-        np.median([r.weighted_grad_avg() for r in seeded_runs(problem, point, etas)])
-        for point, etas in points])
+        np.median([record.weighted_grad_avg() for record in records_of(outcomes)])
+        for outcomes in run_points(problem, points)])
     out = Path(args.out)
-    csv_path = write_table(out / "rate.csv", cfg, "T,metric",
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = write_table(out / "rate.csv", cfg.hash(), cfg.seed, "T,metric",
                            ([str(T), repr(m)] for T, m in zip(fit.horizons, fit.metrics)))
     gp_path = out / "rate.gnuplot"
     gp_path.write_text(
@@ -403,16 +383,18 @@ def cmd_compare(args) -> int:
             raise UsageError(f"unknown method {m!r} in --methods")
         if methods.count(m) > 1:
             raise UsageError(f"method {m!r} is named twice in --methods")
+    if methods == ["adam"]:   # with no scheduled method, a schedule setting runs nowhere
+        _refuse_schedule_flags(cfg, adam=True)
     problem = build_problem(cfg)
-    curves: dict[str, np.ndarray] = {}
+    points = []
     for method in methods:
         # --beta, or their shared default, is smg's and ssmg's; the others keep theirs
         changes = {"algo": method, "beta": cfg.beta if method in ("smg", "ssmg") else None}
         if method == "adam":   # and adam its constant rate
             changes.update(schedule="constant", lam=0.0, rho=None, rr_scaling=False)
-        point, etas = run_point(cfg, problem.n, cfg.gamma, **changes)
-        curves[method] = np.stack([record.losses for record in
-                                   seeded_runs(problem, point, etas)])
+        points.append(run_point(cfg, problem.n, cfg.gamma, **changes))
+    curves = {method: np.stack([record.losses for record in records_of(outcomes)])
+              for method, outcomes in zip(methods, run_points(problem, points))}
 
     if cfg.repeats == 1:
         header = "epoch," + ",".join(f"loss_{m}" for m in methods)
@@ -429,7 +411,8 @@ def cmd_compare(args) -> int:
                     cells += [repr(float(col.mean())), repr(float(col.std(ddof=1)))]
             rows.append(cells)
     out = Path(args.out)
-    csv_path = write_table(out / "compare.csv", cfg, header, rows)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = write_table(out / "compare.csv", cfg.hash(), cfg.seed, header, rows)
 
     gp_path = out / "compare.gnuplot"
     plots = ", ".join(
@@ -469,34 +452,31 @@ def _parse_float_list(text: str | None):
 
 
 def _add_experiment_args(p: argparse.ArgumentParser):
-    p.add_argument("--algo", default="smg", help=f"one of {ALGOS}")
-    p.add_argument("--beta", type=float, default=None,
+    # every config field's default is ExperimentConfig's
+    p.set_defaults(**asdict(ExperimentConfig()))
+    p.add_argument("--algo", help=f"one of {ALGOS}")
+    p.add_argument("--beta", type=float,
                    help="momentum weight in [0,1); per-algorithm default when omitted")
-    p.add_argument("--schedule", default="constant",
-                   help="constant | diminishing | exponential | cosine")
-    p.add_argument("--gamma", type=float, default=0.1,
+    p.add_argument("--schedule", help="constant | diminishing | exponential | cosine")
+    p.add_argument("--gamma", type=float,
                    help="schedule parameter (per-step rate for adam/grid/compare)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="diminishing-schedule offset")
-    p.add_argument("--rho", type=float, default=None,
-                   help="exponential-schedule end fraction in (0,1)")
-    p.add_argument("--T", type=int, default=50, help="epoch budget")
-    p.add_argument("--strategy", default="rr", help="rr | once | inc")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--lambda", dest="lam", type=float, help="diminishing-schedule offset")
+    p.add_argument("--rho", type=float, help="exponential-schedule end fraction in (0,1)")
+    p.add_argument("--T", type=int, help="epoch budget")
+    p.add_argument("--strategy", help="rr | once | inc")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--repeats", type=int,
                    help="seeded repetitions (seeds seed..seed+repeats-1)")
     p.add_argument("--enforce-cap", action="store_true",
                    help="refuse an eta_1 above the audited bound's cap (run, audit)")
     p.add_argument("--rr-scaling", action="store_true",
                    help="scale gamma by n^(1/3), the reshuffling rate form")
-    p.add_argument("--dataset", default=None,
-                   help="LIBSVM file path or name under $SMG_DATA_DIR")
-    p.add_argument("--synth-n", type=int, default=32)
-    p.add_argument("--synth-d", type=int, default=5)
-    p.add_argument("--synth-seed", type=int, default=0)
-    p.add_argument("--synth-sep", type=float, default=0.8)
-    p.add_argument("--reg", type=float, default=0.01,
-                   help="regularization weight of the logistic objective")
+    p.add_argument("--dataset", help="LIBSVM file path or name under $SMG_DATA_DIR")
+    p.add_argument("--synth-n", type=int)
+    p.add_argument("--synth-d", type=int)
+    p.add_argument("--synth-seed", type=int)
+    p.add_argument("--synth-sep", type=float)
+    p.add_argument("--reg", type=float, help="regularization weight of the logistic objective")
     p.add_argument("--scale-features", dest="scale", action="store_true")
     p.add_argument("--out", default="runs", help="output directory")
 
@@ -521,17 +501,16 @@ def build_parser() -> _Parser:
 
     p_audit = sub.add_parser("audit", help="run and audit a convergence bound")
     _add_experiment_args(p_audit)
-    p_audit.set_defaults(func=cmd_audit)
+    p_audit.set_defaults(func=cmd_run, audit=True)
 
     p_grid = sub.add_parser("grid", help="step-size grid search")
     _add_experiment_args(p_grid)
     p_grid.add_argument("--paper-grids", action="store_true",
                         help="use the built-in two-stage tuning grids")
-    p_grid.add_argument("--gamma-grid", default=None,
-                        help="comma-separated per-step rates")
-    p_grid.add_argument("--lambda-grid", default=None)
-    p_grid.add_argument("--rho-grid", default=None)
-    p_grid.add_argument("--beta-grid", default=None)
+    p_grid.add_argument("--gamma-grid", help="comma-separated per-step rates")
+    p_grid.add_argument("--lambda-grid")
+    p_grid.add_argument("--rho-grid")
+    p_grid.add_argument("--beta-grid")
     p_grid.add_argument("--jobs", type=int, default=1,
                         help="accepted and ignored: the grid points and seeds "
                              "run as one lockstep ensemble in this process")

@@ -310,16 +310,23 @@ def synth_binary_dataset(n: int, d: int, seed: int,
 # Trace persistence
 # ---------------------------------------------------------------------------
 
+def write_table(path: Path, config_hash: str, seed: int, header: str, rows) -> Path:
+    """Write CSV rows (lists of cells) under the config-hash and seed stamp."""
+    lines = [f"# config_hash={config_hash} seed={seed}", header]
+    lines += [",".join(cells) for cells in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def write_trace(record: RunRecord, path: str | Path,
                 config: Optional[dict] = None,
                 bound_report: Optional[dict] = None) -> Path:
     """Write the per-epoch CSV and its JSON sidecar; returns the sidecar path."""
     path = Path(path)
-    lines = [f"# config_hash={record.config_hash or ''} seed={record.seed}", TRACE_HEADER]
     columns = zip(record.etas.tolist(), record.losses.tolist(), record.grad_norms_sq.tolist())
-    lines += [f"{t},{eta!r},{loss!r},{g!r}" for t, (eta, loss, g) in enumerate(columns, 1)]
     try:
-        path.write_text("\n".join(lines) + "\n")
+        write_table(path, record.config_hash or "", record.seed, TRACE_HEADER,
+                    ([str(t), *map(repr, row)] for t, row in enumerate(columns, 1)))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
 

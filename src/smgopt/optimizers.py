@@ -365,9 +365,12 @@ def ensemble_run(algo: str, problem: Problem, etas,
                  strategies: Sequence[ShufflingStrategy], beta,
                  w0: Optional[np.ndarray] = None,
                  inner_trace: bool = False) -> list[RunRecord]:
-    """The records of ensemble_outcomes; if a run aborts, the RunAborted of
-    the first aborted run in strategy order, the one a loop would meet first."""
-    outcomes = ensemble_outcomes(algo, problem, etas, strategies, beta, w0, inner_trace)
+    """The records of ensemble_outcomes, through records_of."""
+    return records_of(ensemble_outcomes(algo, problem, etas, strategies, beta, w0, inner_trace))
+
+
+def records_of(outcomes: list) -> list[RunRecord]:
+    """outcomes if all are RunRecords, else the first RunAborted among them, raised."""
     for outcome in outcomes:
         if isinstance(outcome, RunAborted):
             raise outcome

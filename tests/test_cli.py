@@ -66,6 +66,11 @@ class TestConfig:
         assert ExperimentConfig(algo="sgdm").resolved_beta == 0.9
         assert ExperimentConfig(algo="smg", beta=0.2).resolved_beta == 0.2
 
+    @pytest.mark.parametrize("command", ["run", "audit", "grid", "rate", "compare"])
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command])
+        assert cli.config_from_args(args) == ExperimentConfig()
+
 
 class TestRunCommand:
     def test_smoke_produces_trace(self, tmp_path, capsys):
@@ -315,7 +320,7 @@ def test_rate_checks_horizons_before_running(horizons, message, tmp_path, capsys
                                             monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
-    monkeypatch.setattr(cli, "ensemble_run", unreachable)
+    monkeypatch.setattr(cli, "ensemble_outcomes", unreachable)
     assert run_cli("rate", "--horizons", horizons, "--out", str(tmp_path)) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not tmp_path.joinpath("rate.csv").exists()
@@ -423,6 +428,12 @@ PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
     (["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid", "0.5"],
      f"{PAPER} --beta-grid"),
     (["compare", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
+    # adam alone in compare runs none of the schedule settings
+    (["compare", "--methods", "adam", "--schedule", "cosine", "--lambda", "5"],
+     f"{ADAM} --schedule cosine, --lambda"),
+    (["compare", "--methods", "adam", "--schedule", "exponential"],
+     f"{ADAM} --schedule exponential"),
+    (["compare", "--methods", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
 ], ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, list) else "refused")
 def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -430,6 +441,54 @@ def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_compare_refuses_every_method_before_any_run(tmp_path, capsys, monkeypatch):
+    # adam's run would abort first; smg's point refuses --lambda before it starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "ensemble_outcomes", unreachable)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--methods", "adam,smg", "--lambda", "5", "--gamma", "1e300",
+                   "--T", "3", "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: smg runs the constant schedule; it does not take --lambda\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    # 9 steps times 3 betas, times 2 seeds, as one ensemble
+    (["grid", "--algo", "ssmg", "--paper-grids", "--repeats", "2"], [54]),
+    (["compare", "--repeats", "2"], [2] * 5),
+    (["rate", "--horizons", "2,4,8"], [1] * 3),
+    (["run", "--repeats", "3"], [3]),
+    (["audit", "--repeats", "3", "--gamma", "0.01"], [3]),
+], ids=["grid", "compare", "rate", "run", "audit"])
+def test_points_of_one_method_and_horizon_run_as_one_ensemble(argv, sizes, tmp_path,
+                                                              monkeypatch):
+    calls = spy_ensemble_sizes(monkeypatch)
+    assert run_cli(*argv, "--T", "4", "--synth-n", "8", "--out", str(tmp_path)) == EXIT_OK
+    assert calls == sizes
+
+
+def test_an_abort_starts_no_later_ensemble(tmp_path, monkeypatch):
+    # at this gamma the 64-epoch horizon diverges and the 512-epoch one finishes
+    calls = spy_ensemble_sizes(monkeypatch)
+    assert run_cli("rate", "--gamma", "1.931e155", "--horizons", "64,512",
+                   "--out", str(tmp_path)) == EXIT_ABORT
+    assert calls == [1]
+
+
+def spy_ensemble_sizes(monkeypatch) -> list:
+    """The member count of each ensemble the CLI starts."""
+    calls = []
+
+    def spied(algo, problem, etas, strategies, *args):
+        calls.append(len(strategies))
+        return run(algo, problem, etas, strategies, *args)
+    run = cli.ensemble_outcomes
+    monkeypatch.setattr(cli, "ensemble_outcomes", spied)
+    return calls
 
 
 def spy_first_steps(monkeypatch) -> list:
@@ -442,7 +501,6 @@ def spy_first_steps(monkeypatch) -> list:
             return run(algo, problem, etas, *args, **kwargs)
         return spied
     monkeypatch.setattr(cli, "ensemble_outcomes", spy(cli.ensemble_outcomes))
-    monkeypatch.setattr(cli, "ensemble_run", spy(cli.ensemble_run))
     return first
 
 
@@ -496,7 +554,7 @@ def test_command_without_a_bound_refuses_before_running(argv, tmp_path, capsys,
                                                         monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
-    monkeypatch.setattr(cli, "ensemble_run", unreachable)
+    monkeypatch.setattr(cli, "ensemble_outcomes", unreachable)
     assert run_cli(*argv, "--T", "4", "--out", str(tmp_path)) == EXIT_REFUSAL
     algo = argv[argv.index("--algo") + 1]
     assert capsys.readouterr().err == (
