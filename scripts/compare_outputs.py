@@ -25,6 +25,8 @@ src/, each in a fresh working directory with `--out out`:
   * compare with adam alone under schedule settings, compare whose first
     method aborts and whose second is refused, and rates whose last or
     first horizon aborts
+  * smg runs whose epoch averages sum thousands of steps, single and
+    ensemble, and adam under an exponential schedule without --rho
 
 `parse` runs without --out and writes its cache entry beside the file, so
 it is compared by its exit code and streams.  A difference is any change in exit code, stdout or stderr (the tree and the
@@ -195,6 +197,19 @@ CASES = {
     # the first two horizons finish and the last one aborts, and the reverse
     "rate-last-horizon-aborts": ["rate", "--gamma", "2e155", "--horizons", "2,8,64"],
     "rate-first-horizon-aborts": ["rate", "--gamma", "1.931e155", "--horizons", "64,512"],
+    # smg's epoch averages over thousands of steps, a single run and an
+    # ensemble: T = 3, as the average of epoch t first moves a recorded loss
+    # at the start of epoch t + 2, with steps large enough that an average
+    # moved by one ulp moves that loss
+    "run-long-epochs": ["run", "--synth-n", "3000", "--synth-d", "50", "--T", "3",
+                        "--gamma", "5"],
+    "audit-long-epochs": ["audit", "--synth-n", "600", "--synth-d", "50", "--repeats", "3",
+                          "--T", "3", "--gamma", "0.005"],
+    # settings adam drops, refused before its schedule is built
+    "ignore-exponential-adam": ["run", "--algo", "adam", "--schedule", "exponential",
+                                "--T", "2"],
+    "ignore-exponential-adam-grid": ["grid", "--algo", "adam", "--schedule", "exponential",
+                                     "--gamma-grid", "0.01", "--T", "2"],
 }
 
 # grid and compare invert each schedule for its first inner step, under --rr-scaling

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise UsageError(f"gamma must be finite, got {self.gamma}")
         if not 0 <= self.reg < math.inf:
             raise UsageError(f"reg must be finite and nonnegative, got {self.reg}")
+        if not 0 <= self.lam < math.inf:   # before a refusal of a dropped --lambda
+            raise UsageError(f"lam must be finite and nonnegative, got {self.lam}")
 
     @property
     def resolved_beta(self) -> float:
@@ -152,7 +154,8 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
     the schedule parameter whose first inner step is step, divided by
     n^(1/3) under --rr-scaling, which the schedule multiplies back.  Adam's
     rate is its gamma in every epoch.  A setting the run would ignore is a
-    UsageError.
+    UsageError, raised before the schedule is built, so a schedule the run
+    drops asks for none of its parameters.
     """
     point = replace(cfg, **changes)
     adam = point.algo == "adam"
@@ -160,14 +163,14 @@ def run_point(cfg: ExperimentConfig, n: int, step: float | None = None,
         point.gamma = step if adam else gamma_for_initial_step(
             point.schedule, step, n, point.T, point.lam, point.rho, point.rr_scaling)
     point.validate()
-    schedule = Schedule(kind=point.schedule, gamma=point.gamma, horizon=point.T,
-                        lam=point.lam, rho=point.rho,
-                        rr_scale=n if point.rr_scaling else None)
     _refuse_flags("sgd runs without momentum",
                   [("--beta", point.algo == "sgd" and point.resolved_beta != 0)])
     _refuse_schedule_flags(point, adam)
-    etas = np.full(point.T, float(point.gamma)) if adam else schedule.etas()
-    return point, etas
+    if adam:
+        return point, np.full(point.T, float(point.gamma))
+    return point, Schedule(kind=point.schedule, gamma=point.gamma, horizon=point.T,
+                           lam=point.lam, rho=point.rho,
+                           rr_scale=n if point.rr_scaling else None).etas()
 
 
 def _refuse_schedule_flags(cfg: ExperimentConfig, adam: bool) -> None:

@@ -103,19 +103,22 @@ class _Rule:
 
     step(W, G, rate) updates the (R, d) iterate matrix W in place from the
     component gradients G, one run per row, at the per-step rates eta_t / n,
-    and never writes into G; start_epoch(W, order) and end_epoch() run
-    before and after an epoch's steps along order.  Every coefficient a rule
-    applies to a run (rate, momentum weight, Adam's lr and bias correction)
-    comes as an (R, d) array holding the run's value along its row, so each
-    operation is elementwise on operands of one shape, into scratch arrays
-    allocated once.  A rule that sets anchor (read at each epoch start) or
-    momentum (read after each step) has row 0 of those arrays recorded in
-    the inner trace.
+    and never writes into G; start_epoch(W, order, last) and end_epoch()
+    run before and after an epoch's steps along order, last telling the
+    run's final epoch.  Every coefficient a rule applies to a run (rate,
+    momentum weight, n, Adam's lr, bias correction, beta2, 1 - beta2 and
+    eps) comes as an (R, d) array holding the run's value along its row, so
+    each operation is elementwise on operands of one shape, into scratch
+    arrays allocated once; a ufunc takes such an operand faster than a
+    Python float.  Only Adam's 1 - beta2^k, new at each step, stays a
+    float.  A rule that sets anchor (read at each epoch start) or momentum
+    (read after each step) has row 0 of those arrays recorded in the inner
+    trace.
     """
 
     anchor = momentum = None
 
-    def start_epoch(self, W, order):
+    def start_epoch(self, W, order, last):
         pass
 
     def end_epoch(self):
@@ -134,19 +137,24 @@ class _Plain(_Rule):
 
 class _Anchored(_Rule):
     """smg: m = beta m0 + (1 - beta) g against an epoch-fixed anchor m0,
-    refreshed at each epoch end with the epoch's average gradient v."""
+    refreshed at each epoch end with the epoch's average gradient v.  A
+    run's last epoch gathers no v, since no output reads it."""
 
     def __init__(self, n: int, beta: np.ndarray):
-        self.n, self.beta, self.c = n, beta, 1.0 - beta
+        self.n, self.beta, self.c = np.full_like(beta, n), beta, 1.0 - beta
         self.m0, self.v = np.zeros_like(beta), np.zeros_like(beta)
         self.beta_m0 = self.m0 * beta           # fixed through an epoch
         self.m, self.u = np.empty_like(beta), np.empty_like(beta)
         self.anchor = self.m0
 
+    def start_epoch(self, W, order, last):
+        self.gather = not last
+
     def step(self, W, G, rate):
         m, u = self.m, self.u
         np.add(self.beta_m0, np.multiply(G, self.c, m), m)
-        np.add(self.v, np.divide(G, self.n, u), self.v)
+        if self.gather:
+            np.add(self.v, np.divide(G, self.n, u), self.v)
         np.subtract(W, np.multiply(m, rate, u), W)
 
     def end_epoch(self):
@@ -172,11 +180,12 @@ class _Adam(_Rule):
     """Bias-corrected Adam at each run's constant per-step rate lr."""
 
     beta2, eps = 0.999, 1e-8
-    c2 = 1.0 - beta2
 
     def __init__(self, lr: np.ndarray, beta: np.ndarray):
         self.lr, self.beta, self.c = lr, beta, 1.0 - beta
         self.beta1 = beta[:, 0].tolist()   # for float powers, as Python takes them
+        self.b2, self.c2, self.e = (np.full_like(beta, x) for x in
+                                    (self.beta2, 1.0 - self.beta2, self.eps))
         self.m, self.v, self.k = np.zeros_like(beta), np.zeros_like(beta), 0
         self.u, self.s, self.bias = np.empty_like(beta), np.empty_like(beta), np.empty_like(beta)
 
@@ -184,11 +193,11 @@ class _Adam(_Rule):
         self.k += 1
         m, v, u, s = self.m, self.v, self.u, self.s
         np.add(np.multiply(m, self.beta, m), np.multiply(G, self.c, u), m)
-        np.add(np.multiply(v, self.beta2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
+        np.add(np.multiply(v, self.b2, v), np.multiply(np.multiply(G, self.c2, u), G, u), v)
         self.bias.T[...] = [1.0 - b ** self.k for b in self.beta1]   # run r's along row r
         np.divide(m, self.bias, u)                                    # m_hat
         np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.k, s), s)       # sqrt(v_hat)
-        np.divide(np.multiply(u, self.lr, u), np.add(s, self.eps, s), u)
+        np.divide(np.multiply(u, self.lr, u), np.add(s, self.e, s), u)
         np.subtract(W, u, W)
 
 
@@ -199,10 +208,10 @@ class _Traced(_Rule):
     def __init__(self, rule: _Rule):
         self.rule, self.epochs = rule, []
 
-    def start_epoch(self, W, order):
+    def start_epoch(self, W, order, last):
         self.order, self.anchor_at_start = np.array(order), _row0(self.rule.anchor)
         self.steps = [(W[0].copy(), None, None)]   # (iterate, gradient, momentum)
-        self.rule.start_epoch(W, order)
+        self.rule.start_epoch(W, order, last)
 
     def step(self, W, G, rate):
         self.rule.step(W, G, rate)
@@ -296,7 +305,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                 # a single run indexes its rows by Python ints
                 order = perms[:, 0].tolist() if R == 1 else perms
             rate = _rows(etas[:, t - 1] / n, d)
-            rule.start_epoch(W, order)
+            rule.start_epoch(W, order, t == T)
             step = rule.step
             if R == 1:   # the scalar oracle on the view W[0], into row 0 of G
                 grad, w, g = problem.component_grad, W[0], G[0]

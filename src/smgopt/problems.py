@@ -184,10 +184,9 @@ def regularizer_value(w: np.ndarray) -> float:
     return 0.5 * float(np.sum(wsq / (1.0 + wsq)))
 
 
-def regularizer_grad(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """r'(w) = w / (1 + w^2)^2, written into out when given."""
-    out = np.multiply(w, w, out)
-    return np.divide(w, np.square(np.add(out, 1.0, out), out), out)
+def regularizer_grad(w: np.ndarray) -> np.ndarray:
+    """r'(w) = w / (1 + w^2)^2."""
+    return w / np.square(w * w + 1.0)
 
 
 def _one_iterate(batch_full_pass: Callable) -> tuple:
@@ -259,19 +258,25 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         z = ys[i] * (values[lo:hi] @ w[indices[lo:hi]])
         return float(np.logaddexp(0.0, -z)) + lam * regularizer_value(w)
 
+    # the constant operands of a component gradient, as (d,) arrays: a ufunc
+    # takes an array operand faster than a Python float, to the same bits
+    lams, ones = np.full(d, float(lam)), np.ones(d)
+
     def component_grad(w, i, out=None):
         # -y s x + lam r'(w) with s = 1 / (1 + exp(z)), z = y x^T w
         lo, hi = indptr[i], indptr[i + 1]
         cols, vals = indices[lo:hi], values[lo:hi]
-        z = ys[i] * vals.dot(w.take(cols))
+        z = ys[i] * vals.dot(w[cols])
         # scalar math is cheaper than a numpy call here; exponents stay <= 0
         if z >= 0:
             e = math.exp(-z)
             s = e / (1.0 + e)
         else:
             s = 1.0 / (1.0 + math.exp(z))
-        g = regularizer_grad(w, out)
-        np.multiply(g, lam, g)
+        # lam * regularizer_grad(w), step by step into one array
+        g = np.multiply(w, w, out)
+        np.divide(w, np.square(np.add(g, ones, g), g), g)
+        np.multiply(g, lams, g)
         g[cols] -= (ys[i] * s) * vals
         return g
 

@@ -434,6 +434,10 @@ PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
     (["compare", "--methods", "adam", "--schedule", "exponential"],
      f"{ADAM} --schedule exponential"),
     (["compare", "--methods", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
+    # refused before the schedule, which would ask for the --rho it then refuses
+    (["run", "--algo", "adam", "--schedule", "exponential"], f"{ADAM} --schedule exponential"),
+    (["grid", "--algo", "adam", "--schedule", "exponential", "--gamma-grid", "0.01"],
+     f"{ADAM} --schedule exponential"),
 ], ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, list) else "refused")
 def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -640,7 +644,12 @@ def test_values_past_the_float_range_raise_no_warning(argv, code, tmp_path, caps
     assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
 
 
-@pytest.mark.parametrize("argv", NON_FINITE_LAMBDA)
+@pytest.mark.parametrize("argv", [
+    *NON_FINITE_LAMBDA,
+    # invalid before it is refused as a setting the command would drop
+    ["rate", "--horizons", "4,8", "--lambda", "nan"],
+    ["compare", "--methods", "adam", "--lambda", "nan", "--T", "2"],
+])
 def test_non_finite_lambda_names_lambda(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     value = float(argv[4])   # the --lambda or --lambda-grid value

@@ -217,6 +217,60 @@ def test_refused_ensembles():
 
 
 # ---------------------------------------------------------------------------
+# smg's epoch average
+#
+# smg gathers no epoch average in a run's last epoch; every record must
+# equal that of the rule gathering it at every step of every epoch.
+# ---------------------------------------------------------------------------
+
+class GatheringAnchored(optimizers._Rule):
+    """smg's rule with v += G / n at every step of every epoch."""
+
+    def __init__(self, n, beta):
+        self.n, self.beta, self.c = n, beta, 1.0 - beta
+        self.m0, self.v = np.zeros_like(beta), np.zeros_like(beta)
+        self.anchor = self.m0
+
+    def step(self, W, G, rate):
+        W -= (self.beta * self.m0 + self.c * G) * rate
+        self.v += G / self.n
+
+    def end_epoch(self):
+        self.m0[:] = self.v
+        self.v[:] = 0.0
+
+
+def assert_same_traces(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        for field in dataclasses.fields(e):
+            x, y = getattr(a, field.name), getattr(e, field.name)
+            assert (x is None and y is None) or np.array_equal(x, y), field.name
+
+
+@pytest.mark.parametrize("R, traced", [(1, False), (1, True), (5, False)],
+                         ids=["single", "single-traced", "ensemble"])
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_smg_matches_the_rule_gathering_every_epoch(fixture, horizon, R, traced,
+                                                    monkeypatch):
+    problem = make_problem(fixture)
+    rates = Schedule("diminishing", gamma=0.3, horizon=horizon, lam=1.0).etas()
+    strategies = [ShufflingStrategy("rr", seed) for seed in range(5, 5 + R)]
+
+    def run():
+        return ensemble_run("smg", problem, rates, strategies, 0.5, inner_trace=traced)
+
+    records = run()
+    monkeypatch.setattr(optimizers, "_Anchored", GatheringAnchored)
+    for record, expected in zip(records, run(), strict=True):
+        assert_same_record(dataclasses.replace(record, epochs=None),
+                           dataclasses.replace(expected, epochs=None))
+        if traced:   # the anchors among them
+            assert_same_traces(record.epochs, expected.epochs)
+
+
+# ---------------------------------------------------------------------------
 # Aborts
 #
 # Plain SGD on the CLI's default problem at gamma = 2e155 over 4 epochs: for
