@@ -18,10 +18,12 @@ src/, each in a fresh working directory with `--out out`:
   * rate with sgd, each strategy, a dataset and a diverging --gamma
   * compare --beta under an --algo other than smg or ssmg, which it refuses
   * the benchmark's three commands at tiny sizes
-  * parse of small files: clean ASCII, clean with NBSP separators, a
-    malformed token past line 1,024, an undecodable byte and an index past
-    int64, and run on the clean ones
-  * runs of 110 equal epoch rates, and each setting a run would ignore
+  * parse of small files: w8a-like binary features, ijcnn1-like real
+    values over more than 1,024 lines, NBSP separators, a malformed token
+    past line 1,024, an undecodable byte and an index past int64, and run
+    on the ones that parse
+  * runs of 110 equal epoch rates, each setting a run would ignore, and
+    each setting a grid sweeps, given as its single flag too
   * compare with adam alone under schedule settings, compare whose first
     method aborts and whose second is refused, and rates whose last or
     first horizon aborts
@@ -29,11 +31,12 @@ src/, each in a fresh working directory with `--out out`:
     ensemble, and adam under an exponential schedule without --rho
 
 `parse` runs without --out and writes its cache entry beside the file, so
-it is compared by its exit code and streams.  A difference is any change in exit code, stdout or stderr (the tree and the
-working directory are replaced by placeholders), in the names of the files
-under out/, or in any such file's bytes.  Each differing case is printed
-with what differs; the exit code is 0 when no case differs and 1 otherwise.
-Runs take about a second per case pair on one core.
+it is compared by its exit code and streams.  A difference is any change
+in exit code, stdout or stderr (the tree and the working directory are
+replaced by placeholders), in the names of the files under out/, or in
+any such file's bytes.  Each differing case is printed with what differs;
+the exit code is 0 when no case differs and 1 otherwise.  Runs take about
+a second per case pair on one core.
 """
 import ast
 import os
@@ -47,9 +50,9 @@ import numpy as np
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "test_golden.py"
 DATASET = "tiny.libsvm"
-# small LIBSVM files of each kind of block the parser reads, beside DATASET
-NBSP, MALFORMED, UNDECODABLE, PAST_INT64 = (
-    "nbsp.libsvm", "malformed.libsvm", "undecodable.libsvm", "int64.libsvm")
+# small LIBSVM files of each kind of text the parser reads, beside DATASET
+REAL, NBSP, MALFORMED, UNDECODABLE, PAST_INT64 = (
+    "real.libsvm", "nbsp.libsvm", "malformed.libsvm", "undecodable.libsvm", "int64.libsvm")
 
 CASES = {
     # audits: T1, T2 and T3, as audit and as run --audit
@@ -148,13 +151,15 @@ CASES = {
     "bench-ssmg-grid": ["grid", "--algo", "ssmg", "--paper-grids", "--synth-n", "40",
                         "--synth-d", "20", "--synth-seed", "1", "--T", "4",
                         "--jobs", "1", "--seed", "1"],
-    # the parser's clean ASCII and non-ASCII blocks and each kind of error
+    # binary and real values, a non-ASCII separator and each kind of error
     "parse-ascii": ["parse", DATASET],
+    "parse-real": ["parse", REAL],
     "parse-nbsp": ["parse", NBSP],
     "parse-malformed-past-block": ["parse", MALFORMED],
     "parse-undecodable": ["parse", UNDECODABLE],
     "parse-index-past-int64": ["parse", PAST_INT64],
     "run-nbsp": ["run", "--T", "2", "--gamma", "500", "--dataset", NBSP],
+    "run-real": ["run", "--T", "2", "--gamma", "5", "--repeats", "2", "--dataset", REAL],
     # 110 equal selection weights, which sum to 1 - 1.1e-15 once normalised
     "run-T110": ["run", "--T", "110", "--gamma", "0.5"],
     "rate-T110": ["rate", "--horizons", "8,110", "--gamma", "2.0"],
@@ -183,6 +188,17 @@ CASES = {
     "ignore-paper-beta-grid": ["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid",
                                "0.5", "--T", "3", "--synth-n", "8"],
     "ignore-lambda-compare": ["compare", "--lambda", "5", "--T", "3"],
+    # a grid sets a setting it sweeps at every point
+    "ignore-gamma-grid": ["grid", "--gamma", "0.5", "--gamma-grid", "0.01", "--T", "3"],
+    "ignore-gamma-paper-grid": ["grid", "--gamma", "0.5", "--paper-grids", "--T", "3",
+                                "--synth-n", "8"],
+    "ignore-rho-grid": ["grid", "--algo", "sgdm", "--schedule", "exponential", "--rho", "0.95",
+                        "--T", "4", "--synth-n", "12", "--gamma-grid", "0.05,0.01",
+                        "--rho-grid", "0.9,0.99", "--repeats", "2"],
+    "ignore-lambda-paper-grid": ["grid", "--schedule", "diminishing", "--lambda", "2",
+                                 "--paper-grids", "--T", "3", "--synth-n", "8"],
+    "ignore-beta-grid": ["grid", "--algo", "ssmg", "--beta", "0.5", "--beta-grid", "0.1",
+                         "--gamma-grid", "0.01", "--T", "3"],
     # compare runs adam at its constant rate next to a scheduled method
     "compare-adam-cosine": ["compare", "--schedule", "cosine", "--rr-scaling", "--T", "3"],
     # adam alone refuses the schedule settings; compare builds every point before a run
@@ -241,6 +257,17 @@ def write_datasets(root: Path):
     lines = [" ".join([label] + [f"{j + 1}:1" for j in np.flatnonzero(row)]) + "\n"
              for label, row in zip(labels, X)]
     (root / DATASET).write_text("".join(lines))
+    # ijcnn1-like: 22 features, repr floats of up to 17 significant digits,
+    # negative values, -0.0 and exponents such as 1e-05, over 1,200 lines
+    values = rng.standard_normal((1200, 22))
+    values[rng.random(values.shape) < 0.1] *= 10.0 ** rng.integers(-9, -4)
+    values[rng.random(values.shape) < 0.02] = -0.0
+    kept = rng.random(values.shape) < 0.6
+    values[0, :3], kept[0, :3] = (1e-05, -0.0, -2.5e-07), True
+    labels = np.where(values @ rng.standard_normal(22) >= 0, "+1", "-1")
+    (root / REAL).write_text("".join(
+        " ".join([label] + [f"{j + 1}:{row[j]!r}" for j in np.flatnonzero(keep)]) + "\n"
+        for label, row, keep in zip(labels, values.tolist(), kept)))
     (root / NBSP).write_text("".join(lines).replace(" ", "\u00a0"), encoding="utf-8")
     (root / MALFORMED).write_text("".join(lines * 4) + "+1 1:1 2:x\n")
     (root / UNDECODABLE).write_bytes(b"+1 1:0.5\n-1 2:\xff\n")

@@ -4,15 +4,18 @@
     python scripts/compare_parsers.py OLD_TREE NEW_TREE [COUNT]
 
 Each tree is a checkout of this repository (a directory holding src/smgopt).
-COUNT texts (default 6000) are drawn with hypothesis: the TEXT strategy of
-tests/test_reference_oracles.py (read from this script's checkout), and
-lines with indices past int64, nan, inf and 1e400 values, and texts with a
-lone surrogate inserted.  About half are parsed from a text stream and half
-from a file of their bytes, where a surrogate that surrogateescape maps to
-a byte is written as that undecodable byte.  The outcomes must be equal:
-the CSR arrays byte for byte (dtypes included) and the dimension, or the
-same error line and message.  The first difference is printed and the exit
-code is 1; otherwise the exit code is 0.  Needs the test extras.
+COUNT texts (default 6000) are drawn with hypothesis.  About two in three
+are clean multi-line texts that parse: binary labels, strictly increasing
+indices, and values that are repr floats or digit strings.  The rest are
+the TEXT strategy of tests/test_reference_oracles.py (read from this
+script's checkout), lines with indices past int64, nan, inf and 1e400
+values, and texts with a lone surrogate inserted.  About half are parsed
+from a text stream and half from a file of their bytes, where a surrogate
+that surrogateescape maps to a byte is written as that undecodable byte.
+The outcomes must be equal: the CSR arrays byte for byte (dtypes included)
+and the dimension, or the same error line and message.  The first
+difference is printed and the exit code is 1; otherwise the exit code is
+0.  Needs the test extras.
 """
 import importlib.util
 import io
@@ -35,9 +38,21 @@ TOKEN = (st.builds("{}:{}".format, BIG, VALUE | ODD)
          | st.builds("{}:{}".format, st.integers(1, 40), ODD) | JUNK)
 LINE = st.builds(lambda label, tokens, sep: sep.join([label] + tokens),
                  LABEL | ODD, st.lists(TOKEN, max_size=4), SEPARATOR)
-TEXTS = (TEXT | st.builds("\n".join, st.lists(LINE | st.just(""), max_size=6))
-         | st.builds(lambda text, char, at: text[:at] + char + text[at:],
-                     TEXT, SURROGATE, st.integers(0, 400)))
+FUZZ = (TEXT | st.builds("\n".join, st.lists(LINE | st.just(""), max_size=6))
+        | st.builds(lambda text, char, at: text[:at] + char + text[at:],
+                    TEXT, SURROGATE, st.integers(0, 400)))
+CLEAN_VALUE = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-10**20, 10**20).map(str)
+               | st.sampled_from(["-0", "+007", "1e-05", "-2.5E-07", "1.", ".5"]))
+CLEAN_INDICES = st.lists(st.integers(1, 10**6) | st.integers(1, 2**63 - 1),
+                         unique=True, max_size=15).map(sorted)
+CLEAN_LINE = st.builds(
+    lambda label, idx, values: " ".join([label] + [f"{i}:{v}" for i, v in zip(idx, values)]),
+    st.sampled_from(["+1", "-1", "1", "0"]), CLEAN_INDICES,
+    st.lists(CLEAN_VALUE, min_size=15, max_size=15))
+CLEAN = st.builds(lambda lines: "".join(line + "\n" for line in lines),
+                  st.lists(CLEAN_LINE, min_size=1, max_size=40))
+TEXTS = st.integers(0, 2).flatmap(lambda k: CLEAN if k else FUZZ)
 
 
 def load(tree: Path, name: str):

@@ -300,16 +300,21 @@ def cmd_grid(args) -> int:
     _refuse_flags("grid --paper-grids takes every grid from the paper", [
         (f"--{name}-grid", args.paper_grids and getattr(args, f"{name}_grid") is not None)
         for name in ("gamma", "lambda", "rho", "beta")])
-    problem = build_problem(cfg)
     if args.paper_grids:
         g = paper_grids(cfg.algo, cfg.schedule)
         steps = sorted(set(g["coarse"]) | set(g["fine"]), reverse=True)
         axes = {name: g[name] for name in ("lam", "rho", "beta")}
     else:
-        steps = _parse_float_list(args.gamma_grid) or [cfg.gamma]
+        steps = _parse_float_list(args.gamma_grid)
         axes = {"lam": _parse_float_list(args.lambda_grid) or [None],
                 "rho": _parse_float_list(args.rho_grid) or [None],
                 "beta": _parse_float_list(args.beta_grid) or [None]}
+    swept = {"--gamma": bool(steps), "--lambda": axes["lam"] != [None],
+             "--rho": axes["rho"] != [None], "--beta": axes["beta"] != [None]}
+    _refuse_flags("grid takes each setting it sweeps from its grid",
+                  [(flag, flag in args.given and swept[flag]) for flag in swept])
+    steps = steps or [cfg.gamma]
+    problem = build_problem(cfg)
     # (step, config, per-epoch rates) of each point; None keeps cfg's value
     points = [(step, *run_point(cfg, problem.n, step, **{
                    name: value for name, value in zip(axes, values) if value is not None}))
@@ -454,17 +459,27 @@ def _parse_float_list(text: str | None):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and record the flag in args.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {option_string}
+
+
 def _add_experiment_args(p: argparse.ArgumentParser):
     # every config field's default is ExperimentConfig's
-    p.set_defaults(**asdict(ExperimentConfig()))
+    p.set_defaults(**asdict(ExperimentConfig()), given=frozenset())
     p.add_argument("--algo", help=f"one of {ALGOS}")
-    p.add_argument("--beta", type=float,
+    p.add_argument("--beta", type=float, action=_Given,
                    help="momentum weight in [0,1); per-algorithm default when omitted")
     p.add_argument("--schedule", help="constant | diminishing | exponential | cosine")
-    p.add_argument("--gamma", type=float,
+    p.add_argument("--gamma", type=float, action=_Given,
                    help="schedule parameter (per-step rate for adam/grid/compare)")
-    p.add_argument("--lambda", dest="lam", type=float, help="diminishing-schedule offset")
-    p.add_argument("--rho", type=float, help="exponential-schedule end fraction in (0,1)")
+    p.add_argument("--lambda", dest="lam", type=float, action=_Given,
+                   help="diminishing-schedule offset")
+    p.add_argument("--rho", type=float, action=_Given,
+                   help="exponential-schedule end fraction in (0,1)")
     p.add_argument("--T", type=int, help="epoch budget")
     p.add_argument("--strategy", help="rr | once | inc")
     p.add_argument("--seed", type=int)

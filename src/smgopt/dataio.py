@@ -26,13 +26,10 @@ from .optimizers import RunRecord
 from .problems import SparseDataset
 
 TRACE_HEADER = "epoch,eta,loss,grad_norm_sq"
-# lines parsed per block: the arrays of one block are alive at a time; 1,024
-# lines made the first parse of a new process (a command's only one) about 6%
-# faster than 4,096 on w8a-shaped data, though a repeat parse was slower
+# lines parsed per block: the Python lists of one block are alive at a time;
+# a new process parsing a w8a- or ijcnn1-shaped file took the same time at
+# 1,024 lines as at 4,096, within noise, and peaked about 2 MB lower
 BLOCK_LINES = 1024
-# the longest digit strings whose digit arithmetic is exact: an int64 holds
-# 18 digits, and a float64 every integer of 15
-EXACT_DIGITS = {int: 18, float: 15}
 # a cache entry is named after its file plus CACHE_SUFFIX; its key covers
 # CACHE_VERSION, the text encoding of the parse and the sha256 of the bytes
 CACHE_SUFFIX = ".smgopt.npz"
@@ -55,16 +52,16 @@ def parse_libsvm(source: str | Path | TextIO) -> tuple[SparseDataset, int]:
     Each nonempty line is a label followed by whitespace-separated
     index:value pairs with strictly increasing 1-based indices.  Labels
     {1, +1} map to +1 and {0, -1} map to -1.  The dimension is the largest
-    index seen (0 for an empty input).  A clean ASCII block of lines is
-    converted with array operations; every other block is read line by line,
-    and its first malformed token raises a ParseError with its line number.
+    index seen (0 for an empty input).  The text is read line by line, and
+    its first malformed token raises a ParseError with its line number.
 
     A path to a regular file is read in the locale's text encoding, as
-    open() reads it; a byte that does not decode is a ParseError.  Its arrays are loaded from the cache entry
-    `<file>.smgopt.npz` when the entry's key matches CACHE_VERSION, that
-    encoding and the sha256 of the file's bytes; otherwise the file is
-    parsed and the entry (re)written under the hash of the bytes parsed,
-    unless the directory cannot be written.
+    open() reads it; a byte that does not decode is a ParseError.  Its
+    arrays are loaded from the cache entry `<file>.smgopt.npz` when the
+    entry's key matches CACHE_VERSION, that encoding and the sha256 of the
+    file's bytes; otherwise the file is parsed and the entry (re)written
+    under the hash of the bytes parsed, unless the directory cannot be
+    written.
     """
     if not isinstance(source, (str, Path)):
         return _parse_text(source)
@@ -141,93 +138,12 @@ def _store_entry(entry: Path, key: str, dataset: SparseDataset, d: int):
 def _parse_text(source: TextIO) -> tuple[SparseDataset, int]:
     """parse_libsvm of an open text stream."""
     chunks = iter(lambda: list(islice(source, BLOCK_LINES)), [])
-    blocks = [_parse_block(lines) or _parse_lines(lines, 1 + k * BLOCK_LINES)
+    blocks = [_parse_lines(lines, 1 + k * BLOCK_LINES)
               for k, lines in enumerate(chunks)] + [_parse_lines([], 1)]   # dtypes if empty
     widths, labels, idx, values = (np.concatenate(column) for column in zip(*blocks))
     d = int(idx.max()) if idx.size else 0
     indptr = np.concatenate(([0], np.cumsum(widths)))
     return SparseDataset(indptr, idx - 1, values, labels, d), d
-
-
-def _parse_block(lines: list[str]):
-    """_parse_lines' arrays of a clean ASCII block of lines, or None.
-
-    The lines are joined and read as bytes: token edges, rows, labels and
-    colons come from array comparisons, with str.split's whitespace.  A
-    clean block's features are each one colon between an index and a value,
-    its numbers convert, its labels lie in {1, 0, -1} and its indices
-    strictly increase along each row.
-    """
-    text = "\n".join(lines)
-    if not text.isascii():
-        return None
-    # raw pads the text with a space at each end; line j starts at begin[j]
-    raw = np.frombuffer(b" " + text.encode() + b" ", np.uint8)
-    length = np.fromiter(map(len, lines), np.int64, len(lines)) + 1   # with its "\n"
-    begin = np.cumsum(length) - length + 1
-    # str.split's ASCII whitespace: 9 to 13 and 28 to 32 (uint8 wraps below)
-    space = (raw - 9 <= 4) | (raw - 28 <= 4)
-    edges = np.flatnonzero(space[1:] != space[:-1]) + 1
-    starts, stops = edges[0::2], edges[1::2]      # token j is raw[starts[j]:stops[j]]
-    first = np.searchsorted(starts, begin)        # each line's first token, if any
-    after = np.append(first[1:], starts.size)
-    rows = np.flatnonzero(first < after)          # the nonempty lines
-    label_at, width = first[rows], (after - first)[rows]   # tokens per row, label included
-    is_label = np.zeros(starts.size, dtype=bool)
-    is_label[label_at] = True
-    feature_at = np.flatnonzero(~is_label)
-    at = np.append(np.flatnonzero(raw == ord(":")), [raw.size, raw.size])
-    lo, hi = starts[feature_at], stops[feature_at]
-    c = np.searchsorted(at, lo)
-    colon = at[c]                                 # a feature's first colon
-    if not ((colon > lo) & (colon < hi - 1) & (at[c + 1] >= hi)).all():
-        return None
-    try:
-        labels = _numbers(raw, starts[label_at], stops[label_at], float)
-        idx = _numbers(raw, lo, colon, int)
-        values = _numbers(raw, colon + 1, hi, float)
-    except (ValueError, OverflowError):
-        return None
-    prev = np.concatenate(([0], idx))[:-1]
-    prev[is_label[feature_at - 1]] = 0            # a row's first index follows 0
-    if ((labels != 1) & (labels != -1) & (labels != 0)).any() or (idx <= prev).any():
-        return None
-    return width - 1, np.where(labels == 1, 1, -1), idx, values
-
-
-def _numbers(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
-    """kind (int or float) of each ASCII byte span raw[lo:hi], as int64 or float64.
-
-    A span of one to EXACT_DIGITS[kind] digits, after at most one '+' or
-    '-', converts by digit arithmetic, which is exact there ("-0" gives
-    -0.0 as float does); kind converts every other span from its bytes, and
-    raises ValueError or OverflowError where kind or the type rejects one.
-    """
-    out = np.empty(lo.size, np.int64 if kind is int else np.float64)
-    lead = raw[lo]
-    negative = lead == ord("-")
-    first = lo + (negative | (lead == ord("+")))  # the first digit, after a sign
-    fast = (first < hi) & (hi - first <= EXACT_DIGITS[kind])   # and, below, all digits
-    lo_fast, hi_fast = first[fast], hi[fast]
-    value = np.zeros(lo_fast.size, dtype=np.int64)
-    digits = np.ones(lo_fast.size, dtype=bool)
-    # Horner's rule from the first digit of the longest span: a shorter span
-    # reads zeros until its own first digit
-    for back in range(int((hi_fast - lo_fast).max(initial=0)), 0, -1):
-        at = hi_fast - back                       # a span's byte where at >= lo
-        digit = raw[np.maximum(at, lo_fast)] - ord("0")
-        digit *= at >= lo_fast
-        digits &= digit <= 9
-        value *= 10
-        value += digit
-    fast[fast] = digits
-    value = value[digits].astype(out.dtype)
-    out[fast] = np.negative(value, out=value, where=negative[fast])
-    slow = np.flatnonzero(~fast)
-    text = raw.tobytes()
-    strings = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
-    out[slow] = np.fromiter(map(kind, strings), out.dtype, slow.size)
-    return out
 
 
 def _parse_lines(lines: list[str], first_line: int):

@@ -268,6 +268,13 @@ class TestGridCommand:
         rows = (tmp_path / "grid_results.csv").read_text().strip().splitlines()[2:]
         assert {float(row.split(",")[4]) for row in rows} == rhos
 
+    def test_given_settings_it_does_not_sweep_are_kept(self, tmp_path):
+        rc = run_cli("grid", "--schedule", "exponential", "--gamma", "0.05", "--rho", "0.5",
+                     "--T", "2", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        rows = (tmp_path / "grid_results.csv").read_text().strip().splitlines()[2:]
+        assert [row.split(",")[1:5:3] for row in rows] == [["0.05", "0.5"]]
+
 
 class TestRateCommand:
     def test_two_horizons_low_confidence(self, tmp_path, capsys):
@@ -399,6 +406,7 @@ def test_grid_and_compare_refuse_enforce_cap(argv, tmp_path, capsys):
 
 ADAM = "adam runs at a constant per-step rate; it does not take"
 PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
+SWEPT = "grid takes each setting it sweeps from its grid; it does not take"
 
 
 # each of these ran as if the setting were absent, under another config hash
@@ -427,6 +435,17 @@ PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
     (["grid", "--paper-grids", "--rho-grid", "0.5"], f"{PAPER} --rho-grid"),
     (["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid", "0.5"],
      f"{PAPER} --beta-grid"),
+    # a grid sets a setting it sweeps at every point, whatever its flag gives
+    (["grid", "--gamma", "0.5", "--gamma-grid", "0.01"], f"{SWEPT} --gamma"),
+    (["grid", "--gamma", "0.1", "--paper-grids"], f"{SWEPT} --gamma"),
+    (["grid", "--schedule", "exponential", "--rho", "0.95", "--gamma-grid", "0.01",
+      "--rho-grid", "0.9,0.99"], f"{SWEPT} --rho"),
+    (["grid", "--schedule", "exponential", "--rho", "0.5", "--paper-grids"], f"{SWEPT} --rho"),
+    (["grid", "--schedule", "diminishing", "--lambda", "2", "--lambda-grid", "1"],
+     f"{SWEPT} --lambda"),
+    (["grid", "--algo", "ssmg", "--beta", "0.5", "--beta-grid", "0.1", "--gamma", "0.1",
+      "--gamma-grid", "0.01"], f"{SWEPT} --gamma, --beta"),
+    (["grid", "--algo", "ssmg", "--beta", "0.5", "--paper-grids"], f"{SWEPT} --beta"),
     (["compare", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
     # adam alone in compare runs none of the schedule settings
     (["compare", "--methods", "adam", "--schedule", "cosine", "--lambda", "5"],
@@ -605,8 +624,8 @@ NON_FINITE_LAMBDA = [
     # a negative base has a complex cube root in the initial-step gamma
     ["grid", "--schedule", "diminishing", "--lambda-grid", "-5", "--T", "2"],
     # rho = 0 divides by zero and rho < 0 has a complex root in the initial-step gamma
-    ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "0", "--T", "2"],
-    ["grid", "--schedule", "exponential", "--rho", "0.5", "--rho-grid", "-1", "--T", "2"],
+    ["grid", "--schedule", "exponential", "--rho-grid", "0", "--T", "2"],
+    ["grid", "--schedule", "exponential", "--rho-grid", "-1", "--T", "2"],
     # a non-finite regularizer weight gives non-finite certified constants
     ["run", "--T", "2", "--reg", "nan"],
     ["run", "--T", "2", "--reg", "inf"],

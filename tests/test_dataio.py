@@ -104,8 +104,8 @@ class TestParser:
         assert d == 2 and samples[0].features[1] == (2, -2.0)
 
 
-# around the digit path's limits: EXACT_DIGITS is 15 digits for float and
-# 18 for int, after at most one sign
+# signed spans of up to 19 digits: past the integers a float64 holds exactly
+# (15 digits always) and at int64's limits
 SIGNED_SPANS = ["+", "-", "+-1", "-+1", "--1", "-0", "+0", "+007", "-007", "-1", "+1",
                 "-1.5", "+1e3", "-" + "9" * 15, "+" + "9" * 16, "-" + "9" * 18,
                 "+" + "9" * 18, "-" + "9" * 19, "-9223372036854775808"]
@@ -114,18 +114,27 @@ SIGNED_SPANS = ["+", "-", "+-1", "-+1", "--1", "-0", "+0", "+007", "-007", "-1",
 @pytest.mark.parametrize("kind", [int, float])
 @pytest.mark.parametrize("span", SIGNED_SPANS)
 def test_signed_spans_convert_as_kind_does(span, kind):
-    """A span with a sign converts to kind(span) as an int64 or float64, sign
-    of zero included, and raises where kind or that type rejects it."""
-    raw = np.frombuffer(f" {span} ".encode(), np.uint8)
-    dtype = np.int64 if kind is int else np.float64
+    """A span parsed as a value (float) is float(span) bit for bit, sign of
+    zero included; parsed as an index (int), it is stored as int(span) - 1.
+    The parse raises ParseError where kind, int64 or the strictly increasing
+    indices reject the span."""
     try:
-        expected = np.array([kind(span)], dtype)
-    except (ValueError, OverflowError):
-        with pytest.raises((ValueError, OverflowError)):
-            dataio._numbers(raw, np.array([1]), np.array([1 + len(span)]), kind)
+        expected = kind(span)
+    except ValueError:
+        expected = None
+    if kind is int and expected is not None and not 0 < expected < 2**63:
+        expected = None   # outside int64, or not above 0, as a first index must be
+    text = f"-1 2:1\n+1 1:{span}\n" if kind is float else f"-1 2:1\n+1 {span}:1\n"
+    if expected is None:
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(io.StringIO(text))
+        assert exc.value.line_number == 2
         return
-    out = dataio._numbers(raw, np.array([1]), np.array([1 + len(span)]), kind)
-    assert out.dtype == dtype and out.tobytes() == expected.tobytes()
+    rows, d = parse_libsvm(io.StringIO(text))
+    if kind is float:
+        assert rows.values[1:].tobytes() == np.array([expected]).tobytes()
+    else:
+        assert rows.indices.tolist() == [1, expected - 1] and d == max(2, expected)
 
 
 def _entry(path):

@@ -186,9 +186,9 @@ CLI_CASES = {
                                     "--synth-d", "3", "--gamma-grid", "0.1,0.01",
                                     "--lambda-grid", "1,4"],
     "grid_sgdm_exponential_rho": ["grid", "--algo", "sgdm", "--schedule",
-                                  "exponential", "--rho", "0.95", "--T", "4",
-                                  "--synth-n", "12", "--gamma-grid", "0.05,0.01",
-                                  "--rho-grid", "0.9,0.99", "--repeats", "2"],
+                                  "exponential", "--T", "4", "--synth-n", "12",
+                                  "--gamma-grid", "0.05,0.01", "--rho-grid", "0.9,0.99",
+                                  "--repeats", "2"],
     "grid_ssmg_cosine_paper": ["grid", "--algo", "ssmg", "--schedule", "cosine",
                                "--T", "3", "--synth-n", "8", "--paper-grids"],
     # seeds 1 and 2 abort at epochs (5, -), (3, 4), (3, 2) and (2, 2) in
