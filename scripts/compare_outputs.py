@@ -14,7 +14,9 @@ src/, each in a fresh working directory with `--out out`:
     --rr-scaling, of ssmg under rr, and run --audit over several seeds
   * --enforce-cap for each method, and in grid and compare, which refuse it
   * grid and compare under --rr-scaling with each schedule
-  * edge usage errors: non-finite --lambda and bad --horizons
+  * edge usage errors: non-finite --lambda, bad --horizons, comma lists
+    with an empty value and --gamma-grid steps that are not positive and
+    finite
   * rate with sgd, each strategy, a dataset and a diverging --gamma
   * compare --beta under an --algo other than smg or ssmg, which it refuses
   * the benchmark's three commands at tiny sizes
@@ -135,6 +137,15 @@ CASES = {
     "horizons-zero-last": ["rate", "--horizons", "200,0"],
     "horizons-zero-first": ["rate", "--horizons", "0,8"],
     "horizons-valid": ["rate", "--horizons", "8,16"],
+    "horizons-empty-value": ["rate", "--horizons", "8,,16"],
+    "gamma-grid-empty": ["grid", "--gamma-grid", ",", "--T", "2"],
+    "gamma-grid-empty-value": ["grid", "--gamma-grid", "0.1,,0.2", "--T", "2"],
+    "rho-grid-empty": ["grid", "--schedule", "exponential", "--rho-grid", ",", "--T", "2"],
+    "methods-empty-value": ["compare", "--methods", "smg,", "--T", "2"],
+    "gamma-grid-negative": ["grid", "--gamma-grid", "-1", "--T", "2"],
+    "gamma-grid-zero": ["grid", "--gamma-grid", "0", "--T", "2"],
+    "gamma-grid-nan": ["grid", "--gamma-grid", "nan", "--T", "2"],
+    "gamma-grid-inf": ["grid", "--gamma-grid", "inf", "--T", "2"],
     # rate: sgd's own rule, other strategies, a dataset and a divergence
     "rate-sgd-rr": ["rate", "--algo", "sgd", "--horizons", "4,8,16", "--repeats", "2"],
     "rate-sgd-once": ["rate", "--algo", "sgd", "--strategy", "once", "--horizons", "4,8,16",

@@ -37,7 +37,8 @@ from .optimizers import (
     RunAborted,
     RunRecord,
     adam_run,
-    ensemble_run,
+    ensemble_outcomes,
+    records_of,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,

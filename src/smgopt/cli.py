@@ -304,15 +304,19 @@ def cmd_grid(args) -> int:
         g = paper_grids(cfg.algo, cfg.schedule)
         steps = sorted(set(g["coarse"]) | set(g["fine"]), reverse=True)
         axes = {name: g[name] for name in ("lam", "rho", "beta")}
-    else:
-        steps = _parse_float_list(args.gamma_grid)
-        axes = {"lam": _parse_float_list(args.lambda_grid) or [None],
-                "rho": _parse_float_list(args.rho_grid) or [None],
-                "beta": _parse_float_list(args.beta_grid) or [None]}
+    else:   # a grid flag left out is None, and its axis keeps cfg's value
+        steps = _parse_list(args.gamma_grid, float, "--gamma-grid")
+        for step in steps or ():   # refused as given, not as the gamma derived from it
+            if not 0 < step < math.inf:
+                raise UsageError(f"--gamma-grid steps must be positive and finite, got {step}")
+        axes = {"lam": _parse_list(args.lambda_grid, float, "--lambda-grid") or [None],
+                "rho": _parse_list(args.rho_grid, float, "--rho-grid") or [None],
+                "beta": _parse_list(args.beta_grid, float, "--beta-grid") or [None]}
     swept = {"--gamma": bool(steps), "--lambda": axes["lam"] != [None],
              "--rho": axes["rho"] != [None], "--beta": axes["beta"] != [None]}
+    given = {"--gamma": args.gamma, "--lambda": args.lam, "--rho": args.rho, "--beta": args.beta}
     _refuse_flags("grid takes each setting it sweeps from its grid",
-                  [(flag, flag in args.given and swept[flag]) for flag in swept])
+                  [(flag, given[flag] is not None and swept[flag]) for flag in swept])
     steps = steps or [cfg.gamma]
     problem = build_problem(cfg)
     # (step, config, per-epoch rates) of each point; None keeps cfg's value
@@ -352,7 +356,7 @@ def cmd_rate(args) -> int:
         ("--rr-scaling", cfg.rr_scaling),
         ("--enforce-cap", cfg.enforce_cap),
     ))
-    horizons = [int(h) for h in args.horizons.split(",")]
+    horizons = _parse_list(args.horizons, int, "--horizons")
     problem = build_problem(cfg)
     check_horizons(horizons)
     points = [run_point(cfg, problem.n, T=h) for h in horizons]
@@ -385,7 +389,7 @@ def cmd_compare(args) -> int:
     _refuse_flags("compare gives --beta to smg and ssmg, under --algo smg or ssmg",
                   [(f"--beta with --algo {cfg.algo}",
                     cfg.beta is not None and cfg.algo not in ("smg", "ssmg"))])
-    methods = [m.strip() for m in args.methods.split(",")]
+    methods = _parse_list(args.methods, str, "--methods")
     for m in methods:
         if m not in ALGOS:
             raise UsageError(f"unknown method {m!r} in --methods")
@@ -453,33 +457,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_float_list(text: str | None):
-    if not text:
+def _parse_list(text: str | None, convert, flag: str) -> list | None:
+    """flag's comma-separated values, stripped, through convert; None for a
+    flag left out.  An empty value is a UsageError naming flag."""
+    if text is None:
         return None
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-class _Given(argparse.Action):
-    """Store a flag's value and record the flag in args.given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {option_string}
+    values = [value.strip() for value in text.split(",")]
+    if "" in values:
+        raise UsageError(f"{flag} takes comma-separated values, none empty, got {text!r}")
+    return [convert(value) for value in values]
 
 
 def _add_experiment_args(p: argparse.ArgumentParser):
-    # every config field's default is ExperimentConfig's
-    p.set_defaults(**asdict(ExperimentConfig()), given=frozenset())
+    # a flag left out stays None, and config_from_args takes ExperimentConfig's default
     p.add_argument("--algo", help=f"one of {ALGOS}")
-    p.add_argument("--beta", type=float, action=_Given,
+    p.add_argument("--beta", type=float,
                    help="momentum weight in [0,1); per-algorithm default when omitted")
     p.add_argument("--schedule", help="constant | diminishing | exponential | cosine")
-    p.add_argument("--gamma", type=float, action=_Given,
+    p.add_argument("--gamma", type=float,
                    help="schedule parameter (per-step rate for adam/grid/compare)")
-    p.add_argument("--lambda", dest="lam", type=float, action=_Given,
-                   help="diminishing-schedule offset")
-    p.add_argument("--rho", type=float, action=_Given,
-                   help="exponential-schedule end fraction in (0,1)")
+    p.add_argument("--lambda", dest="lam", type=float, help="diminishing-schedule offset")
+    p.add_argument("--rho", type=float, help="exponential-schedule end fraction in (0,1)")
     p.add_argument("--T", type=int, help="epoch budget")
     p.add_argument("--strategy", help="rr | once | inc")
     p.add_argument("--seed", type=int)
@@ -501,7 +499,8 @@ def _add_experiment_args(p: argparse.ArgumentParser):
 
 def config_from_args(args) -> ExperimentConfig:
     # every config field has a flag whose dest is the field's name
-    cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+    cfg = ExperimentConfig(**{f.name: value for f in fields(ExperimentConfig)
+                              if (value := getattr(args, f.name)) is not None})
     cfg.validate()
     return cfg
 

@@ -24,12 +24,13 @@ Methods:
 With beta = 0, smg_run and ssmg_run reduce exactly (bitwise) to plain
 shuffling SGD.
 
-ensemble_run advances several runs in lockstep.  Every run is a row of one
-(R, d) iterate matrix, with its own permutation stream, and its rates and
-momentum weight along its row of (R, d) coefficient arrays.  Epoch starts
-take the batched full pass; inner steps take the batched component
-gradient, or the scalar one for a single run.  The batched oracles repeat
-the scalar steps, so each run gets the record its separate run gives.
+ensemble_outcomes advances several runs in lockstep, and records_of gives
+their records or raises the first abort.  Every run is a row of one (R, d)
+iterate matrix, with its own permutation stream, and its rates and momentum
+weight along its row of (R, d) coefficient arrays.  Epoch starts take the
+batched full pass; inner steps take the batched component gradient, or the
+scalar one for a single run.  The batched oracles repeat the scalar steps,
+so each run gets the record its separate run gives.
 """
 from __future__ import annotations
 
@@ -370,14 +371,6 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
                   fixed_order=algo == "ssmg")
 
 
-def ensemble_run(algo: str, problem: Problem, etas,
-                 strategies: Sequence[ShufflingStrategy], beta,
-                 w0: Optional[np.ndarray] = None,
-                 inner_trace: bool = False) -> list[RunRecord]:
-    """The records of ensemble_outcomes, through records_of."""
-    return records_of(ensemble_outcomes(algo, problem, etas, strategies, beta, w0, inner_trace))
-
-
 def records_of(outcomes: list) -> list[RunRecord]:
     """outcomes if all are RunRecords, else the first RunAborted among them, raised."""
     for outcome in outcomes:
@@ -390,8 +383,8 @@ def smg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
             beta: float, w0: Optional[np.ndarray] = None,
             inner_trace: bool = False) -> RunRecord:
     """Shuffling gradient method with an epoch-fixed momentum anchor."""
-    return ensemble_run("smg", problem, schedule.etas(), [strategy], beta, w0,
-                        inner_trace)[0]
+    return records_of(ensemble_outcomes("smg", problem, schedule.etas(), [strategy], beta,
+                                         w0, inner_trace))[0]
 
 
 def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -402,8 +395,8 @@ def ssmg_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     The permutation is the strategy's epoch-1 permutation, reused for every
     epoch; the momentum buffer carries across epoch boundaries.
     """
-    return ensemble_run("ssmg", problem, schedule.etas(), [strategy], beta, w0,
-                        inner_trace)[0]
+    return records_of(ensemble_outcomes("ssmg", problem, schedule.etas(), [strategy], beta,
+                                         w0, inner_trace))[0]
 
 
 def shuffling_sgd_run(problem: Problem, schedule: Schedule,
@@ -411,8 +404,8 @@ def shuffling_sgd_run(problem: Problem, schedule: Schedule,
                       w0: Optional[np.ndarray] = None,
                       inner_trace: bool = False) -> RunRecord:
     """Plain shuffling SGD: w <- w - (eta_t / n) g along each permutation."""
-    return ensemble_run("sgd", problem, schedule.etas(), [strategy], 0.0, w0,
-                        inner_trace)[0]
+    return records_of(ensemble_outcomes("sgd", problem, schedule.etas(), [strategy], 0.0,
+                                         w0, inner_trace))[0]
 
 
 def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
@@ -422,7 +415,8 @@ def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
     The momentum buffer persists across epochs, matching the common
     deep-learning-framework implementation.
     """
-    return ensemble_run("sgdm", problem, schedule.etas(), [strategy], beta, w0)[0]
+    return records_of(ensemble_outcomes("sgdm", problem, schedule.etas(), [strategy], beta,
+                                         w0))[0]
 
 
 def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
@@ -436,4 +430,5 @@ def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
         raise ValueError(f"learning rate must be positive, got {lr}")
     if T < 1:
         raise ValueError(f"need at least one epoch, got T={T}")
-    return ensemble_run("adam", problem, np.full(T, float(lr)), [strategy], beta1, w0)[0]
+    return records_of(ensemble_outcomes("adam", problem, np.full(T, float(lr)), [strategy],
+                                         beta1, w0))[0]

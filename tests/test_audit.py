@@ -322,6 +322,8 @@ class TestRateFit:
             fit_power_law([8, 8], [1.0, 1.0])
         with pytest.raises(ValueError):
             fit_power_law([8, 16], [1.0, -1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            fit_power_law([8, 16, 32], [1.0, 0.5])
 
     def test_empirical_slope_on_logistic_toy(self, tmp_path):
         # the CLI's synthetic data at seed 7 is logistic_toy()'s

@@ -618,6 +618,38 @@ NON_FINITE_LAMBDA = [
 ]
 
 
+# a list flag refuses an empty value, and a grid step as given, naming the flag
+LIST_REFUSALS = [
+    (["grid", "--gamma-grid", "-1", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got -1.0"),
+    (["grid", "--gamma-grid", "0", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got 0.0"),
+    (["grid", "--gamma-grid", "nan", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got nan"),
+    (["grid", "--gamma-grid", "inf", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got inf"),
+    (["grid", "--gamma-grid", ",", "--T", "2"],
+     "--gamma-grid takes comma-separated values, none empty, got ','"),
+    (["grid", "--gamma-grid", "0.1,,0.2", "--T", "2"],
+     "--gamma-grid takes comma-separated values, none empty, got '0.1,,0.2'"),
+    (["grid", "--schedule", "exponential", "--rho-grid", ",", "--T", "2"],
+     "--rho-grid takes comma-separated values, none empty, got ','"),
+    (["rate", "--horizons", "8,,16"],
+     "--horizons takes comma-separated values, none empty, got '8,,16'"),
+    (["compare", "--methods", "smg,", "--T", "2"],
+     "--methods takes comma-separated values, none empty, got 'smg,'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LIST_REFUSALS,
+                         ids=["-".join(argv).replace("--", "") for argv, _ in LIST_REFUSALS])
+def test_list_refusals_name_their_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # infinite rates would give NaN output-selection weights
     ["run", "--gamma", "inf", "--T", "2"],
@@ -638,6 +670,7 @@ NON_FINITE_LAMBDA = [
     *NON_FINITE_LAMBDA,
     # rates whose sum passes the float range are refused with no numpy warning
     ["run", "--algo", "sgdm", "--gamma", "1e308", "--T", "3"],
+    *[argv for argv, _ in LIST_REFUSALS],
 ])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE

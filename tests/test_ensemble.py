@@ -1,6 +1,6 @@
 """Lockstep ensembles against separate scalar runs, and aborts inside them.
 
-ensemble_run advances R runs as the rows of one (R, d) iterate matrix
+ensemble_outcomes advances R runs as the rows of one (R, d) iterate matrix
 through the problem's batched oracles, each with its own seed and, as the
 points of a grid, its own rates and momentum weight; every member must give
 the record of its own *_run call, bit for bit: the batched oracles repeat
@@ -24,7 +24,7 @@ from smgopt.optimizers import (
     RunRecord,
     adam_run,
     ensemble_outcomes,
-    ensemble_run,
+    records_of,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,
@@ -84,7 +84,7 @@ def scalar_run(algo, problem, strategy, w0, k=0, beta=None):
 
 
 def ensemble(algo, problem, strategies, w0=None):
-    return ensemble_run(algo, problem, etas(algo), strategies, BETA[algo], w0)
+    return records_of(ensemble_outcomes(algo, problem, etas(algo), strategies, BETA[algo], w0))
 
 
 def assert_close(actual, expected):
@@ -123,8 +123,8 @@ def test_members_match_scalar_runs(fixture, algo, kind, R, start):
     if start == "per-member-rates":
         # member k runs with its own rates and momentum weight, as a grid point
         betas = [0.1 + 0.2 * k for k in range(R)]
-        records = ensemble_run(algo, problem, [etas(algo, k) for k in range(R)],
-                               strategies, betas)
+        records = records_of(ensemble_outcomes(algo, problem, [etas(algo, k) for k in range(R)],
+                                               strategies, betas))
         expected = [scalar_run(algo, problem, s, None, k, betas[k])
                     for k, s in enumerate(strategies)]
     else:
@@ -207,13 +207,13 @@ def test_refused_ensembles():
     problem, rates = make_problem("quadratic"), etas("smg")
     strategies = [ShufflingStrategy("rr", seed) for seed in (1, 2)]
     with pytest.raises(ValueError, match="single runs"):
-        ensemble_run("smg", problem, rates, strategies, 0.5, inner_trace=True)
+        ensemble_outcomes("smg", problem, rates, strategies, 0.5, inner_trace=True)
     with pytest.raises(ValueError, match="at least one strategy"):
-        ensemble_run("smg", problem, rates, [], 0.5)
+        ensemble_outcomes("smg", problem, rates, [], 0.5)
     with pytest.raises(ValueError, match="unknown method"):
-        ensemble_run("nag", problem, rates, strategies, 0.5)
+        ensemble_outcomes("nag", problem, rates, strategies, 0.5)
     with pytest.raises(ValueError, match="momentum weight"):
-        ensemble_run("sgdm", problem, rates, strategies, 1.0)
+        ensemble_outcomes("sgdm", problem, rates, strategies, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,8 @@ def test_smg_matches_the_rule_gathering_every_epoch(fixture, horizon, R, traced,
     strategies = [ShufflingStrategy("rr", seed) for seed in range(5, 5 + R)]
 
     def run():
-        return ensemble_run("smg", problem, rates, strategies, 0.5, inner_trace=traced)
+        return records_of(ensemble_outcomes("smg", problem, rates, strategies, 0.5,
+                                            inner_trace=traced))
 
     records = run()
     monkeypatch.setattr(optimizers, "_Anchored", GatheringAnchored)
@@ -307,21 +308,22 @@ def outcomes(default_problem):
     return dict(zip([1, 2, 3, 4], outcomes))
 
 
-def run_sgd_ensemble(problem, seeds, run=ensemble_run):
+def run_sgd_ensemble(problem, seeds):
+    """Each member's outcome, as ensemble_outcomes gives it."""
     rates = Schedule("constant", gamma=ABORT_GAMMA, horizon=T).etas()
-    return run("sgd", problem, rates,
-               [ShufflingStrategy("rr", seed) for seed in seeds], 0.0)
+    return ensemble_outcomes("sgd", problem, rates,
+                             [ShufflingStrategy("rr", seed) for seed in seeds], 0.0)
 
 
 @pytest.mark.parametrize("seeds", [[1, 2, 3, 4], [1, 3], [2, 3], [3, 2, 1]])
 def test_ensemble_raises_the_first_abort_in_seed_order(seeds, default_problem, outcomes):
     expected = next(outcomes[s] for s in seeds if isinstance(outcomes[s], RunAborted))
     with pytest.raises(RunAborted) as info:
-        run_sgd_ensemble(default_problem, seeds)
+        records_of(run_sgd_ensemble(default_problem, seeds))
     assert info.value.epoch == expected.epoch
     assert str(info.value) == str(expected)
-    # ensemble_outcomes gives every member's own outcome instead
-    members = run_sgd_ensemble(default_problem, seeds, ensemble_outcomes)
+    # without records_of, every member gives its own outcome
+    members = run_sgd_ensemble(default_problem, seeds)
     for seed, member in zip(seeds, members):
         assert type(member) is type(outcomes[seed])
         if isinstance(member, RunAborted):
@@ -341,7 +343,7 @@ def test_a_diverging_member_leaves_the_others_alone(default_problem, outcomes):
 
     spied = dataclasses.replace(default_problem, batch_full_pass=spy)
     with pytest.raises(RunAborted):
-        run_sgd_ensemble(spied, [1, 2, 3, 4])
+        records_of(run_sgd_ensemble(spied, [1, 2, 3, 4]))
     assert len(starts) == T   # the finishing members ran every epoch
     alone = run_sgd_ensemble(default_problem, [1, 4])
     for member, record in ((0, alone[0]), (3, alone[1])):
@@ -351,6 +353,17 @@ def test_a_diverging_member_leaves_the_others_alone(default_problem, outcomes):
         assert_close([W[member] for W in starts], [e.start_w for e in traced.epochs])
         for expected in (record, outcomes[record.seed]):
             assert_close([v[member] for v in losses], expected.losses)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_a_non_finite_start_aborts_every_member_at_epoch_1(R):
+    # every member fails the first check, so the driver stops before a full pass
+    problem = make_problem("dense-logistic")
+    strategies = [ShufflingStrategy("rr", seed) for seed in range(R)]
+    members = ensemble_outcomes("smg", problem, etas("smg"), strategies, 0.5,
+                                np.full(problem.d, np.nan))
+    assert all(isinstance(m, RunAborted) and m.epoch == 1 for m in members)
+    assert [str(m) for m in members] == ["run aborted at epoch 1: non-finite iterate"] * R
 
 
 def test_a_poisoned_member_leaves_the_others_alone():

@@ -44,7 +44,8 @@ from smgopt.cli import main as cli_main
 from smgopt.dataio import synth_binary_dataset, write_trace
 from smgopt.optimizers import (
     adam_run,
-    ensemble_run,
+    ensemble_outcomes,
+    records_of,
     sgdm_run,
     shuffling_sgd_run,
     smg_run,
@@ -92,11 +93,11 @@ def _run(algo, problem, strategy):
 
 
 def _inner_trace(algo, problem, strategy) -> list:
-    """The epochs of algo's run with its inner trace, which ensemble_run
+    """The epochs of algo's run with its inner trace, which ensemble_outcomes
     records for every method."""
     etas = np.full(T, ADAM_LR) if algo == "adam" else SCHEDULE.etas()
-    return ensemble_run(algo, problem, etas, [strategy], BETA[algo],
-                        inner_trace=True)[0].epochs
+    return records_of(ensemble_outcomes(algo, problem, etas, [strategy], BETA[algo],
+                                        inner_trace=True))[0].epochs
 
 
 def _sha(*chunks) -> str:

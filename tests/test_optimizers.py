@@ -204,6 +204,10 @@ class TestRunRecord:
             smg_run(prob, sch, strat, beta=1.0)
         with pytest.raises(ValueError):
             smg_run(prob, sch, strat, beta=0.5, w0=np.zeros(99))
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            adam_run(prob, 0.0, 4, strat)
+        with pytest.raises(ValueError, match="at least one epoch"):
+            adam_run(prob, 0.01, 0, strat)
 
 
 class TestAbortPolicy:

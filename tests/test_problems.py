@@ -1,5 +1,6 @@
 """Problem oracles: gradients against finite differences, certified constants
 against grid maximization, and the quadratic fixture's exact values."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from smgopt.problems import (
     DimensionMismatch,
+    ProblemConstants,
     SparseDataset,
     logistic_constants,
     logistic_problem,
@@ -139,6 +141,11 @@ class TestLogisticConstants:
         with pytest.raises(ValueError):
             logistic_problem(empty, lam=0.01)
 
+    def test_featureless_dataset_rejected(self):
+        featureless = SparseDataset(indptr=[0, 0], indices=[], values=[], labels=[1], d=0)
+        with pytest.raises(ValueError, match="no features"):
+            logistic_problem(featureless, lam=0.01)
+
 
 MALFORMED_CSR = {
     "indptr-past-entries": dict(indptr=[0, 2], indices=[0], values=[1.0], labels=[1]),
@@ -153,13 +160,29 @@ MALFORMED_CSR = {
     "falling-columns": dict(indptr=[0, 2], indices=[1, 0], values=[1.0, 1.0],
                             labels=[1]),
     "negative-column": dict(indptr=[0, 1], indices=[-1], values=[1.0], labels=[1]),
+    "negative-dimension": dict(indptr=[0, 0], indices=[], values=[], labels=[1], d=-1),
 }
 
 
 @pytest.mark.parametrize("arrays", MALFORMED_CSR.values(), ids=MALFORMED_CSR.keys())
 def test_malformed_csr_rejected(arrays):
     with pytest.raises(ValueError):
-        SparseDataset(d=3, **arrays)
+        SparseDataset(**{"d": 3, **arrays})
+
+
+@pytest.mark.parametrize("name, value", [("L", 0.0), ("theta", -1.0), ("sigma_sq", -1.0),
+                                         ("G", 0.0)])
+def test_invalid_constants_rejected(name, value):
+    valid = dict(L=1.0, G=1.0, theta=0.0, sigma_sq=0.0, f_lower=0.0)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        ProblemConstants(**{**valid, name: value})
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (2, 0)])
+def test_problem_needs_a_sample_and_a_feature(n, d):
+    problem = quadratic_mean_problem(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+        dataclasses.replace(problem, n=n, d=d)
 
 
 def test_rows_read_back_one_based():
@@ -212,6 +235,10 @@ class TestQuadraticFixture:
             quadratic_mean_problem(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             quadratic_mean_problem(np.zeros((2, 2)), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_curvature_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="curvature must be 2x2"):
+            quadratic_mean_problem(np.zeros((3, 2)), np.eye(3))
 
 
 class TestProblemInvariants:

@@ -62,6 +62,8 @@ class TestEta:
             Schedule("exponential", gamma=1.0, horizon=4, rho=1.5)
         with pytest.raises(ValueError):
             Schedule("warmup", gamma=1.0, horizon=4)
+        with pytest.raises(ValueError, match="rr_scale must be >= 1"):
+            Schedule("constant", gamma=1.0, horizon=4, rr_scale=0)
 
 
 class TestMonotonicity:
@@ -162,3 +164,7 @@ class TestCaps:
             cap_general(-0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             cap_rr(0.5, 0.0, 0, 1.0)
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            cap_general(0.5, -1.0, 1.0)
+        with pytest.raises(ValueError, match="L must be positive"):
+            cap_rr(0.5, 0.0, 4, 0.0)

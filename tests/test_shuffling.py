@@ -66,6 +66,10 @@ class TestPermutations:
         with pytest.raises(ValueError):
             ShufflingStrategy("sorted", 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ShufflingStrategy("rr", -1)
+
     def test_reshuffling_positionwise_uniform(self):
         # chi-square acceptance at the 0.001 level, per position, 1e4 draws
         n, draws = 52, 10_000
