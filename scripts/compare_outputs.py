@@ -5,32 +5,19 @@
 
 Each tree is a checkout of this repository (a directory holding src/smgopt).
 A fixed list of argv lists runs through `python -m smgopt` from each tree's
-src/, each in a fresh working directory with `--out out`:
+src/, each in a fresh working directory with `--out out`.  The list, read
+from this script's checkout, holds each argv once:
 
-  * the CLI cases of tests/test_golden.py (read from this script's checkout)
-  * T1, T2 and T3 audits and each audit refusal: step caps, a vacuous bound,
-    a bound whose denominator underflows, methods without a bound
-  * audits of the diminishing, exponential and cosine schedules, under
-    --rr-scaling, of ssmg under rr, and run --audit over several seeds
-  * --enforce-cap for each method, and in grid and compare, which refuse it
-  * grid and compare under --rr-scaling with each schedule
-  * edge usage errors: non-finite --lambda, bad --horizons, comma lists
-    with an empty value and --gamma-grid steps that are not positive and
-    finite
-  * rate with sgd, each strategy, a dataset and a diverging --gamma
-  * compare --beta under an --algo other than smg or ssmg, which it refuses
-  * the benchmark's three commands at tiny sizes
-  * parse of small files: w8a-like binary features, ijcnn1-like real
-    values over more than 1,024 lines, NBSP separators, a malformed token
-    past line 1,024, an undecodable byte and an index past int64, and run
-    on the ones that parse
-  * runs of 110 equal epoch rates, each setting a run would ignore, and
-    each setting a grid sweeps, given as its single flag too
-  * compare with adam alone under schedule settings, compare whose first
-    method aborts and whose second is refused, and rates whose last or
-    first horizon aborts
-  * smg runs whose epoch averages sum thousands of steps, single and
-    ensemble, and adam under an exponential schedule without --rho
+  * CLI_CASES of tests/test_golden.py
+  * the rows of the tests/test_cli.py tables that TIER1_TABLES names, each
+    with the flags tier-1 runs it with: the refusals and edge values there
+  * CASES below, the commands no tier-1 table holds: audits that write
+    reports, the benchmark's commands at tiny sizes, parse of small files
+    of each kind and runs on them, and more (see their comments)
+
+Add a new CLI case to a tier-1 table, which both tier-1 and this script
+run (a new table joins TIER1_TABLES), and to CASES only when tier-1 does
+not run it.
 
 `parse` runs without --out and writes its cache entry beside the file, so
 it is compared by its exit code and streams.  A difference is any change
@@ -50,18 +37,25 @@ from pathlib import Path
 
 import numpy as np
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "test_golden.py"
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+GOLDEN, TIER1 = TESTS / "test_golden.py", TESTS / "test_cli.py"
+# the tables of TIER1 this script runs, each with the names of the
+# constants tier-1 puts before and after its rows
+TIER1_TABLES = {
+    "MANY_EQUAL_RATES": (None, None), "RATE_DROPPED_FLAGS": ("RATE_FIT", None),
+    "DROPPED_SETTINGS": (None, "DROPPED_SIZE"), "VACUOUS_BOUNDS": (None, None),
+    "NO_BOUND": (None, "NO_BOUND_SIZE"), "NON_FINITE_LAMBDA": (None, None),
+    "LIST_REFUSALS": (None, None), "EDGE_VALUES": (None, None),
+}
 DATASET = "tiny.libsvm"
 # small LIBSVM files of each kind of text the parser reads, beside DATASET
 REAL, NBSP, MALFORMED, UNDECODABLE, PAST_INT64 = (
     "real.libsvm", "nbsp.libsvm", "malformed.libsvm", "undecodable.libsvm", "int64.libsvm")
 
 CASES = {
-    # audits: T1, T2 and T3, as audit and as run --audit
+    # audits: T1 and T3 (golden's audit_smg_rr is T2), and all three as run --audit
     "audit-T1": ["audit", "--algo", "smg", "--strategy", "inc", "--T", "8",
                  "--gamma", "0.01", "--repeats", "2"],
-    "audit-T2": ["audit", "--algo", "smg", "--strategy", "rr", "--T", "6",
-                 "--gamma", "0.005", "--repeats", "4"],
     "audit-T3": ["audit", "--algo", "ssmg", "--strategy", "once", "--T", "6",
                  "--gamma", "0.05", "--repeats", "2"],
     "run-audit-T1": ["run", "--algo", "smg", "--strategy", "once", "--T", "5",
@@ -83,7 +77,7 @@ CASES = {
                       "--gamma", "0.05", "--repeats", "2"],
     "run-audit-repeats": ["run", "--algo", "smg", "--strategy", "inc", "--T", "5",
                           "--gamma", "0.01", "--audit", "--repeats", "3"],
-    # refusals
+    # refusals of a step past the cap
     "refuse-cap-T1": ["audit", "--algo", "smg", "--strategy", "inc", "--T", "4",
                       "--gamma", "50"],
     "refuse-cap-T2": ["audit", "--algo", "smg", "--T", "4", "--gamma", "50",
@@ -96,56 +90,19 @@ CASES = {
                          "--gamma", "0.3", "--enforce-cap"],
     "refuse-enforce-cap-ssmg": ["run", "--algo", "ssmg", "--strategy", "once", "--T", "8",
                                 "--gamma", "0.8", "--enforce-cap"],
-    "enforce-cap-adam": ["run", "--algo", "adam", "--T", "8", "--gamma", "0.2",
-                         "--enforce-cap"],
-    "enforce-cap-sgd": ["run", "--algo", "sgd", "--T", "4", "--enforce-cap"],
-    "enforce-cap-sgdm": ["run", "--algo", "sgdm", "--T", "4", "--enforce-cap"],
     "enforce-cap-grid": ["grid", "--algo", "smg", "--T", "4", "--gamma-grid", "50,0.01",
                          "--enforce-cap"],
     "enforce-cap-compare": ["compare", "--T", "3", "--gamma", "5", "--enforce-cap"],
     "compare-method-twice": ["compare", "--methods", "smg,smg", "--T", "3"],
-    "refuse-vacuous-T1": ["run", "--gamma", "1e-320", "--T", "2", "--audit",
-                          "--strategy", "inc"],
-    "refuse-vacuous-T2": ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
-    "refuse-vacuous-T3": ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2",
-                          "--audit", "--strategy", "once"],
-    # near 1, beta underflows the first term's denominator to 0
-    "refuse-underflow-T1": ["run", "--algo", "smg", "--beta", "0.999999", "--gamma",
-                            "1e-320", "--T", "2", "--audit", "--strategy", "inc"],
-    "refuse-underflow-T2": ["audit", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
-                            "--repeats", "3"],
-    "refuse-underflow-T3": ["run", "--algo", "ssmg", "--beta", "0.999999", "--gamma",
-                            "1e-320", "--T", "2", "--audit", "--strategy", "once"],
-    "refuse-sgd": ["audit", "--algo", "sgd", "--T", "4", "--repeats", "200"],
-    "refuse-sgdm": ["run", "--algo", "sgdm", "--T", "4", "--audit"],
+    # adam has no bound to audit
     "refuse-adam": ["run", "--algo", "adam", "--T", "4", "--gamma", "0.001", "--audit"],
-    # edge usage errors
-    "lambda-nan-diminishing": ["run", "--schedule", "diminishing", "--lambda", "nan",
-                               "--T", "2"],
-    "lambda-inf-diminishing": ["run", "--schedule", "diminishing", "--lambda", "inf",
-                               "--T", "2"],
-    "lambda-nan-constant": ["run", "--schedule", "constant", "--lambda", "nan", "--T", "2"],
+    # a negative --lambda, and --horizons rate refuses or takes
     "lambda-negative": ["run", "--schedule", "diminishing", "--lambda", "-1", "--T", "2"],
-    "lambda-grid-nan": ["grid", "--schedule", "diminishing", "--lambda-grid", "nan",
-                        "--T", "2"],
-    "lambda-grid-inf": ["grid", "--schedule", "diminishing", "--lambda-grid", "inf",
-                        "--T", "2"],
-    "lambda-grid-negative": ["grid", "--schedule", "diminishing", "--lambda-grid", "-5",
-                             "--T", "2"],
     "horizons-one": ["rate", "--horizons", "8"],
     "horizons-decreasing": ["rate", "--horizons", "200,8"],
     "horizons-zero-last": ["rate", "--horizons", "200,0"],
     "horizons-zero-first": ["rate", "--horizons", "0,8"],
     "horizons-valid": ["rate", "--horizons", "8,16"],
-    "horizons-empty-value": ["rate", "--horizons", "8,,16"],
-    "gamma-grid-empty": ["grid", "--gamma-grid", ",", "--T", "2"],
-    "gamma-grid-empty-value": ["grid", "--gamma-grid", "0.1,,0.2", "--T", "2"],
-    "rho-grid-empty": ["grid", "--schedule", "exponential", "--rho-grid", ",", "--T", "2"],
-    "methods-empty-value": ["compare", "--methods", "smg,", "--T", "2"],
-    "gamma-grid-negative": ["grid", "--gamma-grid", "-1", "--T", "2"],
-    "gamma-grid-zero": ["grid", "--gamma-grid", "0", "--T", "2"],
-    "gamma-grid-nan": ["grid", "--gamma-grid", "nan", "--T", "2"],
-    "gamma-grid-inf": ["grid", "--gamma-grid", "inf", "--T", "2"],
     # rate: sgd's own rule, other strategies, a dataset and a divergence
     "rate-sgd-rr": ["rate", "--algo", "sgd", "--horizons", "4,8,16", "--repeats", "2"],
     "rate-sgd-once": ["rate", "--algo", "sgd", "--strategy", "once", "--horizons", "4,8,16",
@@ -171,36 +128,11 @@ CASES = {
     "parse-index-past-int64": ["parse", PAST_INT64],
     "run-nbsp": ["run", "--T", "2", "--gamma", "500", "--dataset", NBSP],
     "run-real": ["run", "--T", "2", "--gamma", "5", "--repeats", "2", "--dataset", REAL],
-    # 110 equal selection weights, which sum to 1 - 1.1e-15 once normalised
-    "run-T110": ["run", "--T", "110", "--gamma", "0.5"],
-    "rate-T110": ["rate", "--horizons", "8,110", "--gamma", "2.0"],
-    # settings a run would ignore
-    "ignore-lambda": ["run", "--lambda", "5", "--T", "3"],
-    "ignore-rho": ["run", "--rho", "0.5", "--T", "3"],
-    "ignore-rho-diminishing": ["audit", "--schedule", "diminishing", "--rho", "0.5",
-                               "--gamma", "0.01", "--T", "3"],
-    "ignore-beta-sgd": ["run", "--algo", "sgd", "--beta", "0.5", "--T", "3"],
-    "ignore-schedule-adam": ["run", "--algo", "adam", "--schedule", "cosine", "--T", "3"],
-    "ignore-lambda-adam": ["run", "--algo", "adam", "--lambda", "5", "--T", "3"],
+    # settings a run would drop
     "ignore-rho-adam": ["run", "--algo", "adam", "--rho", "0.5", "--T", "3"],
-    "ignore-rr-scaling-adam": ["run", "--algo", "adam", "--rr-scaling", "--T", "3"],
     "ignore-audit-adam-schedule": ["audit", "--algo", "adam", "--schedule", "cosine",
                                    "--T", "3"],
-    "ignore-lambda-grid": ["grid", "--gamma-grid", "0.01", "--lambda-grid", "1,2,4",
-                           "--T", "3"],
-    "ignore-adam-paper-grid": ["grid", "--algo", "adam", "--schedule", "diminishing",
-                               "--paper-grids", "--T", "3", "--synth-n", "8"],
-    "ignore-paper-gamma-grid": ["grid", "--paper-grids", "--gamma-grid", "0.01",
-                                "--T", "3", "--synth-n", "8"],
-    "ignore-paper-lambda-grid": ["grid", "--paper-grids", "--lambda-grid", "1",
-                                 "--T", "3", "--synth-n", "8"],
-    "ignore-paper-rho-grid": ["grid", "--paper-grids", "--rho-grid", "0.5",
-                              "--T", "3", "--synth-n", "8"],
-    "ignore-paper-beta-grid": ["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid",
-                               "0.5", "--T", "3", "--synth-n", "8"],
-    "ignore-lambda-compare": ["compare", "--lambda", "5", "--T", "3"],
     # a grid sets a setting it sweeps at every point
-    "ignore-gamma-grid": ["grid", "--gamma", "0.5", "--gamma-grid", "0.01", "--T", "3"],
     "ignore-gamma-paper-grid": ["grid", "--gamma", "0.5", "--paper-grids", "--T", "3",
                                 "--synth-n", "8"],
     "ignore-rho-grid": ["grid", "--algo", "sgdm", "--schedule", "exponential", "--rho", "0.95",
@@ -212,13 +144,7 @@ CASES = {
                          "--gamma-grid", "0.01", "--T", "3"],
     # compare runs adam at its constant rate next to a scheduled method
     "compare-adam-cosine": ["compare", "--schedule", "cosine", "--rr-scaling", "--T", "3"],
-    # adam alone refuses the schedule settings; compare builds every point before a run
-    "compare-adam-only-cosine-lambda": ["compare", "--methods", "adam", "--schedule",
-                                        "cosine", "--lambda", "5", "--T", "3"],
-    "compare-adam-only-exponential": ["compare", "--methods", "adam", "--schedule",
-                                      "exponential", "--T", "3"],
-    "compare-adam-only-rr-scaling": ["compare", "--methods", "adam", "--rr-scaling",
-                                     "--T", "3"],
+    # compare builds every point before a run
     "compare-abort-then-refusal": ["compare", "--methods", "adam,smg", "--lambda", "5",
                                    "--gamma", "1e300", "--T", "3"],
     # the first two horizons finish and the last one aborts, and the reverse
@@ -232,11 +158,6 @@ CASES = {
                         "--gamma", "5"],
     "audit-long-epochs": ["audit", "--synth-n", "600", "--synth-d", "50", "--repeats", "3",
                           "--T", "3", "--gamma", "0.005"],
-    # settings adam drops, refused before its schedule is built
-    "ignore-exponential-adam": ["run", "--algo", "adam", "--schedule", "exponential",
-                                "--T", "2"],
-    "ignore-exponential-adam-grid": ["grid", "--algo", "adam", "--schedule", "exponential",
-                                     "--gamma-grid", "0.01", "--T", "2"],
 }
 
 # grid and compare invert each schedule for its first inner step, under --rr-scaling
@@ -251,12 +172,30 @@ CASES.update({
 })
 
 
-def golden_cases() -> dict:
-    """CLI_CASES of tests/test_golden.py, read without importing it."""
-    for node in ast.parse(GOLDEN.read_text()).body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CLI_CASES":
-            return {f"golden-{k}": v for k, v in ast.literal_eval(node.value).items()}
-    raise SystemExit(f"no CLI_CASES in {GOLDEN}")
+def assignments(path: Path) -> dict:
+    """The value node of each module-level `NAME = ...` of path, parsed, not imported."""
+    return {node.targets[0].id: node.value for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+
+
+def all_cases() -> list:
+    """(name, argv) of CLI_CASES of GOLDEN, of each row of TIER1_TABLES as
+    tier-1 runs it, and of CASES, each argv once.  A tier-1 row is named as
+    pytest names an argv: its words joined by "-", with "--" dropped."""
+    golden = ast.literal_eval(assignments(GOLDEN)["CLI_CASES"])
+    cases = {tuple(argv): f"golden-{name}" for name, argv in golden.items()}
+    found = assignments(TIER1)
+    for table, names in TIER1_TABLES.items():
+        before, after = ([] if name is None else ast.literal_eval(found[name]) for name in names)
+        # a row is an argv or an (argv, message) pair; a *NAME row is read as NAME
+        for row in found[table].elts:
+            if not isinstance(row, ast.Starred):
+                row = ast.literal_eval(row.elts[0] if isinstance(row, ast.Tuple) else row)
+                argv = (*before, *row, *after)
+                cases.setdefault(argv, "-".join(argv).replace("--", ""))
+    for name, argv in CASES.items():
+        cases.setdefault(tuple(argv), name)
+    return [(name, list(argv)) for argv, name in cases.items()]
 
 
 def write_datasets(root: Path):
@@ -325,14 +264,14 @@ def main(argv=None) -> int:
         if not (tree / "src" / "smgopt").is_dir():
             print(f"{tree} holds no src/smgopt", file=sys.stderr)
             return 2
-    cases = {**golden_cases(), **CASES}
+    cases = all_cases()
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         datasets = root / "datasets"
         datasets.mkdir()
         write_datasets(datasets)
-        for k, (name, case) in enumerate(cases.items()):
+        for k, (name, case) in enumerate(cases):
             old, new = (run_case(tree, case, root / side / name, datasets)
                         for side, tree in zip(("old", "new"), trees))
             found = differences(old, new)

@@ -459,13 +459,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_list(text: str | None, convert, flag: str) -> list | None:
     """flag's comma-separated values, stripped, through convert; None for a
-    flag left out.  An empty value is a UsageError naming flag."""
+    flag left out.  An empty value, or one convert rejects, is a UsageError naming flag."""
     if text is None:
         return None
     values = [value.strip() for value in text.split(",")]
     if "" in values:
         raise UsageError(f"{flag} takes comma-separated values, none empty, got {text!r}")
-    return [convert(value) for value in values]
+    def converted(value):
+        try:
+            return convert(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+    return [converted(value) for value in values]
 
 
 def _add_experiment_args(p: argparse.ArgumentParser):

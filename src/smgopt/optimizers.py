@@ -348,7 +348,7 @@ def ensemble_outcomes(algo: str, problem: Problem, etas,
     etas = np.array(np.broadcast_to(etas, (R, np.shape(etas)[-1])), float, order="C")
     betas = [0.0] * R if algo == "sgd" else [float(b) for b in np.broadcast_to(beta, R)]
     bad = [b for b in betas if not 0 <= b < 1]
-    if bad and algo in ("smg", "ssmg", "sgdm"):
+    if bad:
         raise ValueError(f"momentum weight must lie in [0, 1), got {bad[0]}")
     beta = _rows(betas, problem.d)
     if algo == "smg":

@@ -2,6 +2,7 @@
 comparisons, config hashing, and byte-level determinism."""
 import dataclasses
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -44,6 +45,179 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**data)
     cfg.validate()
     return cfg
+
+
+# CLI cases.  scripts/compare_outputs.py parses this file for the tables below
+# that its TIER1_TABLES names, and runs each row's argv, with the flags the test
+# puts before or after it, from two source trees to compare their bytes.  A row
+# added to such a table is byte-checked too; rename a table in both files.
+
+# 110 equal selection weights sum to 1 - 1.1e-15 once normalised
+MANY_EQUAL_RATES = [
+    ["run", "--T", "110", "--gamma", "0.5"],
+    ["run", "--T", "110", "--gamma", "2.0"],
+    ["rate", "--horizons", "8,110", "--gamma", "2.0"],
+]
+
+
+# rate fits the bounds' setting: smg (or sgd, its beta = 0 case) on a constant schedule
+RATE_FIT = ["rate", "--horizons", "4,8"]
+RATE_DROPPED_FLAGS = [
+    ["--algo", "adam", "--schedule", "cosine"],
+    ["--algo", "ssmg"],
+    ["--algo", "sgdm"],
+    ["--algo", "sgd", "--beta", "0.5"],
+    ["--schedule", "diminishing"],
+    ["--lambda", "1.0"],
+    ["--rho", "0.9"],
+    ["--rr-scaling"],
+    ["--enforce-cap"],
+]
+
+
+ADAM = "adam runs at a constant per-step rate; it does not take"
+PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
+SWEPT = "grid takes each setting it sweeps from its grid; it does not take"
+
+
+# each of these ran as if the setting were absent, under another config hash
+DROPPED_SIZE = ["--T", "3", "--synth-n", "8"]
+DROPPED_SETTINGS = [
+    (["run", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
+    (["run", "--rho", "0.5"], "smg runs the constant schedule; it does not take --rho"),
+    (["audit", "--schedule", "diminishing", "--rho", "0.5", "--gamma", "0.01"],
+     "smg runs the diminishing schedule; it does not take --rho"),
+    (["run", "--algo", "ssmg", "--schedule", "cosine", "--lambda", "2", "--rho", "0.5"],
+     "ssmg runs the cosine schedule; it does not take --lambda, --rho"),
+    (["run", "--algo", "sgd", "--beta", "0.5"],
+     "sgd runs without momentum; it does not take --beta"),
+    (["run", "--algo", "adam", "--schedule", "cosine"], f"{ADAM} --schedule cosine"),
+    (["run", "--algo", "adam", "--lambda", "5"], f"{ADAM} --lambda"),
+    (["run", "--algo", "adam", "--schedule", "exponential", "--rho", "0.5"],
+     f"{ADAM} --schedule exponential, --rho"),
+    (["run", "--algo", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
+    (["grid", "--gamma-grid", "0.01", "--lambda-grid", "1,2,4"],
+     "smg runs the constant schedule; it does not take --lambda"),
+    (["grid", "--algo", "sgd", "--gamma-grid", "0.01", "--beta-grid", "0.1,0.5"],
+     "sgd runs without momentum; it does not take --beta"),
+    (["grid", "--algo", "adam", "--schedule", "diminishing", "--paper-grids"],
+     f"{ADAM} --schedule diminishing, --lambda"),
+    (["grid", "--paper-grids", "--gamma-grid", "0.01"], f"{PAPER} --gamma-grid"),
+    (["grid", "--paper-grids", "--lambda-grid", "1"], f"{PAPER} --lambda-grid"),
+    (["grid", "--paper-grids", "--rho-grid", "0.5"], f"{PAPER} --rho-grid"),
+    (["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid", "0.5"],
+     f"{PAPER} --beta-grid"),
+    # a grid sets a setting it sweeps at every point, whatever its flag gives
+    (["grid", "--gamma", "0.5", "--gamma-grid", "0.01"], f"{SWEPT} --gamma"),
+    (["grid", "--gamma", "0.1", "--paper-grids"], f"{SWEPT} --gamma"),
+    (["grid", "--schedule", "exponential", "--rho", "0.95", "--gamma-grid", "0.01",
+      "--rho-grid", "0.9,0.99"], f"{SWEPT} --rho"),
+    (["grid", "--schedule", "exponential", "--rho", "0.5", "--paper-grids"], f"{SWEPT} --rho"),
+    (["grid", "--schedule", "diminishing", "--lambda", "2", "--lambda-grid", "1"],
+     f"{SWEPT} --lambda"),
+    (["grid", "--algo", "ssmg", "--beta", "0.5", "--beta-grid", "0.1", "--gamma", "0.1",
+      "--gamma-grid", "0.01"], f"{SWEPT} --gamma, --beta"),
+    (["grid", "--algo", "ssmg", "--beta", "0.5", "--paper-grids"], f"{SWEPT} --beta"),
+    (["compare", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
+    # adam alone in compare runs none of the schedule settings
+    (["compare", "--methods", "adam", "--schedule", "cosine", "--lambda", "5"],
+     f"{ADAM} --schedule cosine, --lambda"),
+    (["compare", "--methods", "adam", "--schedule", "exponential"],
+     f"{ADAM} --schedule exponential"),
+    (["compare", "--methods", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
+    # refused before the schedule, which would ask for the --rho it then refuses
+    (["run", "--algo", "adam", "--schedule", "exponential"], f"{ADAM} --schedule exponential"),
+    (["grid", "--algo", "adam", "--schedule", "exponential", "--gamma-grid", "0.01"],
+     f"{ADAM} --schedule exponential"),
+]
+
+
+# audits whose bound's right-hand side is inf
+VACUOUS_BOUNDS = [
+    ["run", "--gamma", "1e-320", "--T", "2", "--audit", "--strategy", "inc"],
+    ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
+    ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2", "--audit",
+     "--strategy", "once"],
+    # near 1, beta makes the first term's denominator underflow to 0
+    ["run", "--algo", "smg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+     "--audit", "--strategy", "inc"],
+    ["audit", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
+    ["run", "--algo", "ssmg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
+     "--audit", "--strategy", "once"],
+]
+
+
+# commands that audit, or cap, a method no bound is audited for
+NO_BOUND_SIZE = ["--T", "4"]
+NO_BOUND = [
+    ["audit", "--algo", "sgd", "--repeats", "200"],
+    ["run", "--algo", "sgdm", "--audit"],
+    # --enforce-cap checks the cap of the bound a method has, so these have none
+    ["run", "--algo", "sgd", "--enforce-cap"],
+    ["run", "--algo", "sgdm", "--enforce-cap"],
+    ["run", "--algo", "adam", "--gamma", "0.2", "--enforce-cap"],
+]
+
+
+NON_FINITE_LAMBDA = [
+    ["run", "--schedule", "diminishing", "--lambda", "nan", "--T", "2"],
+    ["run", "--schedule", "diminishing", "--lambda", "inf", "--T", "2"],
+    ["run", "--schedule", "constant", "--lambda", "nan", "--T", "2"],
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "nan", "--T", "2"],
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "inf", "--T", "2"],
+]
+
+
+# a list flag refuses an empty value, a value it cannot convert, and a grid step
+# as given, naming the flag
+LIST_REFUSALS = [
+    (["grid", "--gamma-grid", "-1", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got -1.0"),
+    (["grid", "--gamma-grid", "0", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got 0.0"),
+    (["grid", "--gamma-grid", "nan", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got nan"),
+    (["grid", "--gamma-grid", "inf", "--T", "2"],
+     "--gamma-grid steps must be positive and finite, got inf"),
+    (["grid", "--gamma-grid", ",", "--T", "2"],
+     "--gamma-grid takes comma-separated values, none empty, got ','"),
+    (["grid", "--gamma-grid", "0.1,,0.2", "--T", "2"],
+     "--gamma-grid takes comma-separated values, none empty, got '0.1,,0.2'"),
+    (["grid", "--schedule", "exponential", "--rho-grid", ",", "--T", "2"],
+     "--rho-grid takes comma-separated values, none empty, got ','"),
+    (["rate", "--horizons", "8,,16"],
+     "--horizons takes comma-separated values, none empty, got '8,,16'"),
+    (["compare", "--methods", "smg,", "--T", "2"],
+     "--methods takes comma-separated values, none empty, got 'smg,'"),
+    (["grid", "--gamma-grid", "abc", "--T", "2"],
+     "argument --gamma-grid: invalid float value: 'abc'"),
+    (["grid", "--beta-grid", "0.1,x", "--T", "2"],
+     "argument --beta-grid: invalid float value: 'x'"),
+    (["rate", "--horizons", "8.5,16"], "argument --horizons: invalid int value: '8.5'"),
+]
+
+
+EDGE_VALUES = [
+    # infinite rates would give NaN output-selection weights
+    ["run", "--gamma", "inf", "--T", "2"],
+    # a negative base has a complex cube root in the initial-step gamma
+    ["grid", "--schedule", "diminishing", "--lambda-grid", "-5", "--T", "2"],
+    # rho = 0 divides by zero and rho < 0 has a complex root in the initial-step gamma
+    ["grid", "--schedule", "exponential", "--rho-grid", "0", "--T", "2"],
+    ["grid", "--schedule", "exponential", "--rho-grid", "-1", "--T", "2"],
+    # a non-finite regularizer weight gives non-finite certified constants
+    ["run", "--T", "2", "--reg", "nan"],
+    ["run", "--T", "2", "--reg", "inf"],
+    # a negative seed is refused before any command seeds numpy with it
+    ["run", "--T", "2", "--seed", "-1"],
+    ["audit", "--T", "2", "--seed", "-5", "--repeats", "3"],
+    ["grid", "--T", "2", "--seed", "-1"],
+    ["compare", "--T", "2", "--seed", "-1"],
+    # a non-finite lambda is refused as itself, under every schedule
+    *NON_FINITE_LAMBDA,
+    # rates whose sum passes the float range are refused with no numpy warning
+    ["run", "--algo", "sgdm", "--gamma", "1e308", "--T", "3"],
+]
 
 
 class TestConfig:
@@ -126,13 +300,8 @@ class TestRunCommand:
         data = read_trace(next(tmp_path.glob("*.csv")))
         np.testing.assert_array_equal(data["loss"], expected.losses)
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--T", "110", "--gamma", "0.5"],
-        ["run", "--T", "110", "--gamma", "2.0"],
-        ["rate", "--horizons", "8,110", "--gamma", "2.0"],
-    ])
+    @pytest.mark.parametrize("argv", MANY_EQUAL_RATES)
     def test_many_equal_rates_select_an_output(self, argv, tmp_path):
-        # 110 equal selection weights sum to 1 - 1.1e-15 once normalised
         assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
 
     def test_repeats_write_one_trace_per_seed(self, tmp_path):
@@ -297,20 +466,9 @@ class TestRateCommand:
 
 
 
-@pytest.mark.parametrize("flags", [
-    ["--algo", "adam", "--schedule", "cosine"],
-    ["--algo", "ssmg"],
-    ["--algo", "sgdm"],
-    ["--algo", "sgd", "--beta", "0.5"],
-    ["--schedule", "diminishing"],
-    ["--lambda", "1.0"],
-    ["--rho", "0.9"],
-    ["--rr-scaling"],
-    ["--enforce-cap"],
-])
+@pytest.mark.parametrize("flags", RATE_DROPPED_FLAGS)
 def test_rate_refuses_flags_it_would_ignore(flags, tmp_path, capsys):
-    # rate fits the bounds' setting: smg (or sgd, its beta = 0 case) on a constant schedule
-    rc = run_cli("rate", "--horizons", "4,8", *flags, "--out", str(tmp_path))
+    rc = run_cli(*RATE_FIT, *flags, "--out", str(tmp_path))
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "rate.csv").exists()
@@ -404,63 +562,12 @@ def test_grid_and_compare_refuse_enforce_cap(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-ADAM = "adam runs at a constant per-step rate; it does not take"
-PAPER = "grid --paper-grids takes every grid from the paper; it does not take"
-SWEPT = "grid takes each setting it sweeps from its grid; it does not take"
-
-
-# each of these ran as if the setting were absent, under another config hash
-@pytest.mark.parametrize("argv, message", [
-    (["run", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
-    (["run", "--rho", "0.5"], "smg runs the constant schedule; it does not take --rho"),
-    (["audit", "--schedule", "diminishing", "--rho", "0.5", "--gamma", "0.01"],
-     "smg runs the diminishing schedule; it does not take --rho"),
-    (["run", "--algo", "ssmg", "--schedule", "cosine", "--lambda", "2", "--rho", "0.5"],
-     "ssmg runs the cosine schedule; it does not take --lambda, --rho"),
-    (["run", "--algo", "sgd", "--beta", "0.5"],
-     "sgd runs without momentum; it does not take --beta"),
-    (["run", "--algo", "adam", "--schedule", "cosine"], f"{ADAM} --schedule cosine"),
-    (["run", "--algo", "adam", "--lambda", "5"], f"{ADAM} --lambda"),
-    (["run", "--algo", "adam", "--schedule", "exponential", "--rho", "0.5"],
-     f"{ADAM} --schedule exponential, --rho"),
-    (["run", "--algo", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
-    (["grid", "--gamma-grid", "0.01", "--lambda-grid", "1,2,4"],
-     "smg runs the constant schedule; it does not take --lambda"),
-    (["grid", "--algo", "sgd", "--gamma-grid", "0.01", "--beta-grid", "0.1,0.5"],
-     "sgd runs without momentum; it does not take --beta"),
-    (["grid", "--algo", "adam", "--schedule", "diminishing", "--paper-grids"],
-     f"{ADAM} --schedule diminishing, --lambda"),
-    (["grid", "--paper-grids", "--gamma-grid", "0.01"], f"{PAPER} --gamma-grid"),
-    (["grid", "--paper-grids", "--lambda-grid", "1"], f"{PAPER} --lambda-grid"),
-    (["grid", "--paper-grids", "--rho-grid", "0.5"], f"{PAPER} --rho-grid"),
-    (["grid", "--algo", "ssmg", "--paper-grids", "--beta-grid", "0.5"],
-     f"{PAPER} --beta-grid"),
-    # a grid sets a setting it sweeps at every point, whatever its flag gives
-    (["grid", "--gamma", "0.5", "--gamma-grid", "0.01"], f"{SWEPT} --gamma"),
-    (["grid", "--gamma", "0.1", "--paper-grids"], f"{SWEPT} --gamma"),
-    (["grid", "--schedule", "exponential", "--rho", "0.95", "--gamma-grid", "0.01",
-      "--rho-grid", "0.9,0.99"], f"{SWEPT} --rho"),
-    (["grid", "--schedule", "exponential", "--rho", "0.5", "--paper-grids"], f"{SWEPT} --rho"),
-    (["grid", "--schedule", "diminishing", "--lambda", "2", "--lambda-grid", "1"],
-     f"{SWEPT} --lambda"),
-    (["grid", "--algo", "ssmg", "--beta", "0.5", "--beta-grid", "0.1", "--gamma", "0.1",
-      "--gamma-grid", "0.01"], f"{SWEPT} --gamma, --beta"),
-    (["grid", "--algo", "ssmg", "--beta", "0.5", "--paper-grids"], f"{SWEPT} --beta"),
-    (["compare", "--lambda", "5"], "smg runs the constant schedule; it does not take --lambda"),
-    # adam alone in compare runs none of the schedule settings
-    (["compare", "--methods", "adam", "--schedule", "cosine", "--lambda", "5"],
-     f"{ADAM} --schedule cosine, --lambda"),
-    (["compare", "--methods", "adam", "--schedule", "exponential"],
-     f"{ADAM} --schedule exponential"),
-    (["compare", "--methods", "adam", "--rr-scaling"], f"{ADAM} --rr-scaling"),
-    # refused before the schedule, which would ask for the --rho it then refuses
-    (["run", "--algo", "adam", "--schedule", "exponential"], f"{ADAM} --schedule exponential"),
-    (["grid", "--algo", "adam", "--schedule", "exponential", "--gamma-grid", "0.01"],
-     f"{ADAM} --schedule exponential"),
-], ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, list) else "refused")
+@pytest.mark.parametrize(
+    "argv, message", DROPPED_SETTINGS,
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, list) else "refused")
 def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = run_cli(*argv, "--T", "3", "--synth-n", "8", "--out", str(out))
+    rc = run_cli(*argv, *DROPPED_SIZE, "--out", str(out))
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
@@ -545,18 +652,8 @@ def test_grid_and_compare_take_gamma_as_the_first_inner_step(schedule, rr, tmp_p
     assert first == pytest.approx([0.01, 0.01], rel=1e-12)
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--gamma", "1e-320", "--T", "2", "--audit", "--strategy", "inc"],
-    ["audit", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
-    ["run", "--algo", "ssmg", "--gamma", "1e-320", "--T", "2", "--audit",
-     "--strategy", "once"],
-    # near 1, beta makes the first term's denominator underflow to 0
-    ["run", "--algo", "smg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
-     "--audit", "--strategy", "inc"],
-    ["audit", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2", "--repeats", "3"],
-    ["run", "--algo", "ssmg", "--beta", "0.999999", "--gamma", "1e-320", "--T", "2",
-     "--audit", "--strategy", "once"],
-], ids=["T1", "T2", "T3", "T1-underflow", "T2-underflow", "T3-underflow"])
+@pytest.mark.parametrize("argv", VACUOUS_BOUNDS, ids=["T1", "T2", "T3", "T1-underflow",
+                                                   "T2-underflow", "T3-underflow"])
 def test_vacuous_bound_is_refused_and_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == EXIT_REFUSAL
@@ -565,20 +662,13 @@ def test_vacuous_bound_is_refused_and_writes_nothing(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["audit", "--algo", "sgd", "--repeats", "200"],
-    ["run", "--algo", "sgdm", "--audit"],
-    # --enforce-cap checks the cap of the bound a method has, so these have none
-    ["run", "--algo", "sgd", "--enforce-cap"],
-    ["run", "--algo", "sgdm", "--enforce-cap"],
-    ["run", "--algo", "adam", "--gamma", "0.2", "--enforce-cap"],
-])
+@pytest.mark.parametrize("argv", NO_BOUND)
 def test_command_without_a_bound_refuses_before_running(argv, tmp_path, capsys,
                                                         monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
     monkeypatch.setattr(cli, "ensemble_outcomes", unreachable)
-    assert run_cli(*argv, "--T", "4", "--out", str(tmp_path)) == EXIT_REFUSAL
+    assert run_cli(*argv, *NO_BOUND_SIZE, "--out", str(tmp_path)) == EXIT_REFUSAL
     algo = argv[argv.index("--algo") + 1]
     assert capsys.readouterr().err == (
         f"audit refusal: premises unmet: no convergence bound is audited for {algo!r}\n")
@@ -609,38 +699,6 @@ def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
-NON_FINITE_LAMBDA = [
-    ["run", "--schedule", "diminishing", "--lambda", "nan", "--T", "2"],
-    ["run", "--schedule", "diminishing", "--lambda", "inf", "--T", "2"],
-    ["run", "--schedule", "constant", "--lambda", "nan", "--T", "2"],
-    ["grid", "--schedule", "diminishing", "--lambda-grid", "nan", "--T", "2"],
-    ["grid", "--schedule", "diminishing", "--lambda-grid", "inf", "--T", "2"],
-]
-
-
-# a list flag refuses an empty value, and a grid step as given, naming the flag
-LIST_REFUSALS = [
-    (["grid", "--gamma-grid", "-1", "--T", "2"],
-     "--gamma-grid steps must be positive and finite, got -1.0"),
-    (["grid", "--gamma-grid", "0", "--T", "2"],
-     "--gamma-grid steps must be positive and finite, got 0.0"),
-    (["grid", "--gamma-grid", "nan", "--T", "2"],
-     "--gamma-grid steps must be positive and finite, got nan"),
-    (["grid", "--gamma-grid", "inf", "--T", "2"],
-     "--gamma-grid steps must be positive and finite, got inf"),
-    (["grid", "--gamma-grid", ",", "--T", "2"],
-     "--gamma-grid takes comma-separated values, none empty, got ','"),
-    (["grid", "--gamma-grid", "0.1,,0.2", "--T", "2"],
-     "--gamma-grid takes comma-separated values, none empty, got '0.1,,0.2'"),
-    (["grid", "--schedule", "exponential", "--rho-grid", ",", "--T", "2"],
-     "--rho-grid takes comma-separated values, none empty, got ','"),
-    (["rate", "--horizons", "8,,16"],
-     "--horizons takes comma-separated values, none empty, got '8,,16'"),
-    (["compare", "--methods", "smg,", "--T", "2"],
-     "--methods takes comma-separated values, none empty, got 'smg,'"),
-]
-
-
 @pytest.mark.parametrize("argv, message", LIST_REFUSALS,
                          ids=["-".join(argv).replace("--", "") for argv, _ in LIST_REFUSALS])
 def test_list_refusals_name_their_flag(argv, message, tmp_path, capsys):
@@ -650,28 +708,7 @@ def test_list_refusals_name_their_flag(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    # infinite rates would give NaN output-selection weights
-    ["run", "--gamma", "inf", "--T", "2"],
-    # a negative base has a complex cube root in the initial-step gamma
-    ["grid", "--schedule", "diminishing", "--lambda-grid", "-5", "--T", "2"],
-    # rho = 0 divides by zero and rho < 0 has a complex root in the initial-step gamma
-    ["grid", "--schedule", "exponential", "--rho-grid", "0", "--T", "2"],
-    ["grid", "--schedule", "exponential", "--rho-grid", "-1", "--T", "2"],
-    # a non-finite regularizer weight gives non-finite certified constants
-    ["run", "--T", "2", "--reg", "nan"],
-    ["run", "--T", "2", "--reg", "inf"],
-    # a negative seed is refused before any command seeds numpy with it
-    ["run", "--T", "2", "--seed", "-1"],
-    ["audit", "--T", "2", "--seed", "-5", "--repeats", "3"],
-    ["grid", "--T", "2", "--seed", "-1"],
-    ["compare", "--T", "2", "--seed", "-1"],
-    # a non-finite lambda is refused as itself, under every schedule
-    *NON_FINITE_LAMBDA,
-    # rates whose sum passes the float range are refused with no numpy warning
-    ["run", "--algo", "sgdm", "--gamma", "1e308", "--T", "3"],
-    *[argv for argv, _ in LIST_REFUSALS],
-])
+@pytest.mark.parametrize("argv", [*EDGE_VALUES, *[argv for argv, _ in LIST_REFUSALS]])
 def test_edge_values_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -791,3 +828,32 @@ def test_dataset_run_is_byte_identical_cold_and_warm(tmp_path, monkeypatch):
         assert _tree(Path(out)) == DATASET_RUN_TREE
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cold", "data.libsvm", "data.libsvm.smgopt.npz", "warm"]
+
+
+def _unsized(argv) -> tuple:
+    """argv without its --T and --synth-n flags and their values."""
+    sized = {k + shift for k, arg in enumerate(argv) if arg in ("--T", "--synth-n")
+             for shift in (0, 1)}
+    return tuple(arg for k, arg in enumerate(argv) if k not in sized)
+
+
+def test_compare_outputs_runs_each_table_row_once():
+    """scripts/compare_outputs.py runs every row of the tables it reads from
+    this file, as the tests here run it, and writes no second copy of one."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cases = script.all_cases()
+    names, argvs = [name for name, _ in cases], [tuple(argv) for _, argv in cases]
+    assert len(set(names)) == len(names) and len(set(argvs)) == len(argvs)
+
+    def constant(name):
+        return globals()[name] if name else []
+    rows = [(*constant(before), *(row[0] if isinstance(row, tuple) else row), *constant(after))
+            for table, (before, after) in script.TIER1_TABLES.items()
+            for row in globals()[table]]
+    assert set(rows) <= set(argvs)
+    rows += [argv for name, argv in zip(names, argvs) if name.startswith("golden-")]
+    tier1 = {_unsized(row) for row in rows}
+    assert [name for name, argv in script.CASES.items() if _unsized(argv) in tier1] == []

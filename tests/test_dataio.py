@@ -386,6 +386,14 @@ class TestTracePersistence:
             write_trace(rec, missing)
         assert "t.csv" in str(exc.value)
 
+    def test_sidecar_io_failure_surfaces_path(self, tmp_path):
+        # the CSV is written, and a directory stands where the sidecar goes
+        (tmp_path / "t.json").mkdir()
+        with pytest.raises(OSError) as exc:
+            write_trace(self._record(), tmp_path / "t.csv")
+        assert str(exc.value).startswith(f"failed writing sidecar to {tmp_path / 't.json'}: ")
+        assert (tmp_path / "t.csv").is_file()
+
 
 class TestSyntheticData:
     def test_planted_labels_separable_at_full_separability(self):

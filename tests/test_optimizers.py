@@ -208,6 +208,9 @@ class TestRunRecord:
             adam_run(prob, 0.0, 4, strat)
         with pytest.raises(ValueError, match="at least one epoch"):
             adam_run(prob, 0.01, 0, strat)
+        for beta1 in (1.5, -0.5, 1.0):
+            with pytest.raises(ValueError, match="momentum weight must lie in"):
+                adam_run(prob, 0.01, 4, strat, beta1=beta1)
 
 
 class TestAbortPolicy:
