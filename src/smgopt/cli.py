@@ -37,13 +37,12 @@ from .dataio import (
     write_table,
     write_trace,
 )
-from .optimizers import RunAborted, RunRecord, ensemble_outcomes, records_of
+from .optimizers import DEFAULT_BETA, RunAborted, RunRecord, ensemble_outcomes, records_of
 from .problems import Problem, logistic_problem
 from .schedules import Schedule, gamma_for_initial_step
 from .shuffling import STRATEGY_KINDS, ShufflingStrategy, init_point
 
-ALGOS = ("smg", "ssmg", "sgd", "sgdm", "adam")
-DEFAULT_BETA = {"smg": 0.5, "ssmg": 0.5, "sgd": 0.0, "sgdm": 0.9, "adam": 0.9}
+ALGOS = tuple(DEFAULT_BETA)
 EXIT_OK, EXIT_USAGE, EXIT_ABORT, EXIT_REFUSAL = 0, 1, 2, 3
 
 

@@ -50,6 +50,8 @@ from .shuffling import (
     selection_rng,
 )
 
+DEFAULT_BETA = {"smg": 0.5, "ssmg": 0.5, "sgd": 0.0, "sgdm": 0.9, "adam": 0.9}
+
 
 class RunAborted(RuntimeError):
     """A non-finite iterate or objective value was produced."""
@@ -332,7 +334,7 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
 def ensemble_outcomes(algo: str, problem: Problem, etas,
                       strategies: Sequence[ShufflingStrategy], beta,
                       w0: Optional[np.ndarray] = None, inner_trace: bool = False) -> list:
-    """Runs of algo ("smg", "ssmg", "sgd", "sgdm" or "adam"), one per strategy.
+    """Runs of algo (a key of DEFAULT_BETA), one per strategy.
 
     etas holds the per-epoch rates, (T,) shared or (R, T) one row per run
     (Adam takes a row's first entry as its constant per-step rate); beta the
@@ -409,7 +411,7 @@ def shuffling_sgd_run(problem: Problem, schedule: Schedule,
 
 
 def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
-             beta: float = 0.9, w0: Optional[np.ndarray] = None) -> RunRecord:
+             beta: float = DEFAULT_BETA["sgdm"], w0: Optional[np.ndarray] = None) -> RunRecord:
     """Heavy-ball baseline m <- beta m + g, w <- w - (eta_t/n) m.
 
     The momentum buffer persists across epochs, matching the common
@@ -420,7 +422,7 @@ def sgdm_run(problem: Problem, schedule: Schedule, strategy: ShufflingStrategy,
 
 
 def adam_run(problem: Problem, lr: float, T: int, strategy: ShufflingStrategy,
-             w0: Optional[np.ndarray] = None, beta1: float = 0.9) -> RunRecord:
+             w0: Optional[np.ndarray] = None, beta1: float = DEFAULT_BETA["adam"]) -> RunRecord:
     """Adam baseline, bias-corrected (beta2 = 0.999, eps = 1e-8), at per-step rate lr.
 
     The recorded eta column holds lr for every epoch, so the output iterate

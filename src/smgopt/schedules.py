@@ -10,8 +10,8 @@ Schedules assign one rate per epoch t = 1..T:
 
 where g is gamma, optionally scaled by n^(1/3) for randomized-reshuffling
 runs.  All four are non-increasing in t; the cosine schedule ends at
-eta_T = 0 (that epoch runs but moves nothing and carries zero selection
-weight).
+eta_T = 0 (that epoch moves nothing and carries zero selection weight),
+so it needs T >= 2.
 
 The caps bound the admissible rate as eta_t <= 1/(L sqrt(C)) with
 
@@ -61,6 +61,9 @@ class Schedule:
                 raise ValueError(
                     f"exponential schedule needs rho in (0, 1), got {self.rho}"
                 )
+        if self.kind == COSINE and self.horizon == 1:
+            raise ValueError("a cosine schedule over T=1 epoch has a zero first "
+                             "step for every gamma; use T >= 2")
         if self.rr_scale is not None and self.rr_scale < 1:
             raise ValueError(f"rr_scale must be >= 1, got {self.rr_scale}")
 
@@ -101,9 +104,6 @@ def gamma_for_initial_step(kind: str, step: float, n: int, T: int, lam: float = 
     elif kind == EXPONENTIAL:
         gamma = step * n * T ** (1.0 / 3.0) / rho ** (1.0 / T)
     else:
-        if T == 1:
-            raise ValueError("a cosine schedule over T=1 epoch has a zero first "
-                             "step for every gamma; use T >= 2")
         gamma = step * n * T ** (1.0 / 3.0) / (1.0 + math.cos(math.pi / T))
     return gamma / n ** (1.0 / 3.0) if rr_scaling else gamma
 

@@ -49,8 +49,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 # CLI cases.  scripts/compare_outputs.py parses this file for the tables below
 # that its TIER1_TABLES names, and runs each row's argv, with the flags the test
-# puts before or after it, from two source trees to compare their bytes.  A row
-# added to such a table is byte-checked too; rename a table in both files.
+# puts before or after it, from two source trees to compare their bytes; a
+# table that is one argv is one row.  A row added to such a table is
+# byte-checked too; rename a table in both files.
 
 # 110 equal selection weights sum to 1 - 1.1e-15 once normalised
 MANY_EQUAL_RATES = [
@@ -156,6 +157,46 @@ NO_BOUND = [
     ["run", "--algo", "sgd", "--enforce-cap"],
     ["run", "--algo", "sgdm", "--enforce-cap"],
     ["run", "--algo", "adam", "--gamma", "0.2", "--enforce-cap"],
+]
+
+
+# --enforce-cap checks the cap of the method's bound; grid and compare refuse it
+OVERSIZED_CAP = ["run", "--algo", "smg", "--strategy", "inc", "--T", "16", "--gamma", "50.0",
+                 "--enforce-cap"]
+# T3's cap is 1/L = 0.347 on the default problem, and eta_1 = gamma / 2
+SSMG_CAP = [
+    (["run", "--algo", "ssmg", "--strategy", "once", "--T", "8", "--gamma", "0.3",
+      "--enforce-cap"], EXIT_OK),
+    (["run", "--algo", "ssmg", "--strategy", "once", "--T", "8", "--gamma", "0.8",
+      "--enforce-cap"], EXIT_REFUSAL),
+]
+CAP_NOT_TAKEN = [
+    ["grid", "--algo", "smg", "--T", "4", "--gamma-grid", "50,0.01", "--enforce-cap"],
+    ["compare", "--T", "3", "--gamma", "5", "--enforce-cap"],
+]
+# adam has no bound to audit
+ADAM_AUDIT = ["run", "--algo", "adam", "--T", "4", "--gamma", "0.001", "--audit"]
+
+
+# --beta sets smg's and ssmg's weight only; sgd, sgdm and adam keep theirs
+BETA_NOT_TAKEN = [
+    ["compare", "--algo", "sgd", "--beta", "0.1", "--T", "3"],
+    ["compare", "--algo", "sgdm", "--beta", "0.1", "--T", "3"],
+    ["compare", "--algo", "adam", "--beta", "0.1", "--T", "3"],
+]
+# adam's run would abort first; smg's point refuses --lambda before it starts
+COMPARE_ABORT_THEN_REFUSAL = ["compare", "--methods", "adam,smg", "--lambda", "5",
+                              "--gamma", "1e300", "--T", "3"]
+# at this gamma the 64-epoch horizon diverges and the 512-epoch one finishes
+RATE_ABORT = ["rate", "--gamma", "1.931e155", "--horizons", "64,512"]
+
+
+# eta_1 = 0 at T = 1, so a cosine schedule moves nothing and no gamma gives a step
+COSINE_SINGLE_EPOCH = [
+    ["run", "--schedule", "cosine", "--T", "1"],
+    ["audit", "--schedule", "cosine", "--T", "1"],
+    ["grid", "--schedule", "cosine", "--T", "1"],
+    ["compare", "--schedule", "cosine", "--T", "1"],
 ]
 
 
@@ -274,20 +315,14 @@ class TestRunCommand:
         assert "bound holds" in capsys.readouterr().out
 
     def test_enforce_cap_refuses_oversized_rate(self, tmp_path):
-        rc = run_cli("run", "--algo", "smg", "--strategy", "inc", "--T", "16",
-                     "--gamma", "50.0", "--enforce-cap", "--out", str(tmp_path))
-        assert rc == EXIT_REFUSAL
+        assert run_cli(*OVERSIZED_CAP, "--out", str(tmp_path)) == EXIT_REFUSAL
 
-    @pytest.mark.parametrize("gamma, rc", [("0.3", EXIT_OK), ("0.8", EXIT_REFUSAL)])
-    def test_enforce_cap_takes_ssmg_cap_from_theorem3(self, gamma, rc, tmp_path):
-        # T3's cap is 1/L = 0.347 on the default problem, and eta_1 = gamma / 2
-        assert run_cli("run", "--algo", "ssmg", "--strategy", "once", "--T", "8",
-                       "--gamma", gamma, "--enforce-cap", "--out", str(tmp_path)) == rc
+    @pytest.mark.parametrize("argv, rc", SSMG_CAP, ids=["0.3-0", "0.8-3"])
+    def test_enforce_cap_takes_ssmg_cap_from_theorem3(self, argv, rc, tmp_path):
+        assert run_cli(*argv, "--out", str(tmp_path)) == rc
 
     def test_baseline_audit_refused(self, tmp_path):
-        rc = run_cli("run", "--algo", "adam", "--T", "4", "--gamma", "0.001",
-                     "--audit", "--out", str(tmp_path))
-        assert rc == EXIT_REFUSAL
+        assert run_cli(*ADAM_AUDIT, "--out", str(tmp_path)) == EXIT_REFUSAL
 
     def test_beta_reaches_adam(self, tmp_path):
         rc = run_cli("run", "--algo", "adam", "--beta", "0.5", "--T", "4",
@@ -538,24 +573,18 @@ class TestCompareCommand:
             losses.append([row.split(",")[2] for row in rows])
         assert losses[0] == losses[1]
 
-    @pytest.mark.parametrize("algo", ["sgd", "sgdm", "adam"])
-    def test_beta_refused_without_smg_or_ssmg_algo(self, algo, tmp_path, capsys):
-        # --beta sets smg's and ssmg's weight only; sgd, sgdm and adam keep theirs
-        rc = run_cli("compare", "--algo", algo, "--beta", "0.1", "--T", "3",
-                     "--out", str(tmp_path))
-        assert rc == EXIT_USAGE
+    @pytest.mark.parametrize("argv", BETA_NOT_TAKEN, ids=lambda argv: argv[2])
+    def test_beta_refused_without_smg_or_ssmg_algo(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "usage error: compare gives --beta to smg and ssmg, under --algo smg or ssmg; "
-            f"it does not take --beta with --algo {algo}\n")
+            f"it does not take --beta with --algo {argv[2]}\n")
         assert not tmp_path.joinpath("compare.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["grid", "--algo", "smg", "--T", "4", "--gamma-grid", "50,0.01"],
-    ["compare", "--T", "3", "--gamma", "5"],
-], ids=["grid", "compare"])
+@pytest.mark.parametrize("argv", CAP_NOT_TAKEN, ids=lambda argv: argv[0])
 def test_grid_and_compare_refuse_enforce_cap(argv, tmp_path, capsys):
-    assert run_cli(*argv, "--enforce-cap", "--out", str(tmp_path)) == EXIT_USAGE
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {argv[0]} ")
     assert err.endswith("; it does not take --enforce-cap\n")
@@ -574,13 +603,11 @@ def test_settings_a_run_would_ignore_are_refused(argv, message, tmp_path, capsys
 
 
 def test_compare_refuses_every_method_before_any_run(tmp_path, capsys, monkeypatch):
-    # adam's run would abort first; smg's point refuses --lambda before it starts
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started")
     monkeypatch.setattr(cli, "ensemble_outcomes", unreachable)
     out = tmp_path / "out"
-    assert run_cli("compare", "--methods", "adam,smg", "--lambda", "5", "--gamma", "1e300",
-                   "--T", "3", "--out", str(out)) == EXIT_USAGE
+    assert run_cli(*COMPARE_ABORT_THEN_REFUSAL, "--out", str(out)) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "usage error: smg runs the constant schedule; it does not take --lambda\n")
     assert not out.exists()
@@ -602,10 +629,8 @@ def test_points_of_one_method_and_horizon_run_as_one_ensemble(argv, sizes, tmp_p
 
 
 def test_an_abort_starts_no_later_ensemble(tmp_path, monkeypatch):
-    # at this gamma the 64-epoch horizon diverges and the 512-epoch one finishes
     calls = spy_ensemble_sizes(monkeypatch)
-    assert run_cli("rate", "--gamma", "1.931e155", "--horizons", "64,512",
-                   "--out", str(tmp_path)) == EXIT_ABORT
+    assert run_cli(*RATE_ABORT, "--out", str(tmp_path)) == EXIT_ABORT
     assert calls == [1]
 
 
@@ -691,12 +716,14 @@ def test_enforce_cap_and_audit_share_one_cap_tolerance(argv, cap, check, factor,
     assert ("exceeds cap" in capsys.readouterr().err) == (rc == EXIT_REFUSAL)
 
 
-@pytest.mark.parametrize("command", ["grid", "compare"])
-def test_cosine_single_epoch_is_usage_error(command, tmp_path, capsys):
-    # eta_1 = 0 at T = 1, so no schedule parameter gives the requested step
-    rc = run_cli(command, "--schedule", "cosine", "--T", "1", "--out", str(tmp_path))
-    assert rc == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error: ")
+@pytest.mark.parametrize("argv", COSINE_SINGLE_EPOCH, ids=lambda argv: argv[0])
+def test_cosine_single_epoch_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: a cosine schedule over T=1 epoch has a zero first step for every "
+        "gamma; use T >= 2\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", LIST_REFUSALS,
@@ -850,9 +877,12 @@ def test_compare_outputs_runs_each_table_row_once():
 
     def constant(name):
         return globals()[name] if name else []
+
+    def rows_of(table):
+        return [table] if all(isinstance(arg, str) for arg in table) else table
     rows = [(*constant(before), *(row[0] if isinstance(row, tuple) else row), *constant(after))
             for table, (before, after) in script.TIER1_TABLES.items()
-            for row in globals()[table]]
+            for row in rows_of(globals()[table])]
     assert set(rows) <= set(argvs)
     rows += [argv for name, argv in zip(names, argvs) if name.startswith("golden-")]
     tier1 = {_unsized(row) for row in rows}

@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smgopt.schedules import (
@@ -64,6 +64,9 @@ class TestEta:
             Schedule("warmup", gamma=1.0, horizon=4)
         with pytest.raises(ValueError, match="rr_scale must be >= 1"):
             Schedule("constant", gamma=1.0, horizon=4, rr_scale=0)
+        # every rate of a one-epoch cosine schedule is 0
+        with pytest.raises(ValueError, match="cosine schedule over T=1 epoch"):
+            Schedule("cosine", 1.0, 1)
 
 
 class TestMonotonicity:
@@ -97,6 +100,7 @@ class TestMonotonicity:
     T=st.integers(min_value=1, max_value=500),
 )
 def test_monotone_property(kind, gamma, lam, rho, T):
+    assume(not (kind == "cosine" and T == 1))   # refused: its every rate is 0
     sch = Schedule(kind, gamma=gamma, horizon=T, lam=lam, rho=rho)
     assert is_non_increasing(sch.etas())
 

@@ -30,8 +30,9 @@ def python(code: str, threads=None) -> str:
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
 def test_import_runs_blas_on_one_thread():
-    code = "import os, smgopt; print(len(os.listdir('/proc/self/task')))"
-    assert python(code) == "1"
+    # importing smgopt alone loads no numpy, so numpy is imported after it
+    for imports in ("import os, smgopt, numpy", "import os; from smgopt import cli"):
+        assert python(f"{imports}; print(len(os.listdir('/proc/self/task')))") == "1"
 
 
 def test_caller_thread_count_is_kept():
