@@ -566,7 +566,7 @@ def main(argv=None) -> int:
     except AuditRefusal as exc:
         print(f"audit refusal: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
-    except (RunAborted, ParseError, OSError) as exc:
+    except (RunAborted, ParseError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except ValueError as exc:
@@ -575,5 +575,29 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> None:
+    """The command-line entry point: main's exit code, without interpreter
+    teardown.
+
+    Once main returns, the process has nothing left to clean up, so it
+    flushes stdout and stderr and leaves by os._exit, which skips the
+    atexit handlers and module teardown a normal exit runs.  A reader that
+    closed stdout before the last write is reported as main reports an
+    OSError, unless main already failed.  An exception that leaves main,
+    and the SystemExit of --help, exit the normal way.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            code = EXIT_ABORT
+    try:
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

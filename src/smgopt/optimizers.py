@@ -253,7 +253,9 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     with equal strategies share one permutation per epoch.
 
     The rule moves the (R, d) iterate matrix W, and every epoch start
-    evaluates the batched full pass on W, value and gradient at once.  R
+    evaluates the batched full pass on W, value and gradient at once;
+    epoch 1 evaluates it once per distinct start point, a shared w0 or a
+    seed's init_point, and gives each run its start's row.  R
     decides only the step oracle: one strategy takes the scalar component
     gradient of the view W[0], into one buffer, at indices given as Python
     ints; R > 1 strategies run in lockstep, one batched oracle call on W per
@@ -263,13 +265,18 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
     or the RunAborted of its first failed check.
     """
     n, d, (R, T) = problem.n, problem.d, etas.shape
+    # runs share a start point when they share w0, or else a seed: row k of W
+    # is row start_of[k] of the distinct starts, whose epoch-1 pass serves all
     if w0 is None:
-        W = np.array([init_point(d, s.seed) for s in strategies])
+        seeds = {}   # seed -> its row of the distinct starts
+        start_of = [seeds.setdefault(s.seed, len(seeds)) for s in strategies]
+        starts = np.array([init_point(d, seed) for seed in seeds])
     else:
-        w0 = np.asarray(w0, dtype=float)
+        w0 = np.array(w0, dtype=float)   # a contiguous copy, as the rows of W are
         if w0.shape != (d,):
             raise ValueError(f"initial point has shape {w0.shape}, problem dimension is {d}")
-        W = np.tile(w0, (R, 1))
+        start_of, starts = [0] * R, w0[None]
+    W = starts[start_of]
     # column j of an epoch's (n, S) permutations serves every run of shared[j]
     shared = {s: j for j, s in enumerate(dict.fromkeys(strategies))}
     columns = np.array([shared[s] for s in strategies])
@@ -294,7 +301,10 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
         for t in range(1, T + 1):
             if not check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
                 break
-            loss, grad = problem.batch_full_pass(W)
+            if t == 1:
+                loss, grad = (part[start_of] for part in problem.batch_full_pass(starts))
+            else:
+                loss, grad = problem.batch_full_pass(W)
             if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=1), t,
                          "non-finite objective or gradient"):
                 break

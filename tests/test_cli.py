@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +803,16 @@ class TestParseCommand:
         assert run_cli("parse", str(path)) == EXIT_ABORT
         assert capsys.readouterr().err == "runtime error: line 1: undecodable byte 0xff\n"
 
+    def test_unallocatable_dimension_is_runtime_error(self, tmp_path, capsys):
+        # a (d,) float array at index 10^14 takes 728 TiB, more than a 47-bit
+        # user address space holds, so the allocation fails before any page is touched
+        path = tmp_path / "wide.libsvm"
+        path.write_text("1 100000000000000:1\n-1 1:1\n")
+        assert run_cli("run", "--T", "2", "--dataset", str(path),
+                       "--out", str(tmp_path / "out")) == EXIT_ABORT
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: Unable to allocate") and err.count("\n") == 1
+
     def test_missing_dataset_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SMG_DATA_DIR", raising=False)
         rc = run_cli("run", "--dataset", "nonexistent.libsvm", "--out", str(tmp_path))
@@ -887,3 +900,59 @@ def test_compare_outputs_runs_each_table_row_once():
     rows += [argv for name, argv in zip(names, argvs) if name.startswith("golden-")]
     tier1 = {_unsized(row) for row in rows}
     assert [name for name, argv in script.CASES.items() if _unsized(argv) in tier1] == []
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+#
+# `python -m smgopt` and the console script call cli.entry, which leaves by
+# os._exit once main returns; these run it in a child process.
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENTRY_POINTS = {"module": ["-m", "smgopt"],
+                "entry": ["-c", "from smgopt.cli import entry; entry()"]}
+
+
+def run_entry(entry, argv, cwd, stdout=subprocess.PIPE):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *ENTRY_POINTS[entry], *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["run", "--T", "2"], EXIT_OK, ""),
+    (["run", "--T", "0"], EXIT_USAGE, "usage error: T must be >= 1, got 0\n"),
+    (["run", "--T", "2", "--dataset", "wide.libsvm"], EXIT_ABORT, "runtime error: Unable"),
+    (ADAM_AUDIT, EXIT_REFUSAL, "audit refusal: "),
+], ids=["ok", "usage", "abort", "refusal"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_keep_exit_codes(entry, argv, code, err, tmp_path):
+    (tmp_path / "wide.libsvm").write_text("1 100000000000000:1\n-1 1:1\n")
+    child = run_entry(entry, argv, tmp_path)
+    assert child.returncode == code
+    assert child.stderr.startswith(err) and child.stderr.count("\n") == (code != EXIT_OK)
+    assert child.stdout.startswith("seed 0: final loss" if code == EXIT_OK else "")
+
+
+def test_entry_writes_every_line_through_a_pipe(tmp_path):
+    child = run_entry("module", ["run", "--T", "1", "--repeats", "300"], tmp_path)
+    assert child.returncode == EXIT_OK and child.stderr == ""
+    lines = child.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"seed {k}" for k in range(300)]
+
+
+@pytest.mark.parametrize("repeats", [1, 300], ids=["flushed-at-exit", "flushed-in-main"])
+def test_a_closed_stdout_is_one_runtime_error(repeats, tmp_path):
+    # the reader closes its end before the child writes, so every write fails
+    # as it would after `| head -c 1`, without a race on the pipe's buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_entry("module", ["run", "--T", "1", "--repeats", str(repeats)],
+                          tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert child.returncode == EXIT_ABORT
+    assert child.stderr == "runtime error: [Errno 32] Broken pipe\n"

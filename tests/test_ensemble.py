@@ -111,7 +111,8 @@ def assert_same_record(actual: RunRecord, expected: RunRecord):
 # Members against scalar runs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("start", ["shared-w0", "per-seed-w0", "per-member-rates"])
+@pytest.mark.parametrize("start", ["shared-w0", "per-seed-w0", "per-member-rates",
+                                   "shared-seed"])
 @pytest.mark.parametrize("R", [2, 5])
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 @pytest.mark.parametrize("algo", ALGOS)
@@ -119,8 +120,10 @@ def assert_same_record(actual: RunRecord, expected: RunRecord):
 def test_members_match_scalar_runs(fixture, algo, kind, R, start):
     problem = make_problem(fixture)
     w0 = np.linspace(-0.5, 0.5, problem.d) if start == "shared-w0" else None
-    strategies = [ShufflingStrategy(kind, seed) for seed in range(5, 5 + R)]
-    if start == "per-member-rates":
+    # shared-seed members start two by two at one seed's init_point, and share its epoch-1 pass
+    seeds = [5 + k // 2 for k in range(R)] if start == "shared-seed" else range(5, 5 + R)
+    strategies = [ShufflingStrategy(kind, seed) for seed in seeds]
+    if start in ("per-member-rates", "shared-seed"):
         # member k runs with its own rates and momentum weight, as a grid point
         betas = [0.1 + 0.2 * k for k in range(R)]
         records = records_of(ensemble_outcomes(algo, problem, [etas(algo, k) for k in range(R)],
@@ -133,6 +136,35 @@ def test_members_match_scalar_runs(fixture, algo, kind, R, start):
     assert len(records) == R
     for record, scalar in zip(records, expected):
         assert_same_record(record, scalar)
+
+
+# the batched component gradient each logistic fixture's rows take
+GRADIENT_FORMS = {"dense-logistic": "dense_rows_grad", "sparse-logistic": "equal_rows_grad",
+                  "ragged-logistic": "ragged_rows_grad"}
+
+
+@pytest.mark.parametrize("fixture", GRADIENT_FORMS)
+def test_each_row_layout_takes_its_gradient_form(fixture):
+    # so the members above compare each of the three forms with single runs
+    assert make_problem(fixture).batch_component_grad.__name__ == GRADIENT_FORMS[fixture]
+
+
+@pytest.mark.parametrize("w0, seeds, rows", [
+    (None, [5, 5, 6, 5, 7], 3),
+    (np.full(4, 0.1), [5, 6, 7], 1),
+    (None, [5, 6, 7], 3),
+], ids=["shared-seeds", "shared-w0", "distinct"])
+def test_epoch_1_passes_once_per_start_point(w0, seeds, rows):
+    problem = make_problem("dense-logistic")
+    sizes = []
+
+    def spy(W):
+        sizes.append(len(W))
+        return problem.batch_full_pass(W)
+
+    strategies = [ShufflingStrategy("rr", seed) for seed in seeds]
+    ensemble("smg", dataclasses.replace(problem, batch_full_pass=spy), strategies, w0)
+    assert sizes == [rows] + [len(seeds)] * (T - 1)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
