@@ -235,12 +235,10 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
     so its sums do not depend on R, and full_value and full_grad are the
     pass at R = 1.  The batched component gradient repeats component_grad's
     floating-point steps, so a member's gradient equals component_grad's bit
-    for bit.  It takes one of three forms, chosen once here: when every row
+    for bit.  It takes one of two forms, chosen once here: when every row
     stores all d columns, as synthetic data does, the members' rows and W
-    form one dense block, with no column indices; when every row stores the
-    same number of entries, it gathers the members' rows as one block at
-    flat positions of W; otherwise it gathers each member's row, whatever
-    its length, without padding.
+    form one dense block, with no column indices; otherwise it gathers each
+    member's row, whatever its length, without padding.
     """
     n, d = len(dataset), dataset.d
     if n == 0:
@@ -294,18 +292,6 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         G -= (yi * _logistic_weight(yi * dots))[:, None] * vals
         return G
 
-    def equal_rows_grad(W, ids):
-        # every row stores L entries: the members' rows form one (R, L) block
-        W = np.ascontiguousarray(W)   # its flattening is a view
-        flat = row_cols[ids] + d * np.arange(len(W))[:, None]   # entries of W.ravel()
-        vals = row_vals[ids]
-        # a stacked matmul forms each x^T w with the dot product component_grad uses
-        dots = np.matmul(vals[:, None, :], W.ravel()[flat][:, :, None])[:, 0, 0]
-        yi = y[ids]
-        G = lam * regularizer_grad(W)
-        G.ravel()[flat] -= (yi * _logistic_weight(yi * dots))[:, None] * vals
-        return G
-
     def ragged_rows_grad(W, ids):
         W = np.ascontiguousarray(W)   # its flattening is a view
         R = len(W)
@@ -335,14 +321,9 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         G.ravel()[flat] -= (yi * _logistic_weight(yi * dots))[member] * vals
         return G
 
-    row_lengths = np.diff(starts)
     if indices.size == n * d:   # columns rise within a row, so each row holds 0 .. d - 1
         dense_vals = values.reshape(n, d)
         batch_component_grad = dense_rows_grad
-    elif np.all(row_lengths == row_lengths[0]):
-        shape = (n, int(row_lengths[0]))
-        row_cols, row_vals = indices.reshape(shape), values.reshape(shape)
-        batch_component_grad = equal_rows_grad
     else:
         batch_component_grad = ragged_rows_grad
 

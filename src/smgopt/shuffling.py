@@ -64,24 +64,21 @@ def permutations(strategies, n: int, t: int) -> np.ndarray:
     Seeding a generator costs more than drawing a short permutation, and
     building one SeedSequence per key costs about as much, so the seeded
     columns hash their SeedSequence keys at once (_pcg64_states) and draw
-    from one generator whose state is set to each key's in turn, shuffling
-    its row of the identity in place, as rng.permutation(n) shuffles a new
-    arange(n).  Incremental order, and a seed of more than one 32-bit word,
-    take permutation_for_epoch itself.  The rows are returned transposed,
-    as columns.
+    from one generator whose state is set to each key's in turn.
+    Incremental order is the identity, and a seed of more than one 32-bit
+    word takes permutation_for_epoch itself.
     """
     if n < 1:
         raise ValueError(f"need at least one component, got n={n}")
     if t < 1:
         raise ValueError(f"epoch index must be >= 1, got {t}")
-    out = np.empty((len(strategies), n), dtype=np.int64)
-    out[:] = np.arange(n)
+    out = np.empty((n, len(strategies)), dtype=np.int64)
     hashed = []
     for j, s in enumerate(strategies):
         if s.kind != INCREMENTAL and s.seed < 2**32 and t < 2**32:
             hashed.append(j)
         else:
-            out[j] = permutation_for_epoch(s, n, t)
+            out[:, j] = permutation_for_epoch(s, n, t)
     if hashed:
         keys = [(strategies[j].seed, _epoch_key(strategies[j], t)) for j in hashed]
         rng = np.random.default_rng(0)
@@ -90,8 +87,8 @@ def permutations(strategies, n: int, t: int) -> np.ndarray:
             bit_generator.state = {"bit_generator": "PCG64",
                                    "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
-            rng.shuffle(out[j])
-    return out.T
+            out[:, j] = rng.permutation(n)
+    return out
 
 
 def _pcg64_states(keys) -> list:

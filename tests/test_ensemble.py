@@ -139,13 +139,14 @@ def test_members_match_scalar_runs(fixture, algo, kind, R, start):
 
 
 # the batched component gradient each logistic fixture's rows take
-GRADIENT_FORMS = {"dense-logistic": "dense_rows_grad", "sparse-logistic": "equal_rows_grad",
+GRADIENT_FORMS = {"dense-logistic": "dense_rows_grad", "sparse-logistic": "ragged_rows_grad",
                   "ragged-logistic": "ragged_rows_grad"}
 
 
 @pytest.mark.parametrize("fixture", GRADIENT_FORMS)
 def test_each_row_layout_takes_its_gradient_form(fixture):
-    # so the members above compare each of the three forms with single runs
+    # so the members above compare both forms with single runs, the ragged one
+    # on rows of equal and of unequal length
     assert make_problem(fixture).batch_component_grad.__name__ == GRADIENT_FORMS[fixture]
 
 
