@@ -49,7 +49,8 @@ TIER1_TABLES = {
     "OVERSIZED_CAP": (None, None), "SSMG_CAP": (None, None), "CAP_NOT_TAKEN": (None, None),
     "ADAM_AUDIT": (None, None), "BETA_NOT_TAKEN": (None, None),
     "COMPARE_ABORT_THEN_REFUSAL": (None, None), "RATE_ABORT": (None, None),
-    "COSINE_SINGLE_EPOCH": (None, None),
+    "COMPARE_ABORT": (None, None), "COSINE_SINGLE_EPOCH": (None, None),
+    "SUBNORMAL_RATES": (None, None),
 }
 DATASET = "tiny.libsvm"
 # small LIBSVM files of each kind of text the parser reads, beside DATASET

@@ -37,7 +37,7 @@ from .dataio import (
     write_table,
     write_trace,
 )
-from .optimizers import DEFAULT_BETA, RunAborted, RunRecord, ensemble_outcomes, records_of
+from .optimizers import DEFAULT_BETA, RunAborted, ensemble_outcomes, records_of
 from .problems import Problem, logistic_problem
 from .schedules import Schedule, gamma_for_initial_step
 from .shuffling import STRATEGY_KINDS, ShufflingStrategy, init_point
@@ -182,31 +182,19 @@ def _refuse_schedule_flags(cfg: ExperimentConfig, adam: bool) -> None:
         ("--rr-scaling", adam and cfg.rr_scaling)])
 
 
-def run_points(problem: Problem, points, w0=None):
-    """Yield each (config, per-epoch rates) point's outcomes over the seeds
-    seed .. seed + repeats - 1, in point order: its RunRecords, stamped with
-    the point's config hash, or the RunAborted of each seed that aborted.
+def run_points(problem: Problem, points, w0=None) -> list:
+    """Each (config, per-epoch rates) point's outcomes over the seeds
+    seed .. seed + repeats - 1: its RunRecords, or the RunAborted of each
+    seed that aborted.
 
-    Points of one method and one horizon run as one lockstep ensemble,
-    members point-major, when the first of them is due, so a caller that
-    stops early starts no later ensemble; w0, when given, starts every run.
+    The points share one method and one horizon, and run as one lockstep
+    ensemble, members point-major; w0, when given, starts every run.
     """
-    hashes = [cfg.hash() for cfg, _ in points]
-    groups: dict = {}   # (method, horizon) -> (point, strategy, rates, beta) of each member
-    for k, (cfg, etas) in enumerate(points):
-        groups.setdefault((cfg.algo, cfg.T), []).extend(
-            (k, ShufflingStrategy(cfg.strategy, seed), etas, cfg.resolved_beta)
-            for seed in range(cfg.seed, cfg.seed + cfg.repeats))
-    outcomes: dict = {}   # point -> its outcomes, once its ensemble has run
-    for k, (cfg, _) in enumerate(points):
-        if k not in outcomes:
-            ks, strategies, etas, betas = zip(*groups[cfg.algo, cfg.T])
-            ran = ensemble_outcomes(cfg.algo, problem, etas, strategies, betas, w0)
-            for j, outcome in zip(ks, ran):
-                if isinstance(outcome, RunRecord):
-                    outcome.config_hash = hashes[j]
-                outcomes.setdefault(j, []).append(outcome)
-        yield outcomes.pop(k)
+    strategies, etas, betas = zip(*[
+        (ShufflingStrategy(cfg.strategy, seed), etas, cfg.resolved_beta)
+        for cfg, etas in points for seed in range(cfg.seed, cfg.seed + cfg.repeats)])
+    ran = iter(ensemble_outcomes(points[0][0].algo, problem, etas, strategies, betas, w0))
+    return [list(itertools.islice(ran, cfg.repeats)) for cfg, _ in points]
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +256,22 @@ def cmd_run(args) -> int:
         audit_mod.check_cap(theorem, cfg.resolved_beta, problem, float(etas[0]))
     # the expectation audit conditions on one starting point shared by seeds
     w0 = init_point(problem.d, cfg.seed) if args.audit and theorem == "T2" else None
-    records = records_of(next(run_points(problem, [(cfg, etas)], w0)))
+    records = records_of(run_points(problem, [(cfg, etas)], w0)[0])
     reports = audit_mod.audit_runs(records, problem) if args.audit else []
 
-    out, config = Path(args.out), cfg.to_dict()
+    out, config, config_hash = Path(args.out), cfg.to_dict(), cfg.hash()
     out.mkdir(parents=True, exist_ok=True)
     # one report block shared by every record, one per record, or none
     blocks = [report.to_dict() for report in reports] or [None]
     written = []
     for record, block in zip(records, itertools.cycle(blocks)):
-        path = out / f"trace_{cfg.algo}_{record.config_hash}_s{record.seed}.csv"
-        write_trace(record, path, config=config, bound_report=block)
+        path = out / f"trace_{cfg.algo}_{config_hash}_s{record.seed}.csv"
+        write_trace(record, path, config=config, bound_report=block, config_hash=config_hash)
         written.append(f"seed {record.seed}: final loss {record.losses[-1]:.6e}, "
                        f"weighted grad avg {record.weighted_grad_avg():.6e} -> {path}")
     summaries = [report.summary() for report in reports]
     if args.command == "audit":   # the report file in place of the seeds' lines
-        report_path = out / f"bound_report_{records[0].config_hash}.json"
+        report_path = out / f"bound_report_{config_hash}.json"
         report_path.write_text(json.dumps(blocks if len(blocks) > 1 else blocks[0],
                                           indent=2, sort_keys=True) + "\n")
         print(*summaries, f"report written to {report_path}", sep="\n")
@@ -359,9 +347,9 @@ def cmd_rate(args) -> int:
     problem = build_problem(cfg)
     check_horizons(horizons)
     points = [run_point(cfg, problem.n, T=h) for h in horizons]
-    fit = fit_power_law(horizons, [   # each horizon's median over its seeds
-        np.median([record.weighted_grad_avg() for record in records_of(outcomes)])
-        for outcomes in run_points(problem, points)])
+    fit = fit_power_law(horizons, [   # each horizon's median over its seeds, run in turn
+        np.median([r.weighted_grad_avg() for r in records_of(run_points(problem, [point])[0])])
+        for point in points])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = write_table(out / "rate.csv", cfg.hash(), cfg.seed, "T,metric",
@@ -404,8 +392,8 @@ def cmd_compare(args) -> int:
         if method == "adam":   # and adam its constant rate
             changes.update(schedule="constant", lam=0.0, rho=None, rr_scaling=False)
         points.append(run_point(cfg, problem.n, cfg.gamma, **changes))
-    curves = {method: np.stack([record.losses for record in records_of(outcomes)])
-              for method, outcomes in zip(methods, run_points(problem, points))}
+    curves = {method: np.stack([r.losses for r in records_of(run_points(problem, [point])[0])])
+              for method, point in zip(methods, points)}   # each method's seeds, run in turn
 
     if cfg.repeats == 1:
         header = "epoch," + ",".join(f"loss_{m}" for m in methods)

@@ -234,14 +234,14 @@ def write_table(path: Path, config_hash: str, seed: int, header: str, rows) -> P
     return path
 
 
-def write_trace(record: RunRecord, path: str | Path,
-                config: Optional[dict] = None,
-                bound_report: Optional[dict] = None) -> Path:
-    """Write the per-epoch CSV and its JSON sidecar; returns the sidecar path."""
+def write_trace(record: RunRecord, path: str | Path, config: Optional[dict] = None,
+                bound_report: Optional[dict] = None, config_hash: Optional[str] = None) -> Path:
+    """Write the per-epoch CSV and its JSON sidecar, both stamped with
+    config_hash when given; returns the sidecar path."""
     path = Path(path)
     columns = zip(record.etas.tolist(), record.losses.tolist(), record.grad_norms_sq.tolist())
     try:
-        write_table(path, record.config_hash or "", record.seed, TRACE_HEADER,
+        write_table(path, config_hash or "", record.seed, TRACE_HEADER,
                     ([str(t), *map(repr, row)] for t, row in enumerate(columns, 1)))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
@@ -251,7 +251,7 @@ def write_trace(record: RunRecord, path: str | Path,
         "seed": record.seed,
         "beta": record.beta,
         "strategy": record.strategy_kind,
-        "config_hash": record.config_hash,
+        "config_hash": config_hash,
         "config": config,
         "selected_index": record.selected_index,
         "selected_w": [float(x) for x in record.selected_w],

@@ -88,7 +88,6 @@ class RunRecord:
     seed: int
     beta: float
     strategy_kind: Optional[str] = None
-    config_hash: Optional[str] = None
     epochs: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -97,8 +96,11 @@ class RunRecord:
 
     def weighted_grad_avg(self) -> float:
         """sum_t eta_t ||grad F(w_tilde_{t-1})||^2 / sum_t eta_t."""
+        etas = self.etas
+        if np.abs(etas).max() < np.finfo(float).tiny:   # subnormal rates' products underflow;
+            etas = etas * 2.0**1022                      # an exact power of two keeps the ratio
         with np.errstate(over="ignore", invalid="ignore"):   # inf or nan past float range
-            return float(np.dot(self.etas, self.grad_norms_sq)) / float(self.etas.sum())
+            return float(np.dot(etas, self.grad_norms_sq)) / float(etas.sum())
 
 
 class _Rule:
@@ -299,12 +301,12 @@ def _drive(algo: str, problem: Problem, etas: np.ndarray,
                                         for s in strategies)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            if not check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
-                break
-            if t == 1:
+            if t > 1:   # W is the iterate the last epoch's closing check passed
+                loss, grad = problem.batch_full_pass(W)
+            elif check(np.isfinite(W).all(axis=1), t, "non-finite iterate"):
                 loss, grad = (part[start_of] for part in problem.batch_full_pass(starts))
             else:
-                loss, grad = problem.batch_full_pass(W)
+                break
             if not check(np.isfinite(loss) & np.isfinite(grad).all(axis=1), t,
                          "non-finite objective or gradient"):
                 break

@@ -34,6 +34,8 @@ DIMINISHING = "diminishing"
 EXPONENTIAL = "exponential"
 COSINE = "cosine"
 SCHEDULE_KINDS = (CONSTANT, DIMINISHING, EXPONENTIAL, COSINE)
+# is_non_increasing lets a rate exceed its predecessor by REL_TOL * (1 + |predecessor|)
+REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,9 @@ def cap_rr(beta: float, theta: float, n: int, L: float) -> StepCap:
     return StepCap(constant=D, max_eta=1.0 / (L * math.sqrt(D)))
 
 
-def is_non_increasing(etas: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_non_increasing(etas: np.ndarray) -> bool:
     etas = np.asarray(etas, dtype=float)
     if etas.size <= 1:
         return True
     scale = 1.0 + np.abs(etas[:-1])
-    return bool(np.all(etas[1:] <= etas[:-1] + rel_tol * scale))
+    return bool(np.all(etas[1:] <= etas[:-1] + REL_TOL * scale))

@@ -192,6 +192,17 @@ COMPARE_ABORT_THEN_REFUSAL = ["compare", "--methods", "adam,smg", "--lambda", "5
                               "--gamma", "1e300", "--T", "3"]
 # at this gamma the 64-epoch horizon diverges and the 512-epoch one finishes
 RATE_ABORT = ["rate", "--gamma", "1.931e155", "--horizons", "64,512"]
+# adam aborts at epoch 2, before smg's run would start
+COMPARE_ABORT = ["compare", "--methods", "adam,smg", "--gamma", "1e300", "--T", "3"]
+
+
+# rates below the smallest normal float: their products with the squared
+# gradient norms, about 0.147 here, underflow
+SUBNORMAL_RATES = [
+    ["run", "--gamma", "5e-324", "--T", "3"],
+    ["rate", "--horizons", "2,4", "--gamma", "1e-322"],
+    ["rate", "--horizons", "2,4", "--gamma", "5e-324"],
+]
 
 
 # eta_1 = 0 at T = 1, so a cosine schedule moves nothing and no gamma gives a step
@@ -631,9 +642,10 @@ def test_points_of_one_method_and_horizon_run_as_one_ensemble(argv, sizes, tmp_p
     assert calls == sizes
 
 
-def test_an_abort_starts_no_later_ensemble(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [RATE_ABORT, COMPARE_ABORT], ids=["rate", "compare"])
+def test_an_abort_starts_no_later_ensemble(argv, tmp_path, monkeypatch):
     calls = spy_ensemble_sizes(monkeypatch)
-    assert run_cli(*RATE_ABORT, "--out", str(tmp_path)) == EXIT_ABORT
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_ABORT
     assert calls == [1]
 
 
@@ -761,6 +773,25 @@ def test_values_past_the_float_range_raise_no_warning(argv, code, tmp_path, caps
     argv = [str(tmp_path / "big") if arg == "big" else arg for arg in argv]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
     assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
+
+
+@pytest.mark.parametrize("argv", SUBNORMAL_RATES,
+                         ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_subnormal_rates_weigh_every_epoch_equally(argv, tmp_path):
+    # the rate-weighted average of equal rates is the mean of the squared gradient norms
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    if argv[0] == "run":
+        trace = read_trace(next(tmp_path.glob("trace_*.csv")))
+        sidecar = json.loads(next(tmp_path.glob("trace_*.json")).read_text())
+        assert sidecar["weighted_grad_avg"] == np.mean(trace["grad_norm_sq"])
+        return
+    gamma = float(argv[argv.index("--gamma") + 1])
+    rows = (tmp_path / "rate.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2
+    for T, metric in (row.split(",") for row in rows):
+        cfg, etas = cli.run_point(ExperimentConfig(gamma=gamma, T=int(T)), 32)
+        [record] = cli.run_points(build_problem(cfg), [(cfg, etas)])[0]
+        assert float(metric) == np.mean(record.grad_norms_sq)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Parser conformance, the parse cache, trace round-trips, and
 synthetic-dataset properties."""
 import io
+import json
 import os
 import threading
 
@@ -340,20 +341,24 @@ class TestTracePersistence:
         samples = synth_binary_dataset(8, 3, seed=1, separability=0.9)
         prob = logistic_problem(samples, lam=0.01)
         sch = Schedule("diminishing", gamma=0.3, horizon=T, lam=1.0)
-        rec = smg_run(prob, sch, ShufflingStrategy("rr", seed), beta=0.5)
-        rec.config_hash = "deadbeef"
-        return rec
+        return smg_run(prob, sch, ShufflingStrategy("rr", seed), beta=0.5)
 
     def test_round_trip_floats_exact(self, tmp_path):
         rec = self._record()
         path = tmp_path / "trace.csv"
-        sidecar = write_trace(rec, path, config={"algo": "smg"})
+        sidecar = write_trace(rec, path, config={"algo": "smg"}, config_hash="deadbeef")
         data = read_trace(path)
         np.testing.assert_array_equal(data["eta"], rec.etas)
         np.testing.assert_array_equal(data["loss"], rec.losses)
         np.testing.assert_array_equal(data["grad_norm_sq"], rec.grad_norms_sq)
         np.testing.assert_array_equal(data["epoch"], np.arange(1, rec.T + 1))
-        assert sidecar.exists()
+        assert path.read_text().splitlines()[0] == "# config_hash=deadbeef seed=3"
+        assert json.loads(sidecar.read_text())["config_hash"] == "deadbeef"
+
+    def test_no_hash_leaves_the_stamp_empty(self, tmp_path):
+        sidecar = write_trace(self._record(), tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text().splitlines()[0] == "# config_hash= seed=3"
+        assert json.loads(sidecar.read_text())["config_hash"] is None
 
     def test_single_epoch_single_row(self, tmp_path):
         rec = self._record(T=1)

@@ -94,8 +94,7 @@ def assert_close(actual, expected):
     assert np.max(np.abs(actual - expected), initial=0.0) <= RTOL * scale
 
 
-EXACT = ("algo", "seed", "beta", "strategy_kind", "selected_index", "config_hash",
-         "epochs")
+EXACT = ("algo", "seed", "beta", "strategy_kind", "selected_index", "epochs")
 
 
 def assert_same_record(actual: RunRecord, expected: RunRecord):

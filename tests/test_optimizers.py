@@ -178,6 +178,22 @@ class TestRunRecord:
         assert rec.weighted_grad_avg() == pytest.approx(manual, rel=1e-15)
         assert rec.T == 7 and rec.losses.size == 7
 
+    @pytest.mark.parametrize("eta", [5e-324, 1e-322, np.finfo(float).tiny / 2])
+    def test_equal_subnormal_rates_give_the_mean(self, eta):
+        # eta * ||grad||^2 underflows; the record weighs its epochs equally all the same
+        rec = smg_run(quad_problem(), Schedule("constant", gamma=0.3, horizon=4),
+                      ShufflingStrategy("rr", 0), beta=0.5)
+        rec.etas = np.full(4, eta)
+        rec.grad_norms_sq = np.array([0.125, 0.25, 0.5, 0.375])
+        assert rec.weighted_grad_avg() == 0.3125
+
+    def test_a_normal_rate_keeps_the_unscaled_sum(self):
+        rec = smg_run(quad_problem(), Schedule("constant", gamma=0.3, horizon=3),
+                      ShufflingStrategy("rr", 0), beta=0.5)
+        rec.etas = np.array([np.finfo(float).tiny, 5e-324, 5e-324])
+        assert rec.weighted_grad_avg() == (float(np.dot(rec.etas, rec.grad_norms_sq))
+                                           / float(rec.etas.sum()))
+
     def test_selected_iterate_matches_snapshot(self):
         prob = quad_problem()
         sch = Schedule("constant", gamma=0.3, horizon=9)
