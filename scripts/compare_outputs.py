@@ -120,6 +120,9 @@ CASES = {
     "parse-index-past-int64": ["parse", PAST_INT64],
     "run-nbsp": ["run", "--T", "2", "--gamma", "500", "--dataset", NBSP],
     "run-real": ["run", "--T", "2", "--gamma", "5", "--repeats", "2", "--dataset", REAL],
+    # --dataset refuses the synthetic data's flags
+    "dataset-synth-flags": ["run", "--dataset", DATASET, "--T", "2", "--synth-n", "500",
+                            "--synth-sep", "0.1"],
     # settings a run would drop
     "ignore-rho-adam": ["run", "--algo", "adam", "--rho", "0.5", "--T", "3"],
     "ignore-audit-adam-schedule": ["audit", "--algo", "adam", "--schedule", "cosine",

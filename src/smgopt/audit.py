@@ -221,7 +221,8 @@ def fit_power_law(horizons: Sequence[int], metrics: Sequence[float]) -> RateFit:
         raise ValueError("metrics must be positive for a log-log fit")
     x = np.log(np.asarray(horizons, dtype=float))
     y = np.log(np.asarray(metrics, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
+    # equal metrics fit a flat line, where np.polyfit leaves a rounding residue
+    slope, intercept = (0.0, y[0]) if len(set(metrics)) == 1 else np.polyfit(x, y, 1)
     return RateFit(horizons, metrics, float(slope), float(intercept),
                    low_confidence=len(horizons) < 4)
 

@@ -332,6 +332,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    _refuse_flags("rate runs each of --horizons as its epoch budget",
+                  [("--T", args.T is not None)])
     cfg = config_from_args(args)
     # the bounds' setting: smg (or sgd, its beta = 0 case) under a constant schedule
     _refuse_flags("rate fits smg or sgd under a constant schedule", (
@@ -494,6 +496,10 @@ def config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig(**{f.name: value for f in fields(ExperimentConfig)
                               if (value := getattr(args, f.name)) is not None})
     cfg.validate()
+    _refuse_flags("--dataset reads its samples from the file", [
+        (flag, cfg.dataset and value is not None) for flag, value in (
+            ("--synth-n", args.synth_n), ("--synth-d", args.synth_d),
+            ("--synth-seed", args.synth_seed), ("--synth-sep", args.synth_sep))])
     return cfg
 
 

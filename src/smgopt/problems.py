@@ -151,25 +151,30 @@ class Problem:
     return one result per row, batch_component_grad(W, ids) the gradient of
     component ids[r] at W[r], and batch_full_pass(W) the pair (F(W[r]) for
     every r, grad F(W[r]) as row r), one pass that shares its work between
-    the two; full_value(w) and full_grad(w) are the one row of that pass
-    over w.  Immutable after construction;
-    the callables are pure and safe to invoke concurrently, each with its
-    own out.
+    the two.  full_value(w) and full_grad(w), when not given, are the one
+    row of that pass over w, the value as a Python float.  Immutable after
+    construction; the callables are pure and safe to invoke concurrently,
+    each with its own out.
     """
 
     n: int
     d: int
     component_value: Callable[[np.ndarray, int], float]
     component_grad: Callable[..., np.ndarray]
-    full_value: Callable[[np.ndarray], float]
-    full_grad: Callable[[np.ndarray], np.ndarray]
     constants: ProblemConstants
     batch_component_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     batch_full_pass: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    full_value: Callable[[np.ndarray], float] | None = None
+    full_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
+        full_pass = self.batch_full_pass
+        if self.full_value is None:
+            object.__setattr__(self, "full_value", lambda w: float(full_pass(w[None])[0][0]))
+        if self.full_grad is None:
+            object.__setattr__(self, "full_grad", lambda w: full_pass(w[None])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +192,6 @@ def regularizer_value(w: np.ndarray) -> float:
 def regularizer_grad(w: np.ndarray) -> np.ndarray:
     """r'(w) = w / (1 + w^2)^2."""
     return w / np.square(w * w + 1.0)
-
-
-def _one_iterate(batch_full_pass: Callable) -> tuple:
-    """full_value and full_grad of one (d,) iterate w: the one row of the
-    batched pass over w[None], the value as a Python float."""
-    return (lambda w: float(batch_full_pass(w[None])[0][0]),
-            lambda w: batch_full_pass(w[None])[1][0])
 
 
 def _logistic_weight(z: np.ndarray) -> np.ndarray:
@@ -362,13 +360,10 @@ def logistic_problem(dataset: SparseDataset, lam: float = 0.01) -> Problem:
         parts = [full_pass(W[k:k + size]) for k in range(0, len(W), size)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    full_value, full_grad = _one_iterate(batch_full_pass)
     return Problem(
         n=n, d=d,
         component_value=component_value,
         component_grad=component_grad,
-        full_value=full_value,
-        full_grad=full_grad,
         constants=logistic_constants(dataset, lam),
         batch_component_grad=batch_component_grad,
         batch_full_pass=batch_full_pass,
@@ -422,7 +417,6 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         Ar = np.matmul(A, r)
         return 0.5 * np.matmul(r.transpose(0, 2, 1), Ar)[:, 0, 0] + f_star, Ar[:, :, 0]
 
-    full_value, full_grad = _one_iterate(batch_full_pass)
     constants = ProblemConstants(
         L=float(eigs[-1]), G=math.inf, theta=0.0,
         sigma_sq=sigma_sq, f_lower=f_star,
@@ -431,8 +425,6 @@ def quadratic_mean_problem(centers: Sequence[np.ndarray] | np.ndarray,
         n=n, d=d,
         component_value=component_value,
         component_grad=component_grad,
-        full_value=full_value,
-        full_grad=full_grad,
         constants=constants,
         batch_component_grad=batch_component_grad,
         batch_full_pass=batch_full_pass,

@@ -309,7 +309,7 @@ class TestRateFit:
 
     def test_flat_metric_gives_zero_slope(self):
         fit = fit_power_law([8, 16, 32, 64], [0.5] * 4)
-        assert fit.slope == pytest.approx(0.0, abs=1e-9)
+        assert fit.slope == 0.0 and fit.intercept == np.log(0.5)
 
     def test_few_points_flagged(self):
         fit = fit_power_law([8, 16], [1.0, 0.5])

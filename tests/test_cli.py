@@ -76,6 +76,7 @@ RATE_DROPPED_FLAGS = [
     ["--rho", "0.9"],
     ["--rr-scaling"],
     ["--enforce-cap"],
+    ["--T", "3"],
 ]
 
 
@@ -629,16 +630,16 @@ def test_compare_refuses_every_method_before_any_run(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("argv, sizes", [
     # 9 steps times 3 betas, times 2 seeds, as one ensemble
-    (["grid", "--algo", "ssmg", "--paper-grids", "--repeats", "2"], [54]),
-    (["compare", "--repeats", "2"], [2] * 5),
+    (["grid", "--algo", "ssmg", "--paper-grids", "--repeats", "2", "--T", "4"], [54]),
+    (["compare", "--repeats", "2", "--T", "4"], [2] * 5),
     (["rate", "--horizons", "2,4,8"], [1] * 3),
-    (["run", "--repeats", "3"], [3]),
-    (["audit", "--repeats", "3", "--gamma", "0.01"], [3]),
+    (["run", "--repeats", "3", "--T", "4"], [3]),
+    (["audit", "--repeats", "3", "--gamma", "0.01", "--T", "4"], [3]),
 ], ids=["grid", "compare", "rate", "run", "audit"])
 def test_points_of_one_method_and_horizon_run_as_one_ensemble(argv, sizes, tmp_path,
                                                               monkeypatch):
     calls = spy_ensemble_sizes(monkeypatch)
-    assert run_cli(*argv, "--T", "4", "--synth-n", "8", "--out", str(tmp_path)) == EXIT_OK
+    assert run_cli(*argv, "--synth-n", "8", "--out", str(tmp_path)) == EXIT_OK
     assert calls == sizes
 
 
@@ -899,6 +900,19 @@ def test_dataset_run_is_byte_identical_cold_and_warm(tmp_path, monkeypatch):
         assert _tree(Path(out)) == DATASET_RUN_TREE
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cold", "data.libsvm", "data.libsvm.smgopt.npz", "warm"]
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "grid", "rate", "compare"])
+def test_dataset_refuses_the_synthetic_flags(command, tmp_path, monkeypatch, capsys):
+    # each ran as if the flags were absent, under another config hash
+    monkeypatch.chdir(tmp_path)
+    Path("data.libsvm").write_text(_dataset_text())
+    assert run_cli(command, "--dataset", "data.libsvm", "--synth-sep", "0.1",
+                   "--synth-n", "500", "--synth-d", "3", "--synth-seed", "2") == EXIT_USAGE
+    assert capsys.readouterr().err == ("usage error: --dataset reads its samples from the "
+                                       "file; it does not take --synth-n, --synth-d, "
+                                       "--synth-seed, --synth-sep\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.libsvm"]   # nothing parsed
 
 
 def _unsized(argv) -> tuple:

@@ -61,19 +61,28 @@ COMMAND_FLAGS = {
 @st.composite
 def argvs(draw):
     """A subcommand's argv: tiny sizes, then any subset of its flags, whose
-    edge values may replace the sizes (the last of a repeated flag wins)."""
+    edge values may replace the sizes (the last of a repeated flag wins),
+    without the flags the drawn command and flags refuse outright."""
     command = draw(st.sampled_from([*COMMAND_FLAGS, "parse"]))
     if command == "parse":
         return [command, draw(st.sampled_from(sorted(DATASETS)))]
+    flags = {**EXPERIMENT_FLAGS, **COMMAND_FLAGS[command]}
+    drawn = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6))
+    # flags that would end every argv at a refusal: rate's epoch budgets come
+    # from --horizons, and a --dataset run's samples from the file
+    skipped = {"--T"} if command == "rate" else set()
+    if "--dataset" in drawn:
+        skipped |= {"--synth-n", "--synth-d", "--synth-seed", "--synth-sep"}
     argv = [command]
     for flag, values in TINY.items():
-        argv += [flag, draw(st.sampled_from(values))]
+        if flag not in skipped:
+            argv += [flag, draw(st.sampled_from(values))]
     if command == "rate":
         argv += ["--horizons", "1,2"]   # the default horizons run up to T = 512
-    flags = {**EXPERIMENT_FLAGS, **COMMAND_FLAGS[command]}
-    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6)):
-        value = draw(flags[flag])
-        argv += [flag] if value is None else [flag, value]
+    for flag in drawn:
+        if flag not in skipped:
+            value = draw(flags[flag])
+            argv += [flag] if value is None else [flag, value]
     return argv
 
 

@@ -3,11 +3,13 @@ synthetic-dataset properties."""
 import io
 import json
 import os
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from smgopt import dataio
@@ -27,6 +29,7 @@ from smgopt.optimizers import smg_run
 from smgopt.problems import SparseSample, logistic_constants, logistic_problem
 from smgopt.schedules import Schedule
 from smgopt.shuffling import ShufflingStrategy
+from test_reference_oracles import CLEAN, FUZZ, outcome
 
 
 def render_libsvm(samples) -> str:
@@ -315,6 +318,39 @@ class TestParseCache:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
         assert _files(tmp_path) == ["folder"]
+
+
+# the encoding open() reads a file in, as parse_libsvm does
+ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CLEAN | FUZZ)
+# the entry narrows indptr and indices to the types their largest values fit
+@example(text="+1 1:-0 9223372036854775807:0.1\n-1 2:1e-320\n")
+@example(text="-1 " + " ".join(f"{j}:{-j}" for j in range(1, 301)) + "\n")
+@example(text="+1 1:1\r-1 2:x\n")
+@example(text="+1 1:0.5\n-1 2:\udcff\n")
+def test_stream_and_file_parse_alike_cold_and_warm(parses, text):
+    """A text gives the same arrays byte for byte, or the same error, from a
+    stream, from a file of its bytes (parsed, and its cache entry written),
+    and from that file again (the entry loaded, no text parsed)."""
+    # open() reads a file with universal newlines: a carriage return ends a line
+    expected = outcome(parse_libsvm, io.StringIO(text, newline=None))
+    try:
+        data = text.encode(ENCODING, "surrogateescape")
+    except UnicodeEncodeError:   # a lone surrogate that is no byte's escape has no file
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.libsvm"
+        path.write_bytes(data)
+        parses.clear()
+        assert outcome(parse_libsvm, path) == expected
+        written = expected[0] == "rows"
+        assert _files(path.parent) == [path.name] + [_entry(path).name] * written
+        assert outcome(parse_libsvm, path) == expected
+        assert len(parses) == 2 - written
 
 
 @settings(max_examples=50, deadline=None)

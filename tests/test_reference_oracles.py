@@ -4,7 +4,10 @@ The reference functions below are the earlier tuple-based implementations,
 kept verbatim apart from names: the line-by-line LIBSVM parser, the
 per-sample logistic oracles, the full value and gradient loops, the
 constants and the feature scaling.  They read the rows of a SparseDataset
-as SparseSample tuples.
+as SparseSample tuples.  The parser also holds parse_libsvm's two edge
+rules, which the earlier one lacked: an index outside int64 is an
+unparsable token, and a line holding an undecodable byte (read as a lone
+surrogate) is refused at that line.
 
 Tolerances: results whose summation order is unchanged must be bitwise
 equal (parsed rows, constants, scaled features).  The oracles sum the
@@ -63,6 +66,11 @@ def ref_parse_libsvm(source):
     samples = []
     d = 0
     for line_number, raw in enumerate(source, start=1):
+        try:
+            raw.encode()
+        except UnicodeEncodeError as exc:   # surrogateescape reads byte b as U+DC00 + b
+            raise ParseError(line_number,
+                             f"undecodable byte 0x{ord(raw[exc.start]) & 0xFF:02x}") from None
         line = raw.strip()
         if not line:
             continue
@@ -79,6 +87,8 @@ def ref_parse_libsvm(source):
                 val = float(val_str)
             except ValueError:
                 raise ParseError(line_number, f"unparsable token {token!r}") from None
+            if not -2**63 <= idx < 2**63:
+                raise ParseError(line_number, f"unparsable token {token!r}")
             if idx <= prev_idx:
                 raise ParseError(
                     line_number,
@@ -245,24 +255,45 @@ def test_zero_columns_and_empty_rows_scale_to_themselves():
 # Parser
 # ---------------------------------------------------------------------------
 
-def outcome(parse, text):
-    """Rows and dimension of a parse, or the line and message of its error."""
+def ref_csr(samples) -> tuple:
+    """The CSR arrays of SparseSample rows, in the dtypes of parse_libsvm's."""
+    features = [pair for sample in samples for pair in sample.features]
+    return (np.cumsum([0] + [len(sample.features) for sample in samples], dtype=np.int64),
+            np.array([index - 1 for index, _ in features], np.int64),
+            np.array([value for _, value in features], np.float64),
+            np.array([sample.label for sample in samples], np.int64))
+
+
+def outcome(parse, source):
+    """The CSR arrays of a parse, each as its dtype and bytes, and the
+    dimension; or the line and message of its error."""
     try:
-        rows, d = parse(io.StringIO(text))
+        rows, d = parse(source)
     except ParseError as exc:
         return ("error", exc.line_number, str(exc))
-    return ("rows", list(rows), d)
+    arrays = ref_csr(rows) if isinstance(rows, list) else (
+        rows.indptr, rows.indices, rows.values, rows.labels)
+    return ("rows", d, [(array.dtype.str, array.tobytes()) for array in arrays])
+
+
+def judged(text) -> list:
+    """The outcomes of parse_libsvm and of the reference on a text stream."""
+    return [outcome(parse, io.StringIO(text)) for parse in (parse_libsvm, ref_parse_libsvm)]
+
+
+def features(indices, values, size):
+    """Lists of up to size index:value tokens, indices strictly increasing."""
+    return st.lists(indices, unique=True, max_size=size).map(sorted).flatmap(
+        lambda idx: st.lists(values, min_size=len(idx), max_size=len(idx)).map(
+            lambda vals: [f"{i}:{v}" for i, v in zip(idx, vals)]))
 
 
 JUNK = st.text(alphabet="0123456789:.-+eE_x", max_size=6)
 LABEL = st.sampled_from(["+1", "-1"]) | st.sampled_from(
     ["1", "0", "-0", "1.0", "+1.", "1e0", "2", "nan", "inf"]) | JUNK
 VALUE = st.floats(allow_nan=False).map(repr) | st.sampled_from(["1", "-0", "1e400"])
-INCREASING = st.lists(st.integers(1, 40), unique=True, max_size=6).map(sorted)
-FEATURES = st.builds(lambda idx, values: [f"{i}:{v}" for i, v in zip(idx, values)],
-                     INCREASING, st.lists(VALUE, min_size=6, max_size=6))
-TOKENS = FEATURES | st.lists(st.builds("{}:{}".format, st.integers(-1, 40), VALUE)
-                             | JUNK, max_size=5)
+TOKENS = features(st.integers(1, 40), VALUE, 6) | st.lists(
+    st.builds("{}:{}".format, st.integers(-1, 40), VALUE) | JUNK, max_size=5)
 # str.split's whitespace, ASCII and not, with a carriage return inside a line
 SEPARATOR = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\u00a0",
                              "\u3000", "\r", " \r "])
@@ -270,9 +301,35 @@ LINE = st.builds(lambda label, tokens, sep, tail: sep.join([label] + tokens) + t
                  LABEL, TOKENS, SEPARATOR, st.sampled_from(["", " ", "\r"]))
 TEXT = st.builds("\n".join, st.lists(LINE | st.sampled_from(["", "  "]), max_size=8))
 
+# texts past the parser's edges: indices outside int64, nan, inf and 1e400
+# values, and a lone surrogate, the form an undecodable byte of a file takes
+BIG = st.sampled_from(["9223372036854775807", "9223372036854775808",
+                       "-9223372036854775809", "99999999999999999999", "1" * 25])
+ODD = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "NaN", "Infinity"])
+SURROGATE = st.sampled_from(["\udcff", "\udc80", "\udcfe", "\ud800"])
+EDGE_TOKEN = (st.builds("{}:{}".format, BIG, VALUE | ODD)
+              | st.builds("{}:{}".format, st.integers(1, 40), ODD) | JUNK)
+EDGE_LINE = st.builds(lambda label, tokens, sep: sep.join([label] + tokens),
+                      LABEL | ODD, st.lists(EDGE_TOKEN, max_size=4), SEPARATOR)
+FUZZ = (TEXT | st.builds("\n".join, st.lists(EDGE_LINE | st.just(""), max_size=6))
+        | st.builds(lambda text, char, at: text[:at] + char + text[at:],
+                    TEXT, SURROGATE, st.integers(0, 400)))
+
+# clean multi-line texts, which parse: binary labels, indices up to int64's
+# largest, and values as repr floats, integers past 2**53 and other spellings
+CLEAN_VALUE = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-10**20, 10**20).map(str)
+               | st.sampled_from(["-0", "+007", "1e-05", "-2.5E-07", "1.", ".5"]))
+CLEAN_LINE = st.builds(lambda label, tokens: " ".join([label] + tokens),
+                       st.sampled_from(["+1", "-1", "1", "0"]),
+                       features(st.integers(1, 10**6) | st.integers(1, 2**63 - 1),
+                                CLEAN_VALUE, 15))
+CLEAN = st.lists(CLEAN_LINE, min_size=1, max_size=40).map(
+    lambda lines: "".join(line + "\n" for line in lines))
+
 
 @settings(max_examples=300, deadline=None)
-@given(TEXT)
+@given(FUZZ)
 @example("3:4:5 7\n")
 @example("+1 1:0.5\n-1 3:4:5 7\n")
 @example("1:\n")
@@ -292,17 +349,29 @@ TEXT = st.builds("\n".join, st.lists(LINE | st.sampled_from(["", "  "]), max_siz
 @example("-1 1:0.12345678901234567 2:1e5 3:2E-3 4:15e0 5:-0\n")
 @example("+1 1:1\x002\n")
 @example("+1 1:1\n-1 2:5")
+@example("+1 9223372036854775807:nan\n-1 9223372036854775808:1\n")
+@example("-1 2:1\n+1 -9223372036854775809:1\n")
+@example("+1 1:0.5\n-1 2:\udcff\n")
+@example("+1 1:\ud800")
 def test_parser_matches_the_line_parser(text):
-    assert outcome(parse_libsvm, text) == outcome(ref_parse_libsvm, text)
+    parsed, expected = judged(text)
+    assert parsed == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(CLEAN)
+@example("+1 1:-0 2:0 9223372036854775807:+007\n-1 3:1. 4:.5 5:100000000000000000001\n")
+def test_clean_texts_match_the_line_parser(text):
+    parsed, expected = judged(text)
+    assert parsed == expected and parsed[0] == "rows"
 
 
 def test_parser_blocks_keep_rows_and_line_numbers():
     lines = [f"{'+1' if i % 3 else '-1'} {i % 7 + 1}:{i / 9} 9:1" for i in range(
         BLOCK_LINES + 500)]
-    text = "\n".join(lines) + "\n"
-    assert outcome(parse_libsvm, text) == outcome(ref_parse_libsvm, text)
+    parsed, expected = judged("\n".join(lines) + "\n")
+    assert parsed == expected
     lines[BLOCK_LINES + 17] = "+1 9:1 3:1"
-    text = "\n".join(lines)
-    expected = outcome(ref_parse_libsvm, text)
+    parsed, expected = judged("\n".join(lines))
     assert expected[:2] == ("error", BLOCK_LINES + 18)
-    assert outcome(parse_libsvm, text) == expected
+    assert parsed == expected
